@@ -1,6 +1,6 @@
 """One `llbar` invocation in a fresh process, with its cost recorded.
 
-    python3 child.py RESULT_JSON MODE PROBE_JSON LLBAR_ARG...
+    python3 child.py RESULT_JSON MODE LLBAR_ARG...
 
 MODE is `setup` (set-up time only, the entry point is not called),
 `plain` (set-up time, entry-point wall time, peak RSS), `trace`
@@ -21,8 +21,7 @@ t1 = time.perf_counter()
 import json  # noqa: E402
 import resource  # noqa: E402
 
-result_path, mode, probe_spec = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
-argv = sys.argv[4:]
+result_path, mode, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
 result = {"llbar_file": llbar.__file__, "setup_s": t1 - t0}
 tracer = None
 peaks = []
@@ -65,7 +64,7 @@ if tracer is not None:
     from tracing import layer_metrics
 
     result["study_seen"] = any(span[0] == "study" for span in tracer.spans)
-    result["layers"], result["probed"], result["missing"] = layer_metrics(tracer, probe_spec)
+    result["layers"], result["not_reached"], result["missing"] = layer_metrics(tracer)
 if mode == "memory":
     result["study_peak_mb"] = max(peaks, default=0.0)
 with open(result_path, "w") as fh:

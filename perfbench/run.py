@@ -5,11 +5,12 @@
 Every round runs the workload once through `llbar.cli.main` in a fresh
 process and checks its output files (checks.py). Rounds repeat with the
 same inputs while another round still fits in S seconds (at least one
-round). With --trace 0 the run reports the median over its rounds of
-wall_s, setup_s and peak_rss_mb; with --trace 1 it makes one traced round
-(spans and FFT counts, tracing.py), a tracemalloc round when the workload
-runs a study, and plain rounds that give the tracing overhead, and reports
-the per-layer metrics. The last line of standard output is one JSON object
+round; S defaults to run_seconds of BENCHMARK.json). With --trace 0 the
+run reports the median over its rounds of wall_s and peak_rss_mb, and of
+setup_s over its rounds and the set-up-only processes after each; with
+--trace 1 it makes one traced round (spans and FFT counts, tracing.py), a
+tracemalloc round when the workload runs a study, and plain rounds that
+give the tracing overhead, and reports the per-layer metrics. The last line of standard output is one JSON object
 with the keys correct, attempted, failed and metrics. The program is built
 from `src/` of the checkout that holds this file; outputs go to
 `.perfbench_out/` there. See README.md for the workloads and metrics.
@@ -42,6 +43,9 @@ EPS_LIST = (0.4, 0.2, 0.1, 0.05)  # the llbar default eps sweep
 SWEEP_T = 0.01  # T of eps_limit_3d_n32
 VERIFY_K = 10  # K of identities_3d_n32
 DEADLINE_S = 170.0  # a run ends within 180 s whatever the program does
+# set-up-only processes after each timed round: set-up is short and noisy,
+# so it takes more samples than a round gives
+SETUPS_PER_ROUND = 3
 
 
 def _simulate(seed):
@@ -63,14 +67,10 @@ def _identities(seed):
     return argv, VERIFY_K, lambda out, rc: checks.check_verify(out, rc, seed, VERIFY_K)
 
 
-# name -> (round builder, grid and data of the layer probes, see tracing.run_probes)
 WORKLOADS = {
-    "simulate_2d_n64": (_simulate, dict(dim=2, n=64, eps=0.1, kernel="gaussian",
-                                        decay_r=3.0, amplitude=0.5)),
-    "eps_limit_3d_n32": (_eps_limit, dict(dim=3, n=32, eps=0.05, kernel="gaussian",
-                                          decay_r=5.0, amplitude=0.5)),
-    "identities_3d_n32": (_identities, dict(dim=3, n=32, eps=0.2, kernel="bump",
-                                            decay_r=3.0, amplitude=1.0)),
+    "simulate_2d_n64": _simulate,
+    "eps_limit_3d_n32": _eps_limit,
+    "identities_3d_n32": _identities,
 }
 
 # every per-layer metric and its unit; the last four come from the parent
@@ -101,10 +101,8 @@ class Round:
 
 class Runner:
     def __init__(self, workload, seed):
-        build, probe = WORKLOADS[workload]
         self.seed = seed % 2**31
-        self.argv, self.ops, self.check = build(self.seed)
-        self.probe = json.dumps(dict(probe, seed=self.seed))
+        self.argv, self.ops, self.check = WORKLOADS[workload](self.seed)
         self.base = OUT / workload
         self.started = time.perf_counter()
         self.count = 0
@@ -120,7 +118,7 @@ class Runner:
         outdir.mkdir(parents=True)
         result = outdir / "result.json"
         cmd = [sys.executable] + (["-X", "importtime"] if importtime else [])
-        cmd += [str(HERE / "child.py"), str(result), mode, self.probe] + argv
+        cmd += [str(HERE / "child.py"), str(result), mode] + argv
         try:
             proc = subprocess.run(cmd, cwd=outdir, env=self.env, capture_output=True,
                                   text=True, timeout=max(self.left(), 1.0))
@@ -160,14 +158,14 @@ class Runner:
         return Round(record, problems, time.perf_counter() - t), stderr
 
     def repeat(self, seconds, rounds, setups=None):
-        """Plain rounds, each followed by a set-up sample when `setups` is a
-        list, while another such step still fits in the budget."""
+        """Plain rounds, each followed by SETUPS_PER_ROUND set-up samples when
+        `setups` is a list, while another such step still fits in the budget."""
         start, steps = time.perf_counter(), []
         while True:
             t = time.perf_counter()
             rounds.append(self.round()[0])
             if setups is not None:
-                setups.append(self.setup_sample())
+                setups += [self.setup_sample() for _ in range(SETUPS_PER_ROUND)]
             steps.append(time.perf_counter() - t)
             typical = statistics.median(steps)
             if time.perf_counter() - start + typical > seconds or self.left() < 2 * typical:
@@ -203,10 +201,10 @@ def traced_run(runner, seconds):
     start = time.perf_counter()
     traced, stderr = runner.round("trace", importtime=True)
     rounds = [traced]
-    layers, probed, missing = {}, [], set()
+    layers, not_reached, missing = {}, [], set()
     if traced.record is not None:
         layers = dict(traced.record["layers"])
-        probed, missing = traced.record["probed"], set(traced.record["missing"])
+        not_reached, missing = traced.record["not_reached"], set(traced.record["missing"])
         imports = import_times(stderr)
         if "llbar.mollifier" in imports:
             layers["mollifier.import_s"] = imports["llbar.mollifier"]
@@ -229,7 +227,8 @@ def traced_run(runner, seconds):
         if name not in layers:
             missing.add(name)
         metrics[name] = {"value": layers.get(name, 0.0), "unit": unit}
-    notes = [f"probe: {m}" for m in probed] + [f"missing: {m}" for m in sorted(missing)]
+    notes = [f"not reached: {m}" for m in not_reached]
+    notes += [f"missing: {m}" for m in sorted(missing)]
     return rounds, metrics, notes
 
 
@@ -237,7 +236,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float,
+                        default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not (SRC / "llbar" / "cli.py").is_file():

@@ -1,19 +1,20 @@
-"""Steadiness of the benchmark: sets of runs of the same code, compared.
+"""Steadiness of the benchmark: two sets of runs of the same code, compared.
 
-    python3 perfbench/steady.py [--workloads A,B] [--runs 10] [--sets 2] [--seconds S]
+    python3 perfbench/steady.py
 
-Each set runs run.py once per seed (set j uses seeds j*runs+1 .. (j+1)*runs)
-with tracing off. For every workload and end-to-end metric it prints each
-set's median and quartiles, the quartile spread as a share of the median,
-and how far each later set's median moved from the first, against the
-metric's bound in BENCHMARK.json (spread of setup_s is not bounded). It
-also compares the share of failed operations between sets. The raw results
-go to .perfbench_out/steady.json.
+For every workload of BENCHMARK.json it makes RUNS timed runs of run.py
+per set, with tracing off and run_seconds long. Set 1 uses seeds 1..RUNS
+and set 2 seeds RUNS+1..2*RUNS; the two sets alternate run by run, so both
+see the same drift of the host. For every workload and end-to-end metric
+it prints each set's median and quartiles, the quartile spread as a share
+of the median, and how far set 2's median lies from set 1's, each against
+the metric's bound in BENCHMARK.json. It also compares the share of failed
+operations between the sets. It exits 0 only if every figure is within its
+bound. The raw results go to .perfbench_out/steady.json.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -22,34 +23,25 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+RUNS = 10
 
 
-def quartiles(values):
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    return q1, q2, q3
-
-
-def main(argv=None):
+def main():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workloads", default=",".join(names))
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--sets", type=int, default=2)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    args = parser.parse_args(argv)
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     results = {}
-    for workload in args.workloads.split(","):
-        for s in range(args.sets):
-            for seed in range(s * args.runs + 1, (s + 1) * args.runs + 1):
+    for workload in (w["name"] for w in spec["workloads"]):
+        sets = results[workload] = ([], [])
+        for i in range(1, RUNS + 1):
+            for s, seed in enumerate((i, RUNS + i)):
                 proc = subprocess.run(
                     [sys.executable, str(HERE / "run.py"), "--workload", workload,
-                     "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"],
+                     "--seed", str(seed), "--seconds", str(spec["run_seconds"]),
+                     "--trace", "0"],
                     cwd=ROOT, capture_output=True, text=True, check=True)
                 summary = json.loads(proc.stdout.strip().splitlines()[-1])
-                results.setdefault(workload, [[] for _ in range(args.sets)])[s].append(summary)
+                sets[s].append(summary)
                 values = {k: round(v["value"], 4) for k, v in summary["metrics"].items()}
                 print(f"{workload} set {s + 1} seed {seed}: {values} "
                       f"failed {summary['failed']}/{summary['attempted']}", flush=True)
@@ -60,26 +52,24 @@ def main(argv=None):
     steady = True
     for workload, sets in results.items():
         print(f"\n{workload}")
-        shares = {sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
-                  for runs in sets}
-        if len(shares) > 1:
-            steady = False
-        print(f"  failed share per set: {sorted(shares)}")
+        shares = [sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
+                  for runs in sets]
+        steady &= shares[0] == shares[1]
+        print(f"  failed share per set: {shares}")
         for metric, bound in bounds.items():
             medians = []
             for j, runs in enumerate(sets, 1):
-                q1, med, q3 = quartiles([r["metrics"][metric]["value"] for r in runs])
+                q1, med, q3 = statistics.quantiles(
+                    [r["metrics"][metric]["value"] for r in runs], n=4)
                 spread = (q3 - q1) / med
                 medians.append(med)
-                ok = metric == "setup_s" or spread <= bound
-                steady &= ok
+                steady &= spread <= bound
                 print(f"  {metric:12s} set {j}: median {med:.4f}  q1 {q1:.4f}  q3 {q3:.4f}"
-                      f"  spread {spread:.3f} (bound {bound}){'' if ok else '  OVER'}")
-            for j, med in enumerate(medians[1:], 2):
-                drift = med / medians[0] - 1.0
-                steady &= drift <= bound
-                print(f"  {metric:12s} set {j} vs set 1: {drift:+.3f}"
-                      f"{'' if drift <= bound else '  OVER'}")
+                      f"  spread {spread:.3f} (bound {bound}){'' if spread <= bound else '  OVER'}")
+            drift = medians[1] / medians[0] - 1.0
+            steady &= abs(drift) <= bound
+            print(f"  {metric:12s} set 2 vs set 1: {drift:+.3f}"
+                  f"{'' if abs(drift) <= bound else '  OVER'}")
     print("\nsteady" if steady else "\nNOT steady")
     return 0 if steady else 1
 

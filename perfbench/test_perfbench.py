@@ -195,11 +195,10 @@ def test_self_time_and_field_partition():
 def _traced(tmp_path, name):
     outdir = tmp_path / name
     outdir.mkdir()
-    probe = dict(dim=2, n=16, eps=0.1, kernel="gaussian", decay_r=3.0, amplitude=0.5, seed=0)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run(
         [sys.executable, str(HERE / "child.py"), str(outdir / "r.json"), "trace",
-         json.dumps(probe), "simulate", "--n", "16", "--t-end", "0.02", "--eps", "0.1",
+         "simulate", "--n", "16", "--t-end", "0.02", "--eps", "0.1",
          "--outdir", str(outdir / "out")],
         cwd=outdir, env=env, check=True, capture_output=True)
     return json.loads((outdir / "r.json").read_text())
@@ -209,6 +208,11 @@ def test_traced_child_reports_every_layer_metric_with_repeatable_counts(tmp_path
     first, second = _traced(tmp_path, "a"), _traced(tmp_path, "b")
     assert first["returncode"] == 0 and first["missing"] == []
     assert set(first["layers"]) == set(tracing.SPAN_METRICS) | set(tracing.COUNT_METRICS)
+    # simulate runs no study and no identity suite
+    assert set(first["not_reached"]) == {
+        "experiments.leg_s", "experiments.compare_s", "grid.transforms_per_field",
+        "physics.identity_field_ms", "mollifier.properties_s"}
+    assert all(first["layers"][m] == 0.0 for m in first["not_reached"])
     counts = [m for m, (unit, _) in {**tracing.SPAN_METRICS, **tracing.COUNT_METRICS}.items()
               if unit in ("count", "B")]
     assert {m: first["layers"][m] for m in counts} == {m: second["layers"][m] for m in counts}

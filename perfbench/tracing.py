@@ -217,66 +217,20 @@ def span_metrics(spans):
     return out
 
 
-def run_probes(tracer, needed, spec):
-    """Call, once on the workload's own grid and data, each layer function
-    that the traced round never reached, so that every per-layer time is a
-    measurement. Returns the metrics of those calls alone."""
-    import llbar.cli as cli
-    import llbar.experiments as experiments
-    import llbar.grid as grid_mod
-    import llbar.integrator as integrator
-    import llbar.mollifier as mollifier
-    import llbar.physics as physics
-
-    tracer.spans.clear()
-    grid = grid_mod.Grid(spec["dim"], spec["n"])
-    params = physics.EffectiveFieldParams()
-    J = mollifier.make_mollifier(grid, spec["eps"], spec["kernel"])
-    u = grid_mod.random_band_limited_field(
-        grid, seed=spec["seed"], decay_r=spec["decay_r"], amplitude=spec["amplitude"])
-    if needed & {"advance", "nonlinear_rhs", "propagator_build", "report"}:
-        stepper = integrator.Stepper(grid, integrator.SchemeConfig(), params, J)
-        uhat = grid_mod.to_spectral(u)
-        for _ in range(3):
-            uhat = stepper.advance(uhat, stepper.cfg.dt)
-        integrator.report(uhat, 0.0, params)
-    if needed & {"identity_suite", "field"}:
-        cli.identity_suite(grid, params, eps=spec["eps"], kind=spec["kernel"],
-                           seeds=range(spec["seed"], spec["seed"] + 2))
-    if "properties" in needed:
-        cli.verify_mollifier_properties(J)
-    if needed & {"leg", "compare"}:
-        cli.run_eps_limit(experiments.StudySpec(
-            kind="eps_limit", dim=spec["dim"], n=spec["n"], seed=spec["seed"],
-            decay_r=spec["decay_r"], amplitude=spec["amplitude"], kernel=spec["kernel"],
-            eps_list=(0.2, 0.1), t_end=2e-3, report_every=1))
-    return span_metrics(tracer.spans)
-
-
-def layer_metrics(tracer, spec):
-    """(metrics of the traced round with probe values filled in, names of
-    the metrics taken from probes, names of the metrics that are missing)."""
+def layer_metrics(tracer):
+    """(metrics of the traced round, names of the span metrics the round
+    never reached, names of the metrics that are missing). A metric that is
+    not reached or missing reads 0."""
     out = span_metrics(tracer.spans)
     bump = getattr(sys.modules.get("llbar.mollifier"), "bump_profile", None)
     info = getattr(bump, "cache_info", None)
     if info is not None:
         out["mollifier.bump_quad_evals"] = info().misses
-    absent = {m for m in SPAN_METRICS if m not in out}
     missing = {m for m, (_, needs) in {**SPAN_METRICS, **COUNT_METRICS}.items()
                if set(needs) & tracer.missing}
     if info is None:
         missing.add("mollifier.bump_quad_evals")
-    probed = set()
-    to_probe = absent - missing
-    if to_probe:
-        needed = {n for m in to_probe for n in SPAN_METRICS[m][1]} - {"fft"}
-        try:
-            probe = run_probes(tracer, needed, spec)
-        except (AttributeError, TypeError):  # the program's API moved on
-            probe = {}
-        for metric in to_probe:
-            if metric in probe:
-                out[metric] = probe[metric]
-                probed.add(metric)
-    missing |= absent - probed
-    return out, sorted(probed), sorted(missing)
+    not_reached = {m for m in SPAN_METRICS if m not in out} - missing
+    for metric in not_reached | missing:
+        out[metric] = 0.0
+    return out, sorted(not_reached), sorted(missing)
