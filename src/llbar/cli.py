@@ -12,8 +12,6 @@ Configuration is resolved as: command-line flag, else `--config` file value
 configuration is echoed to the output directory, so outputs are a pure
 function of that echo plus the seed. Nothing is written outside the output
 directory; the directory itself defaults to $LLBAR_OUTDIR or ./out.
-$LLBAR_THREADS caps the numeric thread pools (results do not depend on it;
-the spectral kernels are single-threaded).
 
 Exit codes: 0 all checks passed, 1 usage error, 2 a check failed,
 3 blow-up, 4 malformed data or other I/O failure.
@@ -533,10 +531,6 @@ def cmd_calibrate(args) -> int:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("LLBAR_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)

@@ -9,13 +9,14 @@ the monitor tracks it against a finite proxy threshold.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import DataError, UsageError
-from .grid import Field, gradient, norm
-from .physics import DEFAULT_PARAMS, EffectiveFieldParams, dissipation, effective_field, energy
+from .grid import SPECTRAL, Field, check_conjugate_symmetry
+from .physics import DEFAULT_PARAMS, EffectiveFieldParams
 
 # exact CSV column order
 COLUMNS = (
@@ -61,30 +62,63 @@ class EnergyReport:
         return ",".join(f"{v:.17g}" for v in vals) + f",{self.flags}"
 
 
+def _mode_density(grid, half: np.ndarray) -> np.ndarray:
+    """Sum over components of |hat|^2 per half-lattice mode, weighted so
+    that its sum is the full-lattice Parseval sum."""
+    return grid.parseval_weights * np.sum(half.real**2 + half.imag**2, axis=0)
+
+
 def report(
     u: Field, t: float, p: EffectiveFieldParams = DEFAULT_PARAMS
 ) -> EnergyReport:
     """Populate every observable; non-finite data yields a flagged report
     instead of an exception so the blow-up monitor can see it.  An entry
     that overflows during evaluation (finite data, huge norms) is flagged
-    the same way."""
+    the same way.
+
+    The same quantities as norm(), energy(), dissipation() and
+    effective_field(), from three real transforms: the Sobolev norms and
+    the quadratic parts of E and D are Parseval sums over the half lattice,
+    and only |u| and H = Lap u + (1/(2 chi)) (1 - |u|^2) u are sampled.
+    A spectral u must be conjugate-symmetric (DataError otherwise)."""
     if not np.all(np.isfinite(u.data)):
         nan = float("nan")
         return EnergyReport(t, nan, nan, nan, nan, nan, nan, nan, nan, nan, "nan")
+    grid = u.grid
+    axes = u.spatial_axes
     with np.errstate(over="ignore", invalid="ignore"):
-        grad_sq = sum(norm(g, "l2") ** 2 for g in gradient(u))
-        h = effective_field(u, p)
+        if u.representation == SPECTRAL:
+            check_conjugate_symmetry(u)
+            uhat = u.data[..., : grid.n // 2 + 1]
+            up = np.fft.irfftn(uhat, s=grid.shape, axes=axes)
+        else:
+            up = u.data
+            uhat = np.fft.rfftn(up, axes=axes)
+        lap = np.fft.irfftn(-grid.ksq_half * uhat, s=grid.shape, axes=axes)
+        usq = np.sum(up**2, axis=0)
+        h = lap + (0.5 / p.chi) * (1.0 - usq) * up
+        hhat = np.fft.rfftn(h, axes=axes)
+
+        parseval = grid.cell_volume / grid.npoints
+        bessel = 1.0 + grid.ksq_half
+        dens = _mode_density(grid, uhat)
+        l2_sq = float(np.sum(dens)) * parseval
+        grad_sq = float(np.sum(grid.kodd_sq_half * dens)) * parseval
+        l4_4 = float(np.sum(usq**2)) * grid.cell_volume
+        hdens = _mode_density(grid, hhat)
+        heff_sq = float(np.sum(hdens)) * parseval
+        grad_h_sq = float(np.sum(grid.kodd_sq_half * hdens)) * parseval
         rep = EnergyReport(
             t=t,
-            l2=norm(u, "l2"),
-            l4=norm(u, "l4"),
-            linf=norm(u, "linf"),
-            h1=norm(u, "hs", s=1),
-            h2=norm(u, "hs", s=2),
-            grad_l2=float(np.sqrt(grad_sq)),
-            energy=energy(u, p),
-            dissipation=dissipation(u, p),
-            heff_l2=norm(h, "l2"),
+            l2=math.sqrt(l2_sq),
+            l4=l4_4**0.25,
+            linf=float(np.sqrt(np.max(usq))),
+            h1=math.sqrt(float(np.sum(bessel * dens)) * parseval),
+            h2=math.sqrt(float(np.sum(bessel**2 * dens)) * parseval),
+            grad_l2=math.sqrt(grad_sq),
+            energy=l4_4 / (8.0 * p.chi) + 0.5 * grad_sq - l2_sq / (4.0 * p.chi),
+            dissipation=p.lambda_r * heff_sq + p.lambda_e * grad_h_sq,
+            heff_l2=math.sqrt(heff_sq),
         )
     values = [getattr(rep, c) for c in COLUMNS[1:-1]]
     if not np.all(np.isfinite(values)):

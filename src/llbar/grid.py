@@ -7,6 +7,13 @@ m in [-n/2, n/2). L2 and H^s norms are evaluated spectrally via Parseval;
 L4 and Linf use collocation quadrature of the pointwise Euclidean magnitude.
 All operations are pure: they return new Field objects and never mutate
 their inputs.
+
+Half lattice. A real field's spectrum is Hermitian, u_hat(-m) = conj(u_hat(m)),
+so the hot paths (the nonlinear right-hand side and the per-report
+observables) work on the real-transform half `[..., :n//2+1]` of the last
+axis, the layout of numpy's rfftn/irfftn. Grid caches the half-lattice
+symbols, the Parseval weights that count each mirrored mode twice, and
+expands a half spectrum back to the full lattice, which Field keeps.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ SPECTRAL = "spectral"
 # imaginary contamination when transformed back to physical space.  Roundoff
 # amplified through the quartic symbol reaches ~1e-11 relative on 64-per-axis
 # grids; genuine conjugate-symmetry bugs sit at O(1).  The guard separates
-# the two regimes.
+# the two regimes.  check_conjugate_symmetry applies the same bound to the
+# mismatch between u_hat(m) and conj(u_hat(-m)) without a transform.
 IMAG_TOL = 1e-9
 
 
@@ -134,12 +142,56 @@ class Grid:
             mask = mask & (np.abs(ma) <= cutoff)
         return mask
 
+    # -- half lattice (last axis 0..n//2, the rfftn layout) -------------------
+
+    @cached_property
+    def ksq_half(self) -> np.ndarray:
+        return self.ksq[..., : self.n // 2 + 1]
+
+    @cached_property
+    def dealias_mask_half(self) -> np.ndarray:
+        return self.dealias_mask[..., : self.n // 2 + 1]
+
+    @cached_property
+    def kodd_sq_half(self) -> np.ndarray:
+        """Sum over axes of the Nyquist-zeroed k_odd^2: the gradient's
+        Parseval symbol."""
+        out = np.zeros(self.shape)
+        for ka in self.k_odd:
+            out = out + ka**2
+        return out[..., : self.n // 2 + 1]
+
+    @cached_property
+    def parseval_weights(self) -> np.ndarray:
+        """Multiplicity of each half-lattice mode in the full-lattice sum:
+        1 on the self-mirrored last-axis planes 0 and n/2, else 2."""
+        w = np.full(self.n // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return w
+
+    def full_spectrum(self, half: np.ndarray) -> np.ndarray:
+        """Expand a half spectrum (..., n//2+1) to the full Hermitian one:
+        last-axis index j > n/2 holds conj(u_hat(-m))."""
+        h = self.n // 2 + 1
+        out = np.empty(half.shape[:-1] + (self.n,), dtype=np.complex128)
+        out[..., :h] = half
+        upper = _negate_modes(half[..., h - 2 : 0 : -1], tuple(range(-self.dim, -1)))
+        np.conj(upper, out=out[..., h:])
+        return out
+
     def compatible(self, other: "Grid") -> bool:
         return (
             self.dim == other.dim
             and self.n == other.n
             and self.box_length == other.box_length
         )
+
+
+def _negate_modes(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """a with the mode at index i moved to index -i (mod n) on each axis."""
+    if not axes:
+        return a
+    return np.roll(np.flip(a, axes), (1,) * len(axes), axes)
 
 
 def _check_same_grid(a, b):
@@ -246,6 +298,23 @@ def to_physical(f: Field) -> Field:
             "(spectrum lacks conjugate symmetry)"
         )
     return Field(f.grid, data.real.copy(), PHYSICAL)
+
+
+def check_conjugate_symmetry(f: Field) -> None:
+    """Reject a spectrum that no real field has, without a transform:
+    u_hat(-m) must equal conj(u_hat(m)) to IMAG_TOL relative to the
+    largest coefficient."""
+    mismatch = _negate_modes(f.data, tuple(range(-f.grid.dim, 0)))
+    np.conj(mismatch, out=mismatch)
+    mismatch -= f.data
+    gap = np.max(np.abs(mismatch))
+    scale = np.max(np.abs(f.data))
+    if scale > 0 and gap > IMAG_TOL * scale:
+        raise DataError(
+            f"spectral field is not Hermitian: max |u(m) - conj u(-m)| = "
+            f"{gap:.3e} exceeds {IMAG_TOL:.0e} x largest coefficient "
+            f"{scale:.3e} (spectrum lacks conjugate symmetry)"
+        )
 
 
 # -- multiplier operators -----------------------------------------------------

@@ -108,6 +108,7 @@ class SchemeState:
     step: int = 0
     prev_field: Field | None = None  # u_{n-1}, spectral (imex_bdf2)
     prev_nonlinear: Field | None = None  # N(u_{n-1}), spectral
+    history_dt: float | None = None  # the dt the history pair was built at
 
 
 @dataclass
@@ -158,9 +159,10 @@ class Stepper:
         data = lp.exp * uhat.data + dt * lp.phi1 * nhat.data
         return Field(self.grid, data, SPECTRAL)
 
-    def _etd_rk2(self, uhat: Field, dt: float) -> Field:
+    def _etd_rk2(self, uhat: Field, dt: float, nhat: Field | None = None) -> Field:
         lp = self._prop(dt)
-        nhat = self._nonlinear(uhat)
+        if nhat is None:
+            nhat = self._nonlinear(uhat)
         a = Field(self.grid, lp.exp * uhat.data + dt * lp.phi1 * nhat.data, SPECTRAL)
         na = self._nonlinear(a)
         data = a.data + dt * lp.phi2 * (na.data - nhat.data)
@@ -171,7 +173,7 @@ class Stepper:
         lp = self._prop(dt)
         nhat = self._nonlinear(uhat)
         if st.prev_field is None:
-            new = self._etd_rk2(uhat, dt)
+            new = self._etd_rk2(uhat, dt, nhat)
         else:
             num = (
                 4.0 * uhat.data
@@ -181,6 +183,7 @@ class Stepper:
             new = Field(self.grid, num / (3.0 - 2.0 * dt * lp.symbol), SPECTRAL)
         st.prev_field = uhat
         st.prev_nonlinear = nhat
+        st.history_dt = dt
         return new
 
     def advance(self, uhat: Field, dt: float) -> Field:
@@ -192,14 +195,12 @@ class Stepper:
                 return self._etd1(uhat, dt)
             if self.cfg.scheme == "etd_rk2":
                 return self._etd_rk2(uhat, dt)
-            # the two-step formula needs a constant dt; off-schedule step
-            # sizes (the shortened final step) fall back to the one-step
-            # scheme
-            if self.state.prev_field is not None and dt != self.cfg.dt:
-                out = self._etd_rk2(uhat, dt)
+            # the two-step formula needs a constant dt: a step at any other
+            # dt than the history's (the shortened final step, a resume at
+            # a new dt) drops the history and bootstraps like a fresh state
+            if dt != self.state.history_dt:
                 self.state.prev_field = None
                 self.state.prev_nonlinear = None
-                return out
             return self._bdf2(uhat, dt)
 
     def advance_adaptive(self, uhat: Field, dt: float):

@@ -6,9 +6,9 @@ bytes. No timestamps anywhere: a file's bytes are a pure function of the
 data, so reruns with the same seed produce identical files.
 
 Checkpoint layout: one snapshot of the state field, then a scheme-state
-header (t, dt, step), then zero or two more raw arrays for the two-step
-scheme's history. Loading reconstructs everything needed to continue the
-run bit-exactly.
+header (t, dt, step, and the history's dt when there is one), then zero or
+two more raw arrays for the two-step scheme's history. Loading reconstructs
+everything needed to continue the run bit-exactly.
 """
 
 from __future__ import annotations
@@ -124,18 +124,18 @@ def _check_grid(got: Grid, expected: Grid | None, path):
 def save_checkpoint(path, field: Field, state: SchemeState, dt: float) -> None:
     """Persist the integration state: field + (t, dt, step) + history."""
     has_history = state.prev_field is not None
+    pairs = [
+        ("t", repr(state.t)),
+        ("dt", repr(float(dt))),
+        ("step", state.step),
+        ("history", int(has_history)),
+    ]
+    if has_history:
+        pairs.append(("history_dt", repr(float(state.history_dt))))
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         _write_field_body(fh, field)
-        _write_header(
-            fh,
-            [
-                ("t", repr(state.t)),
-                ("dt", repr(float(dt))),
-                ("step", state.step),
-                ("history", int(has_history)),
-            ],
-        )
+        _write_header(fh, pairs)
         if has_history:
             _write_field_body(fh, state.prev_field)
             _write_field_body(fh, state.prev_nonlinear)
@@ -154,6 +154,7 @@ def load_checkpoint(path, expected_grid: Grid | None = None):
             dt = float(head["dt"])
             step = int(head["step"])
             has_history = bool(int(head["history"]))
+            history_dt = float(head["history_dt"]) if has_history else None
         except (KeyError, ValueError) as exc:
             raise SnapshotFormatError(f"bad checkpoint header in {path}: {exc}") from exc
         prev_field = prev_nonlinear = None
@@ -164,7 +165,11 @@ def load_checkpoint(path, expected_grid: Grid | None = None):
             raise SnapshotFormatError(f"trailing bytes in {path}")
     _check_grid(field.grid, expected_grid, path)
     state = SchemeState(
-        t=t, step=step, prev_field=prev_field, prev_nonlinear=prev_nonlinear
+        t=t,
+        step=step,
+        prev_field=prev_field,
+        prev_nonlinear=prev_nonlinear,
+        history_dt=history_dt,
     )
     return field, state, dt
 

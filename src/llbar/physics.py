@@ -105,6 +105,14 @@ def _symbol(J: MollifierSymbol | None):
     return 1.0 if J is None else J.values
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise a x b of component-first arrays; np.cross would first
+    copy both inputs to move the component axis last."""
+    return np.stack(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    )
+
+
 def _quad(grid: Grid, values) -> float:
     """Collocation quadrature of a scalar sample array."""
     return float(np.sum(values)) * grid.cell_volume
@@ -202,25 +210,45 @@ def nonlinear_rhs(
     p: EffectiveFieldParams = DEFAULT_PARAMS,
     J: MollifierSymbol | None = None,
     splitting: str = "full",
-    dealias: bool = True,
 ) -> Field:
-    """F_eps(u) minus the linear_symbol part, computed directly (spectral)."""
-    terms = rhs(u, p, J=J, dealias=dealias)
-    rho = _symbol(J)
-    uhat = to_spectral(u)
-    # the genuinely nonlinear content: cubic minus its linear-in-u piece
-    data = (
-        terms.cubic_term.data
-        - p.cubic_coeff * rho * rho * uhat.data
-        + terms.cubic_laplacian_term.data
-        + terms.cross_term.data
-    )
-    if splitting == "conservative":
-        data = data + terms.laplacian_term.data
-        data = data + p.cubic_coeff * rho * rho * uhat.data
-    elif splitting != "full":
+    """F_eps(u) minus the linear_symbol part, spectral, full lattice.
+
+    Only the genuinely nonlinear products are transformed, on the half
+    lattice of real transforms: with v = mask rho u (the dealiased smoothed
+    state),
+
+        N = -rho mask [(c + c_lap |k|^2) F(|v|^2 v) + gamma F(v x Lap v)],
+
+    c = cubic_coeff, c_lap = cubic_laplacian_coeff, which is the five-term
+    rhs() less its full linear_symbol part. The conservative splitting
+    adds back the linear terms its symbol leaves out.
+    """
+    if splitting not in ("full", "conservative"):
         raise UsageError(f"unknown splitting {splitting!r}")
-    return Field(u.grid, data, SPECTRAL)
+    _require_finite(u, "nonlinear_rhs")
+    if J is not None:
+        _check_same_grid(J.grid, u)
+    grid = u.grid
+    axes = u.spatial_axes
+    half = grid.n // 2 + 1
+    if u.representation == SPECTRAL:
+        uhat = u.data[..., :half]
+    else:
+        uhat = np.fft.rfftn(u.data, axes=axes)
+    rho = 1.0 if J is None else J.values[..., :half]
+    ksq = grid.ksq_half
+    smooth = rho * grid.dealias_mask_half
+
+    vhat = smooth * uhat
+    v = np.fft.irfftn(vhat, s=grid.shape, axes=axes)
+    lap_v = np.fft.irfftn(-ksq * vhat, s=grid.shape, axes=axes)
+    cube_hat = np.fft.rfftn(np.sum(v**2, axis=0) * v, axes=axes)
+    cross_hat = np.fft.rfftn(_cross(v, lap_v), axes=axes)
+    data = (-(p.cubic_coeff + p.cubic_laplacian_coeff * ksq) * smooth) * cube_hat
+    data -= (p.gamma * smooth) * cross_hat
+    if splitting == "conservative":
+        data += ((p.cubic_coeff - p.laplacian_coeff * ksq) * rho * rho) * uhat
+    return Field(grid, grid.full_spectrum(data), SPECTRAL)
 
 
 def rhs_consistency_with_heff(

@@ -21,7 +21,16 @@ from llbar.diagnostics import (
     report,
 )
 from llbar.errors import DataError, UsageError
-from llbar.grid import Field, Grid, constant_field, random_band_limited_field
+from llbar.grid import (
+    SPECTRAL,
+    Field,
+    Grid,
+    constant_field,
+    random_band_limited_field,
+    to_spectral,
+)
+from llbar.integrator import SchemeConfig, Stepper, integrate
+from llbar.mollifier import make_mollifier
 from llbar.physics import DEFAULT_PARAMS, EffectiveFieldParams
 
 from oracles import direct_dft
@@ -167,6 +176,54 @@ class TestReport:
         assert rep.h2 >= rep.h1 >= rep.l2 > 0
         assert rep.dissipation >= 0.0
         assert rep.grad_l2 <= rep.h1
+
+    # one coefficient without its conjugate partner: off the self-mirrored
+    # planes, on the last-axis zero plane, and at the zero mode itself
+    @pytest.mark.parametrize(
+        "index,value", [((1, 2), 1 + 2j), ((3, 0), 1 + 2j), ((0, 0), 1j)]
+    )
+    def test_conjugate_asymmetric_spectrum_rejected(self, index, value):
+        g = Grid(2, 16)
+        data = np.zeros((3,) + g.shape, dtype=np.complex128)
+        data[(0,) + index] = value
+        bad = Field(g, data, SPECTRAL)
+        with pytest.raises(DataError, match="conjugate symmetry"):
+            report(bad, 0.0)
+        with pytest.raises(DataError, match="conjugate symmetry"):
+            integrate(bad, 0.01, SchemeConfig(dt=1e-3))
+
+
+FFT_ENTRY_POINTS = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Names of the numpy.fft n-d entry points called, in order."""
+    calls = []
+    for name in FFT_ENTRY_POINTS:
+
+        def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+class TestTransformBudget:
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 12)])
+    def test_step_and_report_use_real_transforms(self, fft_calls, dim, n):
+        g = Grid(dim, n)
+        uhat = to_spectral(random_band_limited_field(g, seed=5, amplitude=0.5))
+        stepper = Stepper(g, SchemeConfig(scheme="etd_rk2"), J=make_mollifier(g, 0.2))
+        fft_calls.clear()
+        stepper.advance(uhat, 1e-3)
+        step_calls = list(fft_calls)
+        fft_calls.clear()
+        report(uhat, 0.0)
+        assert step_calls and set(step_calls) <= {"rfftn", "irfftn"}
+        assert fft_calls and set(fft_calls) <= {"rfftn", "irfftn"}
+        assert len(fft_calls) <= 3
 
 
 class TestTimeSeries:

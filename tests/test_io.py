@@ -159,6 +159,7 @@ class TestCheckpoint:
         assert np.array_equal(
             back_state.prev_nonlinear.data, state.prev_nonlinear.data
         )
+        assert back_state.history_dt == state.history_dt == cfg.dt
 
     @pytest.mark.parametrize("scheme", ["etd1", "etd_rk2", "imex_bdf2"])
     def test_resume_through_file_is_bit_exact(self, tmp_path, scheme):
@@ -174,6 +175,24 @@ class TestCheckpoint:
 
         assert resumed.state.step == straight.state.step
         assert np.array_equal(resumed.field.data, straight.field.data)
+
+    def test_resume_at_new_dt_drops_stale_history(self, tmp_path):
+        # an imex_bdf2 history built at dt=1e-2 must not be reused at
+        # dt=2.5e-3: the resume bootstraps exactly as a fresh state does
+        grid = Grid(2, 32)
+        u0 = random_band_limited_field(grid, seed=0, amplitude=0.5)
+        first = integrate(u0, 0.1, SchemeConfig(scheme="imex_bdf2", dt=1e-2))
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(path, first.field, first.state, 1e-2)
+        field, state, _ = load_checkpoint(path, expected_grid=grid)
+        assert state.prev_field is not None and state.history_dt == 1e-2
+
+        fine = SchemeConfig(scheme="imex_bdf2", dt=2.5e-3)
+        fresh = SchemeState(t=state.t, step=state.step)
+        reference = integrate(field, 0.2, fine, state=fresh)
+        resumed = integrate(field, 0.2, fine, state=state)
+        assert np.array_equal(resumed.field.data, reference.field.data)
+        assert resumed.state.history_dt == 2.5e-3
 
     def test_grid_mismatch(self, tmp_path):
         field = to_spectral(sample_field(Grid(2, 16)))

@@ -390,13 +390,24 @@ class TestSplitting:
 
     @pytest.mark.parametrize("p", BOTH_PARAMS, ids=["default", "general"])
     @pytest.mark.parametrize("splitting", ["full", "conservative"])
-    @pytest.mark.parametrize("eps", [None, 0.2])
-    def test_reconstruction_is_exact(self, grid32_2d, p, splitting, eps):
-        J = None if eps is None else make_mollifier(grid32_2d, eps)
-        u = random_band_limited_field(grid32_2d, seed=1, kmax=5)
+    @pytest.mark.parametrize(
+        "dim,n,kind,eps",
+        [
+            pytest.param(2, 32, "gaussian", None, id="None"),
+            pytest.param(2, 32, "gaussian", 0.2, id="0.2"),
+            pytest.param(2, 32, "bump", 0.2, id="bump-0.2"),
+            pytest.param(3, 16, "gaussian", None, id="3d-None"),
+            pytest.param(3, 16, "gaussian", 0.2, id="3d-0.2"),
+            pytest.param(3, 16, "bump", 0.2, id="3d-bump-0.2"),
+        ],
+    )
+    def test_reconstruction_is_exact(self, dim, n, kind, eps, p, splitting):
+        grid = Grid(dim, n)
+        J = None if eps is None else make_mollifier(grid, eps, kind)
+        u = random_band_limited_field(grid, seed=1, kmax=5)
         uhat = to_spectral(u)
-        sym = linear_symbol(grid32_2d, p, splitting, J)
-        lin = Field(grid32_2d, sym * uhat.data, SPECTRAL)
+        sym = linear_symbol(grid, p, splitting, J)
+        lin = Field(grid, sym * uhat.data, SPECTRAL)
         recon = lin + nonlinear_rhs(u, p, J, splitting)
         total = rhs(u, p, J=J).total()
         assert norm(recon - total, "l2") <= 1e-12 * norm(total, "l2")
