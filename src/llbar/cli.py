@@ -68,77 +68,45 @@ def _int_list(text):
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-# every resolvable key: converter for config-file values (flags convert via
-# argparse `type=` using the same functions)
-_SCHEMA = {
-    "outdir": str,
-    "dim": int,
-    "n": int,
-    "box_length": float,
-    "chi": float,
-    "lambda_r": float,
-    "lambda_e": float,
-    "gamma": float,
-    "scheme": str,
-    "dt": float,
-    "adaptive": _bool,
-    "tol": float,
-    "t_end": float,
-    "report_every": int,
-    "eps": float,
-    "kernel": str,
-    "seed": int,
-    "amplitude": float,
-    "decay_r": float,
-    "kmax": _int_or_none,
-    "snapshot": _str_or_none,
-    "seeds": int,
-    "study": str,
-    "eps_list": _float_list,
-    "drop_largest": _bool,
-    "scheme_b": str,
-    "dt_b": float,
-    "kernel_b": str,
-    "eps_a": float,
-    "eps_b": float,
-    "mode_ksq": _int_list,
-    "family_size": int,
-    "write_calibration": _bool,
-}
-
-_DEFAULTS = {
-    "dim": 2,
-    "n": 64,
-    "box_length": 2 * math.pi,
-    "chi": 0.25,
-    "lambda_r": 1.0,
-    "lambda_e": 1.0,
-    "gamma": 1.0,
-    "scheme": "etd_rk2",
-    "dt": 1e-3,
-    "adaptive": False,
-    "tol": 1e-6,
-    "t_end": 1.0,
-    "report_every": 10,
-    "eps": 0.0,
-    "kernel": "gaussian",
-    "seed": 0,
-    "amplitude": 0.5,
-    "decay_r": 3.0,
-    "kmax": None,
-    "snapshot": None,
-    "seeds": 3,
-    "study": "eps_cauchy",
-    "eps_list": (0.4, 0.2, 0.1, 0.05),
-    "drop_largest": False,
-    "scheme_b": "imex_bdf2",
-    "dt_b": 5e-4,
-    "kernel_b": "gaussian",
-    "eps_a": 0.0,
-    "eps_b": 0.0,
-    "mode_ksq": (0, 1, 2, 4, 9),
-    "family_size": 100,
-    "write_calibration": False,
+# every configuration key: (converter for config-file values, built-in
+# default); flags convert through argparse `type=` with the same functions.
+# outdir falls back to $LLBAR_OUTDIR or ./out, and subcommand is the running
+# one, which a config file may only repeat.
+_KEYS = {
+    "outdir": (str, None),
+    "subcommand": (str, None),
+    "dim": (int, 2),
+    "n": (int, 64),
+    "box_length": (float, 2 * math.pi),
+    "chi": (float, 0.25),
+    "lambda_r": (float, 1.0),
+    "lambda_e": (float, 1.0),
+    "gamma": (float, 1.0),
+    "scheme": (str, "etd_rk2"),
+    "dt": (float, 1e-3),
+    "adaptive": (_bool, False),
+    "tol": (float, 1e-6),
+    "t_end": (float, 1.0),
+    "report_every": (int, 10),
+    "eps": (float, 0.0),
+    "kernel": (str, "gaussian"),
+    "seed": (int, 0),
+    "amplitude": (float, 0.5),
+    "decay_r": (float, 3.0),
+    "kmax": (_int_or_none, None),
+    "snapshot": (_str_or_none, None),
+    "seeds": (int, 3),
+    "study": (str, "eps_cauchy"),
+    "eps_list": (_float_list, (0.4, 0.2, 0.1, 0.05)),
+    "drop_largest": (_bool, False),
+    "scheme_b": (str, "imex_bdf2"),
+    "dt_b": (float, 5e-4),
+    "kernel_b": (str, "gaussian"),
+    "eps_a": (float, 0.0),
+    "eps_b": (float, 0.0),
+    "mode_ksq": (_int_list, (0, 1, 2, 4, 9)),
+    "family_size": (int, 100),
+    "write_calibration": (_bool, False),
 }
 
 # the random initial-data shape knobs; giving any of them together with a
@@ -228,30 +196,30 @@ def _build_parser() -> _Parser:
 
 
 def _resolve(args) -> dict:
-    """Flag > config-file > default, tracking which keys the user set."""
+    """Flag > config-file > default, tracking which keys the user set; the
+    result is echoed to <outdir>/effective-config.txt."""
     file_vals = {}
     if getattr(args, "config", None):
         for raw_key, raw_val in read_config(args.config).items():
             key = raw_key.replace("-", "_")
-            if key not in _SCHEMA:
+            if key not in _KEYS:
                 raise UsageError(f"{args.config}: unknown configuration key {raw_key!r}")
             try:
-                file_vals[key] = _SCHEMA[key](raw_val)
+                file_vals[key] = _KEYS[key][0](raw_val)
             except ValueError as exc:
                 raise UsageError(f"{args.config}: bad value for {raw_key!r}: {exc}") from exc
+        if file_vals.get("subcommand", args.subcommand) != args.subcommand:
+            raise UsageError(
+                f"{args.config}: configuration of subcommand "
+                f"{file_vals['subcommand']!r}, not {args.subcommand!r}"
+            )
 
     cfg, given = {}, set()
-    for key, default in _DEFAULTS.items():
+    for key, (_, default) in _KEYS.items():
         flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key], origin = flag, "flag"
-        elif key in file_vals:
-            cfg[key], origin = file_vals[key], "file"
-        else:
-            cfg[key], origin = default, "default"
-        if origin != "default":
+        if flag is not None or key in file_vals:
             given.add(key)
-    cfg["given"] = given
+        cfg[key] = flag if flag is not None else file_vals.get(key, default)
 
     if cfg["snapshot"]:
         conflicts = sorted(set(_GENERATOR_KEYS) & given)
@@ -260,13 +228,14 @@ def _resolve(args) -> dict:
                 "conflicting initial-data sources: snapshot together with "
                 + ", ".join(conflicts)
             )
-    outdir = getattr(args, "outdir", None) or file_vals.get("outdir") \
-        or os.environ.get("LLBAR_OUTDIR") or "out"
-    cfg["outdir"] = ensure_outdir(outdir)
+    cfg["outdir"] = ensure_outdir(
+        cfg["outdir"] or os.environ.get("LLBAR_OUTDIR") or "out"
+    )
+    _echo_config(cfg)
     return cfg
 
 
-def _echo_config(cfg: dict, subcommand: str) -> None:
+def _echo_config(cfg: dict) -> None:
     def fmt(value):
         if value is None:
             return "none"
@@ -278,11 +247,9 @@ def _echo_config(cfg: dict, subcommand: str) -> None:
             return ",".join(str(v) for v in value)
         return str(value)
 
-    record = {k: fmt(v) for k, v in cfg.items() if k != "given"}
-    record["subcommand"] = subcommand
     write_config(
         os.path.join(cfg["outdir"], "effective-config.txt"),
-        record,
+        {key: fmt(value) for key, value in cfg.items()},
         header="effective configuration; outputs are a function of this and nothing else",
     )
 
@@ -323,7 +290,6 @@ def _initial_data(cfg, grid):
 
 def cmd_simulate(args) -> int:
     cfg = _resolve(args)
-    _echo_config(cfg, "simulate")
     grid = _grid(cfg)
     J = make_mollifier(grid, cfg["eps"], cfg["kernel"]) if cfg["eps"] > 0 else None
     u0 = _initial_data(cfg, grid)
@@ -366,7 +332,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _resolve(args)
-    _echo_config(cfg, "verify")
     grid = _grid(cfg)
     eps = cfg["eps"] if cfg["eps"] > 0 else 0.2
     rows = identity_suite(
@@ -447,7 +412,6 @@ def _study_spec(cfg, kind) -> StudySpec:
 
 def cmd_converge(args) -> int:
     cfg = _resolve(args)
-    _echo_config(cfg, "converge")
     kind = cfg["study"]
     spec = _study_spec(cfg, kind)
     if kind == "eps_cauchy":
@@ -461,10 +425,16 @@ def cmd_converge(args) -> int:
     print(report.summary())
 
     if kind in ("eps_cauchy", "eps_limit"):
-        if report.stationary or report.slope >= 0.9:
+        if report.stationary:
             return 0
-        print(f"check failed: rate slope {report.slope:.4f} below 0.9", file=sys.stderr)
-        return 2
+        failed = []
+        if report.slope < 0.9:
+            failed.append(f"rate slope {report.slope:.4f} below 0.9")
+        if report.h2_spread > 0.10:
+            failed.append(f"sup-in-time H2 spread {report.h2_spread:.2%} above 10%")
+        for reason in failed:
+            print(f"check failed: {reason}", file=sys.stderr)
+        return 2 if failed else 0
     if kind == "uniqueness":
         if report.passed:
             return 0
@@ -487,7 +457,6 @@ def cmd_converge(args) -> int:
 
 def cmd_mollifier_check(args) -> int:
     cfg = _resolve(args)
-    _echo_config(cfg, "mollifier-check")
     eps = cfg["eps"] if cfg["eps"] > 0 else 0.2
     report = verify_mollifier_properties(make_mollifier(_grid(cfg), eps, cfg["kernel"]))
     text = report.to_text()
@@ -509,7 +478,6 @@ def cmd_mollifier_check(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg = _resolve(args)
-    _echo_config(cfg, "calibrate")
     spec = _study_spec(cfg, "gn_calibration")
     report = run_gn_calibration(spec)
     print(report.summary())

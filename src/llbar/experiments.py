@@ -15,12 +15,12 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .diagnostics import blowup_monitor
+from .diagnostics import blowup_monitor, monotonicity_audit
 from .errors import BlowUpError, UsageError
 from .grid import Field, Grid, norm, random_band_limited_field, to_spectral
 from .integrator import SchemeConfig, integrate
 from .io import write_config
-from .mollifier import MollifierSymbol, make_mollifier, mollify
+from .mollifier import make_mollifier, mollify
 from .physics import DEFAULT_PARAMS, EffectiveFieldParams, gn_ratios, lipschitz_probe
 
 STUDY_KINDS = ("eps_cauchy", "eps_limit", "uniqueness", "linear_growth", "gn_calibration")
@@ -96,26 +96,24 @@ def _study_metadata(spec: StudySpec, eps) -> dict:
     }
 
 
-def _run_trajectory(spec, u0, eps, cfg=None, kernel=None):
-    """Integrate one leg, collecting the field at every report time.
+def _leg_start(u0, eps, kernel):
+    """(J, start) of one leg: eps = 0 or None -> the limit flow (no
+    mollifier) from u0; otherwise J_eps and the smoothed start J_eps u0."""
+    if not eps:
+        return None, to_spectral(u0)
+    J = make_mollifier(u0.grid, eps, kernel)
+    return J, mollify(J, to_spectral(u0))
 
-    eps = 0 or None -> the limit flow (no mollifier); otherwise the run
-    starts from J_eps u0 and evolves the regularized system.
-    """
-    grid = u0.grid
-    cfg = cfg or spec.scheme
-    kernel = kernel or spec.kernel
-    if eps:
-        J = make_mollifier(grid, eps, kernel)
-        start = mollify(J, to_spectral(u0))
-    else:
-        J = None
-        start = to_spectral(u0)
+
+def _run_trajectory(spec, u0, eps):
+    """Integrate one leg of spec's scheme and kernel from _leg_start,
+    collecting the field at every report time."""
+    J, start = _leg_start(u0, eps, spec.kernel)
     snapshots = {}
     result = integrate(
         start,
         spec.t_end,
-        cfg,
+        spec.scheme,
         spec.params,
         J,
         observer=lambda u, t, k: snapshots.__setitem__(k, u.copy()),
@@ -301,13 +299,7 @@ def _segmented_trajectory(spec, u0, eps, cfg, kernel, n_checkpoints=10):
     integrates segment by segment (resuming its own state), landing every
     checkpoint exactly; comparisons are then at identical times.
     """
-    grid = u0.grid
-    if eps:
-        J = make_mollifier(grid, eps, kernel)
-        u = mollify(J, to_spectral(u0))
-    else:
-        J = None
-        u = to_spectral(u0)
+    J, u = _leg_start(u0, eps, kernel)
     snapshots = {0.0: u.copy()}
     state = None
     for j in range(1, n_checkpoints + 1):
@@ -609,8 +601,6 @@ def find_stable_dt(
     every rung integrates at least min_steps steps so a large dt cannot
     pass on a one-step technicality.
     """
-    from .diagnostics import monotonicity_audit
-
     if kmax is None:
         kmax = grid.n // 4
     u0 = random_band_limited_field(grid, seed=seed, amplitude=amplitude, kmax=kmax)

@@ -1,22 +1,29 @@
 """Time integration of u_t = F(u) with the stiff linear symbol exact.
 
-The linear part sigma(xi) (full: -|xi|^4 + |xi|^2 + 2, or conservative:
--|xi|^4) is integrated by its exponential; the remaining nonlinearity is
-advanced by exponential Euler (etd1), the two-stage exponential
-Runge-Kutta scheme (etd_rk2), or the semi-implicit two-step backward
-differentiation formula (imex_bdf2, bootstrapped by one etd_rk2 step).
+The linear part sigma(xi) (defaults: -|xi|^4 + |xi|^2 + 2) is integrated
+by its exponential; the remaining nonlinearity is advanced by exponential
+Euler (etd1), the two-stage exponential Runge-Kutta scheme (etd_rk2), or
+the semi-implicit two-step backward differentiation formula (imex_bdf2,
+bootstrapped by one etd_rk2 step).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diagnostics import TimeSeries, report
 from .errors import BlowUpError, UsageError
-from .grid import SPECTRAL, Field, Grid, norm, to_spectral
+from .grid import (
+    SPECTRAL,
+    Field,
+    Grid,
+    check_conjugate_symmetry,
+    norm,
+    to_physical,
+    to_spectral,
+)
 from .mollifier import MollifierSymbol
 from .physics import DEFAULT_PARAMS, EffectiveFieldParams, linear_symbol, nonlinear_rhs
 
@@ -33,7 +40,6 @@ class SchemeConfig:
     dt_max: float = 1.0
     safety: float = 0.9
     tol: float = 1e-6
-    splitting: str = "full"
     nonlinear: bool = True
 
     def __post_init__(self):
@@ -62,7 +68,6 @@ class LinearPropagator:
 
     grid: Grid
     dt: float
-    splitting: str
     symbol: np.ndarray
     exp: np.ndarray
     phi1: np.ndarray
@@ -74,12 +79,11 @@ class LinearPropagator:
         grid: Grid,
         dt: float,
         p: EffectiveFieldParams = DEFAULT_PARAMS,
-        splitting: str = "full",
         J: MollifierSymbol | None = None,
     ) -> "LinearPropagator":
-        sigma = linear_symbol(grid, p, splitting, J)
+        sigma = linear_symbol(grid, p, J)
         z = dt * sigma
-        return cls(grid, dt, splitting, sigma, np.exp(z), _phi1(z), _phi2(z))
+        return cls(grid, dt, sigma, np.exp(z), _phi1(z), _phi2(z))
 
 
 def _phi1(z):
@@ -143,15 +147,13 @@ class Stepper:
         if dt not in self._tables:
             if len(self._tables) > 8:
                 self._tables.clear()
-            self._tables[dt] = LinearPropagator.build(
-                self.grid, dt, self.p, self.cfg.splitting, self.J
-            )
+            self._tables[dt] = LinearPropagator.build(self.grid, dt, self.p, self.J)
         return self._tables[dt]
 
     def _nonlinear(self, uhat: Field) -> Field:
         if not self.cfg.nonlinear:
             return Field(self.grid, np.zeros_like(uhat.data), SPECTRAL)
-        return nonlinear_rhs(uhat, self.p, self.J, self.cfg.splitting)
+        return nonlinear_rhs(uhat, self.p, self.J)
 
     def _etd1(self, uhat: Field, dt: float) -> Field:
         lp = self._prop(dt)
@@ -244,18 +246,19 @@ def step(
     """One fixed step of the configured scheme (representation preserved).
 
     Raises the blow-up signal on non-finite input (step 0) or output
-    (step 1).
+    (step 1). A spectral u must be conjugate-symmetric (DataError
+    otherwise).
     """
     if not np.all(np.isfinite(u.data)):
         raise BlowUpError("non-finite input state", t=0.0, step=0, field=u)
+    if u.representation == SPECTRAL:
+        check_conjugate_symmetry(u)
     stepper = Stepper(u.grid, cfg, p, J)
     out = stepper.advance(to_spectral(u), cfg.dt)
     if not np.all(np.isfinite(out.data)):
         raise BlowUpError("non-finite state after one step", t=cfg.dt, step=1, field=out)
     if u.representation == SPECTRAL:
         return out
-    from .grid import to_physical
-
     return to_physical(out)
 
 

@@ -161,6 +161,16 @@ def load_checkpoint(path, expected_grid: Grid | None = None):
         if has_history:
             prev_field = _read_field_body(fh, path)
             prev_nonlinear = _read_field_body(fh, path)
+            for hist in (prev_field, prev_nonlinear):
+                if not hist.grid.compatible(field.grid) or (
+                    hist.representation != field.representation
+                ):
+                    raise SnapshotFormatError(
+                        f"history field in {path} does not match the state: "
+                        f"{hist.grid.dim}d n={hist.grid.n} {hist.representation} "
+                        f"against {field.grid.dim}d n={field.grid.n} "
+                        f"{field.representation}"
+                    )
         if fh.read(1):
             raise SnapshotFormatError(f"trailing bytes in {path}")
     _check_grid(field.grid, expected_grid, path)

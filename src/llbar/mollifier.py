@@ -27,16 +27,15 @@ from scipy import integrate, special
 
 from .errors import UsageError
 from .grid import (
-    SPECTRAL,
     Field,
     Grid,
+    MultiplierOp,
     apply_multiplier,
     gradient,
     inner_product,
     laplacian_op,
     norm,
     random_band_limited_field,
-    to_spectral,
 )
 
 KINDS = ("gaussian", "bump")
@@ -135,8 +134,6 @@ def make_mollifier(grid: Grid, eps: float, kind: str = "gaussian") -> MollifierS
 
 def mollify(J: MollifierSymbol, f: Field) -> Field:
     """Apply J to an R^3-valued field; preserves the input representation."""
-    from .grid import MultiplierOp  # local import keeps module load cheap
-
     return apply_multiplier(MultiplierOp(J.grid, J.values, f"J[{J.kind}]"), f)
 
 
@@ -183,12 +180,6 @@ class MollifierReport:
                 + (f"  [{c.detail}]" if c.detail else "")
             )
         return "\n".join(lines)
-
-    def calibration_records(self) -> dict:
-        out = {}
-        for c in self.checks:
-            out[f"mollifier.{self.kind}.d{self.dim}.{c.name}"] = c.measured
-        return out
 
 
 def _rel(a: float, scale: float) -> float:

@@ -32,6 +32,7 @@ from .grid import (
     Grid,
     _check_same_grid,
     apply_multiplier,
+    check_conjugate_symmetry,
     gradient,
     inner_product,
     laplacian_op,
@@ -79,23 +80,6 @@ class EffectiveFieldParams:
 DEFAULT_PARAMS = EffectiveFieldParams()
 
 
-@dataclass(frozen=True)
-class RhsTerms:
-    """The five addends of F(u), each a spectral Field."""
-
-    bilaplacian_term: Field
-    laplacian_term: Field
-    cubic_term: Field
-    cubic_laplacian_term: Field
-    cross_term: Field
-
-    def total(self) -> Field:
-        out = self.bilaplacian_term.data + self.laplacian_term.data
-        out = out + self.cubic_term.data + self.cubic_laplacian_term.data
-        out = out + self.cross_term.data
-        return Field(self.bilaplacian_term.grid, out, SPECTRAL)
-
-
 def _require_finite(u: Field, where: str):
     if not np.all(np.isfinite(u.data)):
         raise DataError(f"non-finite values in the input field of {where}")
@@ -133,17 +117,20 @@ def rhs(
     p: EffectiveFieldParams = DEFAULT_PARAMS,
     J: MollifierSymbol | None = None,
     dealias: bool = True,
-) -> RhsTerms:
-    """The five-term right-hand side, optionally smoothed by J.
+) -> Field:
+    """The reference right-hand side F_eps(u) (F(u) without J), spectral.
 
     Cubic products are formed pointwise in physical space; with
     dealias=True the factors and the products are truncated by the
     2/3 rule, which keeps the quadratic identities clean at the
-    1e-10 level instead of 1e-6.
+    1e-10 level instead of 1e-6. A spectral u must be
+    conjugate-symmetric (DataError otherwise).
     """
     _require_finite(u, "rhs")
     if J is not None:
         _check_same_grid(J.grid, u)
+    if u.representation == SPECTRAL:
+        check_conjugate_symmetry(u)
     grid = u.grid
     uhat = to_spectral(u)
     rho = _symbol(J)
@@ -161,46 +148,32 @@ def rhs(
         cube_hat = cube_hat * mask
         cross_hat = cross_hat * mask
 
+    # the five terms, summed in place in a fixed order that fixes the rounding
     rho2 = rho * rho
-    mk = lambda data: Field(grid, data, SPECTRAL)
-    return RhsTerms(
-        bilaplacian_term=mk(-p.lambda_e * ksq**2 * rho2 * uhat.data),
-        laplacian_term=mk(-p.laplacian_coeff * ksq * rho2 * uhat.data),
-        cubic_term=mk(p.cubic_coeff * (rho2 * uhat.data - rho * cube_hat)),
-        cubic_laplacian_term=mk(-p.cubic_laplacian_coeff * ksq * rho * cube_hat),
-        cross_term=mk(-p.gamma * rho * cross_hat),
-    )
-
-
-def rhs_mollified(
-    u: Field, J: MollifierSymbol, p: EffectiveFieldParams = DEFAULT_PARAMS
-) -> Field:
-    """The regularized right-hand side F_eps(u), total, spectral."""
-    return rhs(u, p, J=J).total()
+    data = -p.lambda_e * ksq**2 * rho2 * uhat.data  # bilaplacian
+    data += -p.laplacian_coeff * ksq * rho2 * uhat.data  # Laplacian
+    data += p.cubic_coeff * (rho2 * uhat.data - rho * cube_hat)  # cubic
+    data += -p.cubic_laplacian_coeff * ksq * rho * cube_hat  # Laplacian of the cubic
+    data += -p.gamma * rho * cross_hat  # cross product
+    return Field(grid, data, SPECTRAL)
 
 
 def linear_symbol(
     grid: Grid,
     p: EffectiveFieldParams = DEFAULT_PARAMS,
-    splitting: str = "full",
     J: MollifierSymbol | None = None,
 ) -> np.ndarray:
-    """Fourier symbol of the linear part used by exponential integrators.
+    """Fourier symbol of the linear part used by exponential integrators,
+    every linear-in-u term of F:
 
-    splitting="full" takes every linear-in-u term:
         sigma = -lambda_e |k|^4 - (lambda_r - lambda_e/(2 chi)) |k|^2
                 + lambda_r/(2 chi)
-    (defaults: -|k|^4 + |k|^2 + 2); "conservative" keeps only the
-    dissipative quartic -lambda_e |k|^4.  With J the symbol carries the
-    squared smoothing factor.
+
+    (defaults: -|k|^4 + |k|^2 + 2). With J the symbol carries the squared
+    smoothing factor.
     """
     ksq = grid.ksq
-    if splitting == "full":
-        sigma = -p.lambda_e * ksq**2 - p.laplacian_coeff * ksq + p.cubic_coeff
-    elif splitting == "conservative":
-        sigma = -p.lambda_e * ksq**2 + np.zeros(grid.shape)
-    else:
-        raise UsageError(f"unknown splitting {splitting!r}")
+    sigma = -p.lambda_e * ksq**2 - p.laplacian_coeff * ksq + p.cubic_coeff
     rho = _symbol(J)
     return sigma * rho * rho
 
@@ -209,7 +182,6 @@ def nonlinear_rhs(
     u: Field,
     p: EffectiveFieldParams = DEFAULT_PARAMS,
     J: MollifierSymbol | None = None,
-    splitting: str = "full",
 ) -> Field:
     """F_eps(u) minus the linear_symbol part, spectral, full lattice.
 
@@ -219,12 +191,9 @@ def nonlinear_rhs(
 
         N = -rho mask [(c + c_lap |k|^2) F(|v|^2 v) + gamma F(v x Lap v)],
 
-    c = cubic_coeff, c_lap = cubic_laplacian_coeff, which is the five-term
-    rhs() less its full linear_symbol part. The conservative splitting
-    adds back the linear terms its symbol leaves out.
+    c = cubic_coeff, c_lap = cubic_laplacian_coeff, which is rhs() less
+    its linear_symbol part.
     """
-    if splitting not in ("full", "conservative"):
-        raise UsageError(f"unknown splitting {splitting!r}")
     _require_finite(u, "nonlinear_rhs")
     if J is not None:
         _check_same_grid(J.grid, u)
@@ -246,8 +215,6 @@ def nonlinear_rhs(
     cross_hat = np.fft.rfftn(_cross(v, lap_v), axes=axes)
     data = (-(p.cubic_coeff + p.cubic_laplacian_coeff * ksq) * smooth) * cube_hat
     data -= (p.gamma * smooth) * cross_hat
-    if splitting == "conservative":
-        data += ((p.cubic_coeff - p.laplacian_coeff * ksq) * rho * rho) * uhat
     return Field(grid, grid.full_spectrum(data), SPECTRAL)
 
 
@@ -262,7 +229,7 @@ def rhs_consistency_with_heff(
     an inverse transform would amplify high-mode roundoff through the
     quartic symbol.
     """
-    f1 = rhs(u, p, dealias=False).total()
+    f1 = rhs(u, p, dealias=False)
     h = effective_field(u, p)
     lap_h = to_physical(apply_multiplier(laplacian_op(u.grid), h))
     up = to_physical(u)
@@ -290,7 +257,7 @@ def lipschitz_probe(
     denom = norm(du, "hs", s=s)
     if denom < DEGENERATE_SCALE:
         raise UsageError("lipschitz_probe needs two distinct fields")
-    df = rhs(u, p, J=J).total() - rhs(v, p, J=J).total()
+    df = rhs(u, p, J=J) - rhs(v, p, J=J)
     return norm(df, "hs", s=s) / denom
 
 
@@ -352,7 +319,7 @@ def identity_l2(
     (F_eps(u), u) + ||Lap v||^2 + 2||v||_{L4}^4 + 4||v . grad v||^2
         + 2|| |v| |grad v| ||^2  =  ||grad v||^2 + 2||v||^2.
     """
-    pairing = inner_product(rhs(u, p, J=J).total(), to_spectral(u))
+    pairing = inner_product(rhs(u, p, J=J), to_spectral(u))
     v = _smoothed_state(u, J)
     lap_sq = norm(apply_multiplier(laplacian_op(u.grid), v), "l2") ** 2
     l4 = norm(v, "l4") ** 4
@@ -379,7 +346,7 @@ def identity_h1(
     """
     grid = u.grid
     lap_u = apply_multiplier(laplacian_op(grid), to_spectral(u))
-    total = rhs(u, p, J=J).total()
+    total = rhs(u, p, J=J)
     pairing = -inner_product(total, lap_u)
     v = _smoothed_state(u, J)
     lap_v = apply_multiplier(laplacian_op(grid), v)
@@ -472,7 +439,7 @@ def energy_chain_rule_gap(
     pairings (F, |u|^2 u), (F, -Lap u), (F, u) with those weights must
     reproduce -D(u).
     """
-    f = rhs(u, p, dealias=False).total()
+    f = rhs(u, p, dealias=False)
     uhat = to_spectral(u)
     up = to_physical(u)
     usq = np.sum(up.data**2, axis=0)

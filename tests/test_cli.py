@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from llbar.cli import main
+from llbar.cli import _KEYS, _build_parser, main
 from llbar.diagnostics import TimeSeries
 from llbar.grid import Grid, constant_field
 from llbar.io import load_snapshot, read_config, save_snapshot
@@ -183,6 +183,33 @@ class TestConfigResolution:
         assert (chosen / "verify.txt").exists()
         assert not (tmp_path / "ignored").exists()
 
+    def test_echo_replays_to_identical_series(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run("simulate", "--n", "16", "--t-end", "0.05",
+                   "--outdir", str(first)) == 0
+        assert run("simulate", "--config", str(first / "effective-config.txt"),
+                   "--outdir", str(second)) == 0
+        series = "series.csv"
+        assert (second / series).read_bytes() == (first / series).read_bytes()
+
+    def test_config_of_another_subcommand_rejected(self, tmp_path, outdir, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("subcommand = verify\nn = 16\n")
+        assert run("simulate", "--config", str(cfg), "--outdir", outdir) == 1
+        assert "verify" in capsys.readouterr().err
+
+    def test_flags_and_config_keys_agree(self):
+        """Every subcommand flag resolves through the one key table, and
+        every key of the table is some subcommand's flag."""
+        parser = _build_parser()
+        subparsers = parser._subparsers._group_actions[0].choices
+        dests = set()
+        for name, sub in subparsers.items():
+            mine = {a.dest for a in sub._actions} - {"help", "config"}
+            assert mine <= set(_KEYS), (name, sorted(mine - set(_KEYS)))
+            dests |= mine
+        assert set(_KEYS) - dests <= {"outdir", "subcommand"}
+
     def test_nothing_written_outside_outdir(self, tmp_path, monkeypatch, outdir):
         workdir = tmp_path / "cwd"
         workdir.mkdir()
@@ -221,6 +248,13 @@ class TestConverge:
                    "--amplitude", "0", "--t-end", "0.05", "--outdir", outdir)
         assert code == 0
         assert "stationary" in capsys.readouterr().out
+
+    def test_h2_spread_above_bound_fails_check(self, outdir, capsys):
+        code = run("converge", "--study", "eps_limit", "--n", "32",
+                   "--eps-list", "1.0,0.7,0.5", "--decay-r", "2",
+                   "--t-end", "0.05", "--outdir", outdir)
+        assert code == 2
+        assert "check failed: sup-in-time H2 spread" in capsys.readouterr().err
 
     def test_unknown_study_rejected(self, outdir):
         assert run("converge", "--study", "warp_drive", "--outdir", outdir) == 1

@@ -29,9 +29,9 @@ from llbar.grid import (
     random_band_limited_field,
     to_spectral,
 )
-from llbar.integrator import SchemeConfig, Stepper, integrate
+from llbar.integrator import SchemeConfig, Stepper, integrate, step
 from llbar.mollifier import make_mollifier
-from llbar.physics import DEFAULT_PARAMS, EffectiveFieldParams
+from llbar.physics import DEFAULT_PARAMS, EffectiveFieldParams, rhs
 
 from oracles import direct_dft
 
@@ -191,6 +191,10 @@ class TestReport:
             report(bad, 0.0)
         with pytest.raises(DataError, match="conjugate symmetry"):
             integrate(bad, 0.01, SchemeConfig(dt=1e-3))
+        with pytest.raises(DataError, match="conjugate symmetry"):
+            step(bad, SchemeConfig(dt=1e-3))
+        with pytest.raises(DataError, match="conjugate symmetry"):
+            rhs(bad)
 
 
 FFT_ENTRY_POINTS = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2")

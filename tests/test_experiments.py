@@ -70,7 +70,7 @@ def calibration_report():
 @pytest.fixture(scope="module")
 def recorded_constants():
     assert CALIBRATION_FILE.exists(), (
-        "calibration/constants.txt missing; run scripts/calibrate.py"
+        "calibration/constants.txt missing; run llbar calibrate --n 32 --outdir calibration"
     )
     return read_config(CALIBRATION_FILE)
 

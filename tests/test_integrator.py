@@ -89,12 +89,10 @@ class TestSchemeConfig:
 class TestLinearPropagator:
     def test_zero_mode_values(self, grid32_2d):
         dt = 1e-3
-        full = LinearPropagator.build(grid32_2d, dt, splitting="full")
-        cons = LinearPropagator.build(grid32_2d, dt, splitting="conservative")
+        lp = LinearPropagator.build(grid32_2d, dt)
         # the k=0 entry sits at the flat index 0 in fft ordering
-        assert full.exp.flat[0] == pytest.approx(math.exp(2 * dt), rel=1e-14)
-        assert cons.exp.flat[0] == 1.0
-        assert np.all(np.isfinite(full.exp)) and np.all(np.isfinite(cons.exp))
+        assert lp.exp.flat[0] == pytest.approx(math.exp(2 * dt), rel=1e-14)
+        assert np.all(np.isfinite(lp.exp))
 
     def test_tables_match_scalar_formulas(self, grid32_2d):
         dt = 2e-3
@@ -162,7 +160,7 @@ class TestStep:
         J = make_mollifier(grid32_2d, 0.3, "gaussian")
         u = single_mode(grid32_2d, (2, 0), amp)
         out = step(u, SchemeConfig(scheme="etd1", dt=dt), J=J)
-        sig = linear_symbol(grid32_2d, DEFAULT_PARAMS, "full", J)
+        sig = linear_symbol(grid32_2d, DEFAULT_PARAMS, J)
         expect = Field(
             grid32_2d, np.exp(sig * dt) * to_spectral(u).data, "spectral"
         )
@@ -361,7 +359,7 @@ class TestTemporalOrder:
         u0 = random_band_limited_field(grid32_2d, seed=4, amplitude=0.5, kmax=6)
         cfg = SchemeConfig(scheme="etd_rk2", nonlinear=False, dt=1e-3)
         res = integrate(u0, 0.05, cfg, report_every=10**9)
-        sig = linear_symbol(grid32_2d, DEFAULT_PARAMS, "full")
+        sig = linear_symbol(grid32_2d, DEFAULT_PARAMS)
         expect = Field(grid32_2d, np.exp(0.05 * sig) * to_spectral(u0).data, "spectral")
         assert norm(res.field - expect, "l2") <= 1e-12 * max(1.0, norm(expect, "l2"))
 

@@ -201,6 +201,22 @@ class TestCheckpoint:
         with pytest.raises(GridMismatchError):
             load_checkpoint(path, expected_grid=Grid(2, 32))
 
+    @pytest.mark.parametrize(
+        "history_n,to_repr",
+        [(16, to_spectral), (32, to_physical)],
+        ids=["other-grid", "other-representation"],
+    )
+    def test_history_must_match_state(self, tmp_path, history_n, to_repr):
+        state_field = to_spectral(sample_field(Grid(2, 32)))
+        history = to_repr(sample_field(Grid(2, history_n), seed=1))
+        state = SchemeState(
+            t=0.1, step=10, prev_field=history, prev_nonlinear=history, history_dt=1e-2
+        )
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(path, state_field, state, 1e-2)
+        with pytest.raises(SnapshotFormatError, match="history"):
+            load_checkpoint(path, expected_grid=Grid(2, 32))
+
     def test_snapshot_magic_rejected_for_checkpoint(self, tmp_path):
         path = tmp_path / "state.snap"
         save_snapshot(path, to_physical(sample_field(Grid(2, 8))))

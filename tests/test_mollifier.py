@@ -239,13 +239,10 @@ class TestVerifyReport:
         asserted = [c for c in report.checks if not c.informational]
         assert len(asserted) >= 8
 
-    def test_report_text_and_calibration_records(self, grid32_2d):
+    def test_report_text(self, grid32_2d):
         report = verify_mollifier_properties(make_mollifier(grid32_2d, 0.3))
         text = report.to_text()
         assert "PASS" in text and "gaussian" in text
-        records = report.calibration_records()
-        assert any(key.endswith("approx_rate_slope") for key in records)
-        assert all(np.isfinite(v) for v in records.values())
 
     def test_report_deterministic(self, grid32_2d):
         a = verify_mollifier_properties(make_mollifier(grid32_2d, 0.3, "bump"))

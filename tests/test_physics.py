@@ -5,8 +5,6 @@ right-hand side and the effective field, direct-summation DFT plus plain
 sample sums for the energy, and closed-form constant-field reductions.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +16,9 @@ from llbar.grid import (
     Field,
     Grid,
     apply_multiplier,
+    bilaplacian_op,
     constant_field,
+    dealias,
     inner_product,
     laplacian_op,
     norm,
@@ -26,7 +26,7 @@ from llbar.grid import (
     to_physical,
     to_spectral,
 )
-from llbar.mollifier import make_mollifier
+from llbar.mollifier import make_mollifier, mollify
 from llbar.physics import (
     CONSISTENCY_TOL,
     DEFAULT_PARAMS,
@@ -47,7 +47,6 @@ from llbar.physics import (
     nonlinear_rhs,
     rhs,
     rhs_consistency_with_heff,
-    rhs_mollified,
 )
 from oracles import direct_dft, fd_laplacian
 
@@ -108,13 +107,28 @@ class TestEffectiveField:
 
 class TestRhs:
     def test_unit_constant_all_terms_vanish(self, grid16_2d):
-        terms = rhs(constant_field(grid16_2d, (0, 0, 1)))
-        for f in dataclasses.fields(terms):
-            assert norm(getattr(terms, f.name), "l2") <= 1e-13
+        """F = 0 under five couplings whose term coefficients are linearly
+        independent, so each of the five terms vanishes on its own."""
+        u = constant_field(grid16_2d, (0, 0, 1))
+        couplings = [
+            DEFAULT_PARAMS,
+            GENERAL_PARAMS,
+            EffectiveFieldParams(chi=1.0, lambda_r=2.0, lambda_e=0.5, gamma=0.3),
+            EffectiveFieldParams(chi=0.1, lambda_r=0.2, lambda_e=3.0, gamma=1.5),
+            EffectiveFieldParams(chi=2.5, lambda_r=1.1, lambda_e=0.9, gamma=0.1),
+        ]
+        coeffs = [
+            (p.lambda_e, p.laplacian_coeff, p.cubic_coeff, p.cubic_laplacian_coeff,
+             p.gamma)
+            for p in couplings
+        ]
+        assert np.linalg.matrix_rank(coeffs) == 5
+        for p in couplings:
+            assert norm(rhs(u, p), "l2") <= 1e-13
 
     def test_constant_reduces_to_scalar_ode(self, grid16_2d):
         c = 0.5
-        f = to_physical(rhs(constant_field(grid16_2d, (0, 0, c))).total())
+        f = to_physical(rhs(constant_field(grid16_2d, (0, 0, c))))
         assert f.data[2] == pytest.approx(2 * c * (1 - c * c), abs=1e-13)
         assert np.max(np.abs(f.data[:2])) <= 1e-14
 
@@ -125,29 +139,48 @@ class TestRhs:
         data = np.zeros((3, grid.n))
         data[0] = 1e-6 * np.sin(grid.x1)
         u = Field(grid, data, "physical")
-        f = to_physical(rhs(u).total())
+        f = to_physical(rhs(u))
         dev = np.max(np.abs(f.data - 2 * data)) / np.max(np.abs(2 * data))
         assert dev <= 1e-9
 
     @pytest.mark.parametrize("p", BOTH_PARAMS, ids=["default", "general"])
     def test_matches_finite_difference_oracle(self, grid64_2d, p):
         u = random_band_limited_field(grid64_2d, seed=9, kmax=2, amplitude=0.5)
-        f = to_physical(rhs(u, p).total()).data
+        f = to_physical(rhs(u, p)).data
         expected = fd_rhs(u, p)
         scale = np.max(np.abs(expected))
         # floor ~1e-10: spectral-side roundoff through the quartic symbol
         assert np.max(np.abs(f - expected)) <= 1e-9 * scale
 
     def test_terms_sum_to_total(self, grid32_2d):
-        u = random_band_limited_field(grid32_2d, seed=3, kmax=5)
-        terms = rhs(u)
-        manual = sum(getattr(terms, f.name).data for f in dataclasses.fields(terms))
-        assert np.array_equal(terms.total().data, manual)
+        """rhs() against its five terms, each built from grid operators:
+        the linear terms pass through J twice, the cubic and cross products
+        of v = dealias(Ju) are dealiased and then smoothed once."""
+        grid = grid32_2d
+        u = random_band_limited_field(grid, seed=3, kmax=12)
+        J = make_mollifier(grid, 0.2, "bump")
+        lap = laplacian_op(grid)
+        ju = mollify(J, to_spectral(u))
+        jju = mollify(J, ju)
+        v = to_physical(dealias(ju)).data
+        lap_v = to_physical(apply_multiplier(lap, dealias(ju))).data
 
-    def test_terms_immutable(self, grid16_2d):
-        terms = rhs(constant_field(grid16_2d, (0, 0, 0.5)))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            terms.cross_term = terms.cubic_term
+        def smoothed_product(data):
+            return mollify(J, dealias(to_spectral(Field(grid, data, "physical"))))
+
+        cube = smoothed_product(np.sum(v**2, axis=0) * v)
+        cross = smoothed_product(np.cross(v, lap_v, axis=0))
+        for p in BOTH_PARAMS:
+            terms = [
+                apply_multiplier(bilaplacian_op(grid), jju) * -p.lambda_e,
+                apply_multiplier(lap, jju) * p.laplacian_coeff,
+                (jju - cube) * p.cubic_coeff,
+                apply_multiplier(lap, cube) * p.cubic_laplacian_coeff,
+                cross * -p.gamma,
+            ]
+            total = rhs(u, p, J=J)
+            gap = total - sum(terms[1:], terms[0])
+            assert norm(gap, "l2") <= 1e-12 * norm(total, "l2")
 
     def test_nan_rejected(self, grid16_2d):
         u = constant_field(grid16_2d, (0, 0, 0.5))
@@ -331,22 +364,22 @@ class TestStationarity:
         vec = np.random.default_rng(seed).normal(size=3)
         vec /= np.linalg.norm(vec)
         u = constant_field(grid16_3d, vec)
-        assert norm(rhs(u).total(), "l2") <= 1e-12
+        assert norm(rhs(u), "l2") <= 1e-12
 
     def test_mollified_unit_constant(self, grid16_2d):
         u = constant_field(grid16_2d, (0, 0, 1))
         J = make_mollifier(grid16_2d, 0.3, "bump")
-        assert norm(rhs_mollified(u, J), "l2") <= 1e-12
+        assert norm(rhs(u, J=J), "l2") <= 1e-12
 
 
 class TestMollifiedRhs:
     def test_eps_sweep_converges_to_raw_rhs(self, grid64_2d):
         u = random_band_limited_field(grid64_2d, seed=7, decay_r=5.0, kmax=10)
-        base = rhs(u).total()
+        base = rhs(u)
         eps_list = np.array([0.4, 0.2, 0.1, 0.05])
         gaps = np.array(
             [
-                norm(rhs_mollified(u, make_mollifier(grid64_2d, float(e))) - base, "l2")
+                norm(rhs(u, J=make_mollifier(grid64_2d, float(e))) - base, "l2")
                 for e in eps_list
             ]
         )
@@ -355,27 +388,23 @@ class TestMollifiedRhs:
         assert slope >= 0.9
 
     def test_linear_terms_scale_with_amplitude(self, grid32_2d):
+        """F_eps less its nonlinear part N_eps is linear in u."""
         u = random_band_limited_field(grid32_2d, seed=5, kmax=5)
         J = make_mollifier(grid32_2d, 0.2)
         a = 0.37
         scaled = Field(grid32_2d, a * u.data, "physical")
-        t1, t2 = rhs(u, J=J), rhs(scaled, J=J)
-        for name in ("bilaplacian_term", "laplacian_term"):
-            big = getattr(t1, name)
-            small = getattr(t2, name)
-            gap = norm(Field(grid32_2d, small.data - a * big.data, SPECTRAL), "l2")
-            assert gap <= 1e-12 * max(norm(big, "l2"), 1e-300)
+        big = rhs(u, J=J) - nonlinear_rhs(u, J=J)
+        small = rhs(scaled, J=J) - nonlinear_rhs(scaled, J=J)
+        gap = norm(small - big * a, "l2")
+        assert gap <= 1e-12 * max(norm(big, "l2"), 1e-300)
 
 
 class TestSplitting:
     def test_symbol_values(self, grid32_2d):
-        full = linear_symbol(grid32_2d, splitting="full")
-        cons = linear_symbol(grid32_2d, splitting="conservative")
-        assert full.flat[0] == 2.0  # |k|^2 = 0
-        assert cons.flat[0] == 0.0
+        sym = linear_symbol(grid32_2d)
+        assert sym.flat[0] == 2.0  # |k|^2 = 0
         ksq = grid32_2d.ksq
-        assert np.allclose(full, -(ksq**2) + ksq + 2.0, rtol=0, atol=1e-12)
-        assert np.allclose(cons, -(ksq**2), rtol=0, atol=0)
+        assert np.allclose(sym, -(ksq**2) + ksq + 2.0, rtol=0, atol=1e-12)
 
     def test_neutral_mode(self):
         grid = Grid(dim=2, n=16)
@@ -384,32 +413,28 @@ class TestSplitting:
         sel = (m[0] ** 2 + m[1] ** 2) == 2
         assert np.max(np.abs(sym[sel])) == 0.0  # sigma(|k|^2=2) = -4+2+2
 
-    def test_unknown_splitting(self, grid16_2d):
-        with pytest.raises(UsageError):
-            linear_symbol(grid16_2d, splitting="strang")
-
+    # "full": linear_symbol takes every linear term of F
     @pytest.mark.parametrize("p", BOTH_PARAMS, ids=["default", "general"])
-    @pytest.mark.parametrize("splitting", ["full", "conservative"])
     @pytest.mark.parametrize(
         "dim,n,kind,eps",
         [
-            pytest.param(2, 32, "gaussian", None, id="None"),
-            pytest.param(2, 32, "gaussian", 0.2, id="0.2"),
-            pytest.param(2, 32, "bump", 0.2, id="bump-0.2"),
-            pytest.param(3, 16, "gaussian", None, id="3d-None"),
-            pytest.param(3, 16, "gaussian", 0.2, id="3d-0.2"),
-            pytest.param(3, 16, "bump", 0.2, id="3d-bump-0.2"),
+            pytest.param(2, 32, "gaussian", None, id="None-full"),
+            pytest.param(2, 32, "gaussian", 0.2, id="0.2-full"),
+            pytest.param(2, 32, "bump", 0.2, id="bump-0.2-full"),
+            pytest.param(3, 16, "gaussian", None, id="3d-None-full"),
+            pytest.param(3, 16, "gaussian", 0.2, id="3d-0.2-full"),
+            pytest.param(3, 16, "bump", 0.2, id="3d-bump-0.2-full"),
         ],
     )
-    def test_reconstruction_is_exact(self, dim, n, kind, eps, p, splitting):
+    def test_reconstruction_is_exact(self, dim, n, kind, eps, p):
         grid = Grid(dim, n)
         J = None if eps is None else make_mollifier(grid, eps, kind)
         u = random_band_limited_field(grid, seed=1, kmax=5)
         uhat = to_spectral(u)
-        sym = linear_symbol(grid, p, splitting, J)
+        sym = linear_symbol(grid, p, J)
         lin = Field(grid, sym * uhat.data, SPECTRAL)
-        recon = lin + nonlinear_rhs(u, p, J, splitting)
-        total = rhs(u, p, J=J).total()
+        recon = lin + nonlinear_rhs(u, p, J)
+        total = rhs(u, p, J=J)
         assert norm(recon - total, "l2") <= 1e-12 * norm(total, "l2")
 
 
@@ -424,7 +449,7 @@ class TestLipschitzProbe:
         zero = constant_field(grid32_2d, (0, 0, 0))
         J = make_mollifier(grid32_2d, 0.2)
         ratio = lipschitz_probe(u, zero, J, s=2.0)
-        direct = norm(rhs_mollified(u, J), "hs", s=2.0) / norm(u, "hs", s=2.0)
+        direct = norm(rhs(u, J=J), "hs", s=2.0) / norm(u, "hs", s=2.0)
         assert ratio == pytest.approx(direct, rel=1e-12)
 
     def test_family_is_bounded(self, grid32_2d):
