@@ -196,8 +196,9 @@ def _build_parser() -> _Parser:
 
 
 def _resolve(args) -> dict:
-    """Flag > config-file > default, tracking which keys the user set; the
-    result is echoed to <outdir>/effective-config.txt."""
+    """Flag > config-file > default, tracking which keys the user set (a
+    file value counts only when it differs from the default, so an echo
+    replays); the result is echoed to <outdir>/effective-config.txt."""
     file_vals = {}
     if getattr(args, "config", None):
         for raw_key, raw_val in read_config(args.config).items():
@@ -217,7 +218,7 @@ def _resolve(args) -> dict:
     cfg, given = {}, set()
     for key, (_, default) in _KEYS.items():
         flag = getattr(args, key, None)
-        if flag is not None or key in file_vals:
+        if flag is not None or file_vals.get(key, default) != default:
             given.add(key)
         cfg[key] = flag if flag is not None else file_vals.get(key, default)
 

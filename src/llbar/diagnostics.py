@@ -62,12 +62,6 @@ class EnergyReport:
         return ",".join(f"{v:.17g}" for v in vals) + f",{self.flags}"
 
 
-def _mode_density(grid, half: np.ndarray) -> np.ndarray:
-    """Sum over components of |hat|^2 per half-lattice mode, weighted so
-    that its sum is the full-lattice Parseval sum."""
-    return grid.parseval_weights * np.sum(half.real**2 + half.imag**2, axis=0)
-
-
 def report(
     u: Field, t: float, p: EffectiveFieldParams = DEFAULT_PARAMS
 ) -> EnergyReport:
@@ -89,7 +83,7 @@ def report(
     with np.errstate(over="ignore", invalid="ignore"):
         if u.representation == SPECTRAL:
             check_conjugate_symmetry(u)
-            uhat = u.data[..., : grid.n // 2 + 1]
+            uhat = grid.half_spectrum(u.data)
             up = np.fft.irfftn(uhat, s=grid.shape, axes=axes)
         else:
             up = u.data
@@ -101,11 +95,11 @@ def report(
 
         parseval = grid.cell_volume / grid.npoints
         bessel = 1.0 + grid.ksq_half
-        dens = _mode_density(grid, uhat)
+        dens = grid.mode_density(uhat)
         l2_sq = float(np.sum(dens)) * parseval
         grad_sq = float(np.sum(grid.kodd_sq_half * dens)) * parseval
         l4_4 = float(np.sum(usq**2)) * grid.cell_volume
-        hdens = _mode_density(grid, hhat)
+        hdens = grid.mode_density(hhat)
         heff_sq = float(np.sum(hdens)) * parseval
         grad_h_sq = float(np.sum(grid.kodd_sq_half * hdens)) * parseval
         rep = EnergyReport(

@@ -116,7 +116,7 @@ def _run_trajectory(spec, u0, eps):
         spec.scheme,
         spec.params,
         J,
-        observer=lambda u, t, k: snapshots.__setitem__(k, u.copy()),
+        observer=lambda u, t, k: snapshots.__setitem__(k, u),
         report_every=spec.report_every,
         metadata=_study_metadata(spec, eps),
     )

@@ -9,11 +9,13 @@ All operations are pure: they return new Field objects and never mutate
 their inputs.
 
 Half lattice. A real field's spectrum is Hermitian, u_hat(-m) = conj(u_hat(m)),
-so the hot paths (the nonlinear right-hand side and the per-report
-observables) work on the real-transform half `[..., :n//2+1]` of the last
-axis, the layout of numpy's rfftn/irfftn. Grid caches the half-lattice
-symbols, the Parseval weights that count each mirrored mode twice, and
-expands a half spectrum back to the full lattice, which Field keeps.
+so the hot paths (time stepping, the nonlinear right-hand side and the
+per-report observables) work on the real-transform half `[..., :n//2+1]`
+of the last axis, the layout of numpy's rfftn/irfftn. Grid caches the
+half-lattice symbols and the Parseval weights that count each mirrored
+mode twice, cuts a full spectrum to its half, and expands a half spectrum
+back to the full lattice, which Field keeps. The integrator holds its
+state as a half spectrum and builds a full one only for data it hands out.
 """
 
 from __future__ import annotations
@@ -146,11 +148,11 @@ class Grid:
 
     @cached_property
     def ksq_half(self) -> np.ndarray:
-        return self.ksq[..., : self.n // 2 + 1]
+        return self.half_spectrum(self.ksq)
 
     @cached_property
     def dealias_mask_half(self) -> np.ndarray:
-        return self.dealias_mask[..., : self.n // 2 + 1]
+        return self.half_spectrum(self.dealias_mask)
 
     @cached_property
     def kodd_sq_half(self) -> np.ndarray:
@@ -159,7 +161,7 @@ class Grid:
         out = np.zeros(self.shape)
         for ka in self.k_odd:
             out = out + ka**2
-        return out[..., : self.n // 2 + 1]
+        return self.half_spectrum(out)
 
     @cached_property
     def parseval_weights(self) -> np.ndarray:
@@ -168,6 +170,15 @@ class Grid:
         w = np.full(self.n // 2 + 1, 2.0)
         w[0] = w[-1] = 1.0
         return w
+
+    def mode_density(self, half: np.ndarray) -> np.ndarray:
+        """Sum over components of |u_hat|^2 per half-lattice mode, weighted
+        so that its sum is the full-lattice Parseval sum."""
+        return self.parseval_weights * np.sum(half.real**2 + half.imag**2, axis=0)
+
+    def half_spectrum(self, full: np.ndarray) -> np.ndarray:
+        """The half (..., n//2+1) of a full spectrum (a view)."""
+        return full[..., : self.n // 2 + 1]
 
     def full_spectrum(self, half: np.ndarray) -> np.ndarray:
         """Expand a half spectrum (..., n//2+1) to the full Hermitian one:

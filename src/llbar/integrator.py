@@ -5,10 +5,18 @@ by its exponential; the remaining nonlinearity is advanced by exponential
 Euler (etd1), the two-stage exponential Runge-Kutta scheme (etd_rk2), or
 the semi-implicit two-step backward differentiation formula (imex_bdf2,
 bootstrapped by one etd_rk2 step).
+
+A real field's spectrum is Hermitian, so the state, the propagator tables,
+N(u) and the imex_bdf2 history all live on the half lattice of real
+transforms, `[..., :n//2+1]` of the last axis (see llbar.grid). A full
+spectral Field is built only where data leaves the integrator: at each
+sample handed to report() and the observer, for the final field, for the
+field of a blow-up, and in checkpoints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,7 +72,8 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class LinearPropagator:
-    """Tabulated e^{dt sigma}, phi1(dt sigma), phi2(dt sigma) on the lattice."""
+    """Tabulated e^{dt sigma}, phi1(dt sigma), phi2(dt sigma) on the half
+    lattice."""
 
     grid: Grid
     dt: float
@@ -81,7 +90,7 @@ class LinearPropagator:
         p: EffectiveFieldParams = DEFAULT_PARAMS,
         J: MollifierSymbol | None = None,
     ) -> "LinearPropagator":
-        sigma = linear_symbol(grid, p, J)
+        sigma = grid.half_spectrum(linear_symbol(grid, p, J))
         z = dt * sigma
         return cls(grid, dt, sigma, np.exp(z), _phi1(z), _phi2(z))
 
@@ -110,8 +119,8 @@ class SchemeState:
 
     t: float = 0.0
     step: int = 0
-    prev_field: Field | None = None  # u_{n-1}, spectral (imex_bdf2)
-    prev_nonlinear: Field | None = None  # N(u_{n-1}), spectral
+    prev_field: np.ndarray | None = None  # u_{n-1}, half spectrum (imex_bdf2)
+    prev_nonlinear: np.ndarray | None = None  # N(u_{n-1}), half spectrum
     history_dt: float | None = None  # the dt the history pair was built at
 
 
@@ -150,27 +159,25 @@ class Stepper:
             self._tables[dt] = LinearPropagator.build(self.grid, dt, self.p, self.J)
         return self._tables[dt]
 
-    def _nonlinear(self, uhat: Field) -> Field:
+    def _nonlinear(self, uhat: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinear:
-            return Field(self.grid, np.zeros_like(uhat.data), SPECTRAL)
-        return nonlinear_rhs(uhat, self.p, self.J)
+            return np.zeros_like(uhat)
+        return nonlinear_rhs(self.grid, uhat, self.p, self.J)
 
-    def _etd1(self, uhat: Field, dt: float) -> Field:
+    def _etd1(self, uhat: np.ndarray, dt: float) -> np.ndarray:
         lp = self._prop(dt)
-        nhat = self._nonlinear(uhat)
-        data = lp.exp * uhat.data + dt * lp.phi1 * nhat.data
-        return Field(self.grid, data, SPECTRAL)
+        return lp.exp * uhat + dt * lp.phi1 * self._nonlinear(uhat)
 
-    def _etd_rk2(self, uhat: Field, dt: float, nhat: Field | None = None) -> Field:
+    def _etd_rk2(
+        self, uhat: np.ndarray, dt: float, nhat: np.ndarray | None = None
+    ) -> np.ndarray:
         lp = self._prop(dt)
         if nhat is None:
             nhat = self._nonlinear(uhat)
-        a = Field(self.grid, lp.exp * uhat.data + dt * lp.phi1 * nhat.data, SPECTRAL)
-        na = self._nonlinear(a)
-        data = a.data + dt * lp.phi2 * (na.data - nhat.data)
-        return Field(self.grid, data, SPECTRAL)
+        a = lp.exp * uhat + dt * lp.phi1 * nhat
+        return a + dt * lp.phi2 * (self._nonlinear(a) - nhat)
 
-    def _bdf2(self, uhat: Field, dt: float) -> Field:
+    def _bdf2(self, uhat: np.ndarray, dt: float) -> np.ndarray:
         st = self.state
         lp = self._prop(dt)
         nhat = self._nonlinear(uhat)
@@ -178,17 +185,19 @@ class Stepper:
             new = self._etd_rk2(uhat, dt, nhat)
         else:
             num = (
-                4.0 * uhat.data
-                - st.prev_field.data
-                + 2.0 * dt * (2.0 * nhat.data - st.prev_nonlinear.data)
+                4.0 * uhat
+                - st.prev_field
+                + 2.0 * dt * (2.0 * nhat - st.prev_nonlinear)
             )
-            new = Field(self.grid, num / (3.0 - 2.0 * dt * lp.symbol), SPECTRAL)
+            new = num / (3.0 - 2.0 * dt * lp.symbol)
         st.prev_field = uhat
         st.prev_nonlinear = nhat
         st.history_dt = dt
         return new
 
-    def advance(self, uhat: Field, dt: float) -> Field:
+    def advance(self, uhat: np.ndarray, dt: float) -> np.ndarray:
+        """One step of size dt from the half spectrum uhat (never
+        modified); returns the new half spectrum."""
         # Overflow in a diverging run is detected downstream as a non-finite
         # state and escalated to the blow-up signal; silence the interim
         # numpy warnings so the termination is clean.
@@ -205,20 +214,20 @@ class Stepper:
                 self.state.prev_nonlinear = None
             return self._bdf2(uhat, dt)
 
-    def advance_adaptive(self, uhat: Field, dt: float):
+    def advance_adaptive(self, uhat: np.ndarray, dt: float):
         """Step-doubling control: one dt step against two dt/2 steps.
 
-        Returns (new field, dt taken, next dt). Raises the blow-up signal
-        when dt collapses below dt_min.
+        Returns (new half spectrum, dt taken, next dt). Raises the blow-up
+        signal when dt collapses below dt_min.
         """
         cfg = self.cfg
         p_ord = cfg.order
         while True:
             big = self.advance(uhat, dt)
             half = self.advance(self.advance(uhat, dt / 2.0), dt / 2.0)
-            if np.all(np.isfinite(half.data)) and np.all(np.isfinite(big.data)):
-                est = norm(big - half, "l2") / (2.0**p_ord - 1.0)
-                scale = max(1.0, norm(half, "l2"))
+            if np.all(np.isfinite(half)) and np.all(np.isfinite(big)):
+                est = self._l2(big - half) / (2.0**p_ord - 1.0)
+                scale = max(1.0, self._l2(half))
             else:
                 est, scale = float("inf"), 1.0
             if est <= cfg.tol * scale:
@@ -235,6 +244,17 @@ class Stepper:
                     t=self.state.t,
                     step=self.state.step,
                 )
+
+    def _l2(self, uhat: np.ndarray) -> float:
+        """L2 norm of a field from its half spectrum (Parseval)."""
+        g = self.grid
+        return math.sqrt(float(np.sum(g.mode_density(uhat))) * g.cell_volume / g.npoints)
+
+
+def _full(grid: Grid, uhat: np.ndarray) -> Field:
+    """The spectral Field of a half spectrum, for data that leaves the
+    integrator."""
+    return Field(grid, grid.full_spectrum(uhat), SPECTRAL)
 
 
 def step(
@@ -253,8 +273,9 @@ def step(
         raise BlowUpError("non-finite input state", t=0.0, step=0, field=u)
     if u.representation == SPECTRAL:
         check_conjugate_symmetry(u)
-    stepper = Stepper(u.grid, cfg, p, J)
-    out = stepper.advance(to_spectral(u), cfg.dt)
+    grid = u.grid
+    stepper = Stepper(grid, cfg, p, J)
+    out = _full(grid, stepper.advance(grid.half_spectrum(to_spectral(u).data), cfg.dt))
     if not np.all(np.isfinite(out.data)):
         raise BlowUpError("non-finite state after one step", t=cfg.dt, step=1, field=out)
     if u.representation == SPECTRAL:
@@ -275,16 +296,22 @@ def integrate(
 ) -> IntegrationResult:
     """Advance u0 to t_end; returns the final field, the sampled time
     series (first step, every report_every-th, last), and the scheme
-    state needed to continue the run bit-exactly.
+    state needed to continue the run bit-exactly. At each sample the
+    observer gets (u, t, step) with a new spectral Field u that the
+    integrator keeps no reference to.
 
     A non-finite state raises the blow-up signal carrying the partial
     series and the offending field; the series always gains a final
-    flagged report first, so on-disk records show the failure.
+    flagged report first, so on-disk records show the failure. A
+    spectral u0 must be conjugate-symmetric (DataError otherwise).
     """
     if t_end < 0:
         raise UsageError(f"t_end must be nonnegative, got {t_end}")
+    if report_every < 1:
+        raise UsageError(f"report_every must be at least 1, got {report_every}")
+    grid = u0.grid
     series = TimeSeries(metadata=dict(metadata or {}))
-    stepper = Stepper(u0.grid, cfg, p, J, state=state)
+    stepper = Stepper(grid, cfg, p, J, state=state)
     st = stepper.state
     if not np.all(np.isfinite(u0.data)):
         series.append(report(u0, st.t, p))
@@ -295,11 +322,15 @@ def integrate(
             series=series,
             field=u0,
         )
-    uhat = to_spectral(u0)
+    if u0.representation == SPECTRAL:
+        check_conjugate_symmetry(u0)
+    u0hat = to_spectral(u0)
+    uhat = grid.half_spectrum(u0hat.data)
 
-    def sample(u, force=False):
+    def sample(uhat, force=False):
         if force or st.step % report_every == 0:
             if not series.reports or st.t > series.reports[-1].t:
+                u = _full(grid, uhat)
                 series.append(report(u, st.t, p))
                 if observer is not None:
                     observer(u, st.t, st.step)
@@ -307,7 +338,7 @@ def integrate(
     sample(uhat, force=True)
     if t_end == 0:
         # zero-length run: still report the initial state
-        return IntegrationResult(uhat, series, st)
+        return IntegrationResult(u0hat, series, st)
     dt_next = cfg.dt
     while True:
         remaining = t_end - st.t
@@ -324,18 +355,19 @@ def integrate(
             uhat, taken, dt_next = stepper.advance_adaptive(uhat, dt)
         st.t += taken
         st.step += 1
-        if not np.all(np.isfinite(uhat.data)):
-            series.append(report(uhat, st.t, p))
+        if not np.all(np.isfinite(uhat)):
+            u = _full(grid, uhat)
+            series.append(report(u, st.t, p))
             raise BlowUpError(
                 f"non-finite state at t={st.t:.6g} (step {st.step})",
                 t=st.t,
                 step=st.step,
                 series=series,
-                field=uhat,
+                field=u,
             )
         sample(uhat)
     sample(uhat, force=True)
-    return IntegrationResult(uhat, series, st)
+    return IntegrationResult(_full(grid, uhat), series, st)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ data, so reruns with the same seed produce identical files.
 
 Checkpoint layout: one snapshot of the state field, then a scheme-state
 header (t, dt, step, and the history's dt when there is one), then zero or
-two more raw arrays for the two-step scheme's history. Loading reconstructs
+two more raw arrays for the two-step scheme's history. The integrator
+holds that history as half spectra; a checkpoint stores it as full
+spectral fields and loading cuts it back to the half. Loading reconstructs
 everything needed to continue the run bit-exactly.
 """
 
@@ -137,8 +139,9 @@ def save_checkpoint(path, field: Field, state: SchemeState, dt: float) -> None:
         _write_field_body(fh, field)
         _write_header(fh, pairs)
         if has_history:
-            _write_field_body(fh, state.prev_field)
-            _write_field_body(fh, state.prev_nonlinear)
+            g = field.grid
+            for half in (state.prev_field, state.prev_nonlinear):
+                _write_field_body(fh, Field(g, g.full_spectrum(half), SPECTRAL))
 
 
 def load_checkpoint(path, expected_grid: Grid | None = None):
@@ -157,20 +160,17 @@ def load_checkpoint(path, expected_grid: Grid | None = None):
             history_dt = float(head["history_dt"]) if has_history else None
         except (KeyError, ValueError) as exc:
             raise SnapshotFormatError(f"bad checkpoint header in {path}: {exc}") from exc
-        prev_field = prev_nonlinear = None
-        if has_history:
-            prev_field = _read_field_body(fh, path)
-            prev_nonlinear = _read_field_body(fh, path)
-            for hist in (prev_field, prev_nonlinear):
-                if not hist.grid.compatible(field.grid) or (
-                    hist.representation != field.representation
-                ):
-                    raise SnapshotFormatError(
-                        f"history field in {path} does not match the state: "
-                        f"{hist.grid.dim}d n={hist.grid.n} {hist.representation} "
-                        f"against {field.grid.dim}d n={field.grid.n} "
-                        f"{field.representation}"
-                    )
+        history = []
+        for _ in range(2 * has_history):
+            hist = _read_field_body(fh, path)
+            if not hist.grid.compatible(field.grid) or hist.representation != SPECTRAL:
+                raise SnapshotFormatError(
+                    f"history field in {path} does not match the state: "
+                    f"{hist.grid.dim}d n={hist.grid.n} {hist.representation} "
+                    f"against {field.grid.dim}d n={field.grid.n} {SPECTRAL}"
+                )
+            history.append(field.grid.half_spectrum(hist.data))
+        prev_field, prev_nonlinear = history or (None, None)
         if fh.read(1):
             raise SnapshotFormatError(f"trailing bytes in {path}")
     _check_grid(field.grid, expected_grid, path)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,11 +91,14 @@ def _symbol(J: MollifierSymbol | None):
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise a x b of component-first arrays; np.cross would first
-    copy both inputs to move the component axis last."""
-    return np.stack(
-        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-    )
+    """Pointwise a x b of component-first arrays, written into one output;
+    np.cross would first copy both inputs to move the component axis last,
+    and stacking the three components copies them again."""
+    out = np.empty_like(a)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        out[i] -= a[k] * b[j]
+    return out
 
 
 def _quad(grid: Grid, values) -> float:
@@ -179,43 +183,48 @@ def linear_symbol(
 
 
 def nonlinear_rhs(
-    u: Field,
+    grid: Grid,
+    uhat: np.ndarray,
     p: EffectiveFieldParams = DEFAULT_PARAMS,
     J: MollifierSymbol | None = None,
-) -> Field:
-    """F_eps(u) minus the linear_symbol part, spectral, full lattice.
+) -> np.ndarray:
+    """F_eps(u) minus the linear_symbol part, from the half spectrum uhat
+    (3, ..., n//2+1) of u to the half spectrum of the result.
 
-    Only the genuinely nonlinear products are transformed, on the half
-    lattice of real transforms: with v = mask rho u (the dealiased smoothed
-    state),
+    Only the genuinely nonlinear products are transformed, with real
+    transforms: with v = mask rho u (the dealiased smoothed state),
 
         N = -rho mask [(c + c_lap |k|^2) F(|v|^2 v) + gamma F(v x Lap v)],
 
     c = cubic_coeff, c_lap = cubic_laplacian_coeff, which is rhs() less
-    its linear_symbol part.
+    its linear_symbol part. Non-finite input gives a non-finite result,
+    not an exception: inside a time step that marks the step a blow-up.
     """
-    _require_finite(u, "nonlinear_rhs")
     if J is not None:
-        _check_same_grid(J.grid, u)
-    grid = u.grid
-    axes = u.spatial_axes
-    half = grid.n // 2 + 1
-    if u.representation == SPECTRAL:
-        uhat = u.data[..., :half]
-    else:
-        uhat = np.fft.rfftn(u.data, axes=axes)
-    rho = 1.0 if J is None else J.values[..., :half]
-    ksq = grid.ksq_half
-    smooth = rho * grid.dealias_mask_half
+        _check_same_grid(J.grid, grid)
+    axes = tuple(range(1, grid.dim + 1))
+    smooth, lap, cube, cross = _nonlinear_symbols(grid, p, J)
 
     vhat = smooth * uhat
     v = np.fft.irfftn(vhat, s=grid.shape, axes=axes)
-    lap_v = np.fft.irfftn(-ksq * vhat, s=grid.shape, axes=axes)
+    lap_v = np.fft.irfftn(lap * vhat, s=grid.shape, axes=axes)
     cube_hat = np.fft.rfftn(np.sum(v**2, axis=0) * v, axes=axes)
     cross_hat = np.fft.rfftn(_cross(v, lap_v), axes=axes)
-    data = (-(p.cubic_coeff + p.cubic_laplacian_coeff * ksq) * smooth) * cube_hat
-    data -= (p.gamma * smooth) * cross_hat
-    return Field(grid, grid.full_spectrum(data), SPECTRAL)
+    data = cube * cube_hat
+    data -= cross * cross_hat
+    return data
+
+
+@lru_cache(maxsize=8)
+def _nonlinear_symbols(grid: Grid, p: EffectiveFieldParams, J: MollifierSymbol | None):
+    """The half-lattice symbols of nonlinear_rhs, built once per run (grid
+    and J hash by identity): rho mask, -|k|^2, -(c + c_lap |k|^2) rho mask
+    and gamma rho mask."""
+    rho = 1.0 if J is None else grid.half_spectrum(J.values)
+    ksq = grid.ksq_half
+    smooth = rho * grid.dealias_mask_half
+    cube = -(p.cubic_coeff + p.cubic_laplacian_coeff * ksq) * smooth
+    return smooth, -ksq, cube, p.gamma * smooth
 
 
 def rhs_consistency_with_heff(

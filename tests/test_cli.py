@@ -139,6 +139,22 @@ class TestSimulate:
         assert series.reports[-1].flags == "nan"  # the flagged failure row
         assert not os.path.exists(os.path.join(outdir, "final.snap"))
 
+    def test_blow_up_inside_a_stage_exits_3_with_flagged_series(self, outdir, capsys):
+        # the etd_rk2 stage value overflows first: N(u) of it must not raise
+        code = run("simulate", "--n", "32", "--t-end", "1", "--dt", "0.05",
+                   "--amplitude", "5", "--outdir", outdir)
+        assert code == 3
+        assert "blow-up" in capsys.readouterr().err
+        series = TimeSeries.read_csv(os.path.join(outdir, "series.csv"))
+        assert series.reports[-1].flags == "nan"
+        assert not os.path.exists(os.path.join(outdir, "final.snap"))
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_report_every_below_one_is_usage_error(self, outdir, capsys, value):
+        assert run("simulate", "--n", "16", "--t-end", "0.01",
+                   "--report-every", value, "--outdir", outdir) == 1
+        assert "report_every" in capsys.readouterr().err
+
     def test_zero_t_end_reports_initial_state(self, outdir):
         assert run("simulate", "--n", "16", "--t-end", "0", "--outdir", outdir) == 0
         series = TimeSeries.read_csv(os.path.join(outdir, "series.csv"))
@@ -191,6 +207,27 @@ class TestConfigResolution:
                    "--outdir", str(second)) == 0
         series = "series.csv"
         assert (second / series).read_bytes() == (first / series).read_bytes()
+
+    def test_snapshot_echo_replays_to_identical_series(self, tmp_path):
+        snap = str(tmp_path / "flat.snap")
+        write_stationary_snapshot(snap, n=16)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run("simulate", "--snapshot", snap, "--n", "16", "--t-end", "0.05",
+                   "--outdir", str(first)) == 0
+        assert run("simulate", "--config", str(first / "effective-config.txt"),
+                   "--outdir", str(second)) == 0
+        series = "series.csv"
+        assert (second / series).read_bytes() == (first / series).read_bytes()
+
+    def test_snapshot_with_generator_value_in_config_still_conflicts(
+        self, tmp_path, outdir, capsys
+    ):
+        snap = str(tmp_path / "flat.snap")
+        write_stationary_snapshot(snap, n=16)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"snapshot = {snap}\nn = 16\namplitude = 0.7\n")
+        assert run("simulate", "--config", str(cfg), "--outdir", outdir) == 1
+        assert "amplitude" in capsys.readouterr().err
 
     def test_config_of_another_subcommand_rejected(self, tmp_path, outdir, capsys):
         cfg = tmp_path / "run.cfg"

@@ -221,7 +221,7 @@ class TestTransformBudget:
         uhat = to_spectral(random_band_limited_field(g, seed=5, amplitude=0.5))
         stepper = Stepper(g, SchemeConfig(scheme="etd_rk2"), J=make_mollifier(g, 0.2))
         fft_calls.clear()
-        stepper.advance(uhat, 1e-3)
+        stepper.advance(g.half_spectrum(uhat.data), 1e-3)
         step_calls = list(fft_calls)
         fft_calls.clear()
         report(uhat, 0.0)

@@ -132,7 +132,7 @@ class TestLinearPropagator:
         # |k|^2 = 2 is a root of the full symbol: propagator exactly 1
         dt = 1e-2
         lp = LinearPropagator.build(grid32_2d, dt)
-        neutral = np.isclose(grid32_2d.ksq, 2.0)
+        neutral = np.isclose(grid32_2d.ksq_half, 2.0)
         assert neutral.any()
         assert np.all(lp.exp[neutral] == 1.0)
 
@@ -230,6 +230,12 @@ class TestIntegrate:
         with pytest.raises(UsageError, match="t_end"):
             integrate(u0, -1.0, SchemeConfig())
 
+    @pytest.mark.parametrize("report_every", [0, -1])
+    def test_report_every_below_one_rejected(self, grid16_2d, report_every):
+        u0 = constant_field(grid16_2d, (0.0, 0.0, 1.0))
+        with pytest.raises(UsageError, match="report_every"):
+            integrate(u0, 0.01, SchemeConfig(), report_every=report_every)
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_stationary_over_unit_time(self, grid32_2d, scheme):
         u0 = constant_field(grid32_2d, (0.0, 0.0, 1.0))
@@ -277,6 +283,66 @@ class TestIntegrate:
             u0, 0.01, SchemeConfig(dt=1e-3), metadata={"seed": "7", "scheme": "etd_rk2"}
         )
         assert res.series.metadata == {"seed": "7", "scheme": "etd_rk2"}
+
+
+def upper_mirror_gap(f):
+    """max |u_hat(m) - conj u_hat(-m)| over the last-axis indices above n/2."""
+    grid = f.grid
+    neg = (-np.arange(grid.n)) % grid.n
+    mirror = np.conj(f.data[np.ix_(np.arange(3), *([neg] * grid.dim))])
+    h = grid.n // 2 + 1
+    return np.max(np.abs(f.data[..., h:] - mirror[..., h:]))
+
+
+class TestHalfLattice:
+    """The state lives on the rfftn half lattice; full spectra are built
+    only for the fields the integrator hands out."""
+
+    def run(self, grid, monkeypatch, counts):
+        import llbar.integrator as integrator
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            Grid, "full_spectrum", counting("full_spectrum", Grid.full_spectrum)
+        )
+        for name in ("nonlinear_rhs", "report"):
+            monkeypatch.setattr(integrator, name, counting(name, getattr(integrator, name)))
+        u0 = random_band_limited_field(grid, seed=4, amplitude=0.5, kmax=4)
+        seen = []
+        res = integrate(
+            u0,
+            0.02,
+            SchemeConfig(scheme="etd_rk2", dt=1e-3),
+            J=make_mollifier(grid, 0.2),
+            observer=lambda u, t, k: seen.append(u),
+            report_every=10,
+        )
+        return res, seen
+
+    def test_full_spectra_only_for_samples_and_result(self, grid32_2d, monkeypatch):
+        counts = {}
+        res, seen = self.run(grid32_2d, monkeypatch, counts)
+        assert res.state.step == 20
+        assert len(seen) == len(res.series) == 3  # steps 0, 10, 20
+        assert counts["full_spectrum"] <= len(res.series) + 1
+
+    def test_one_call_per_stage_and_per_sample(self, grid32_2d, monkeypatch):
+        counts = {}
+        res, _ = self.run(grid32_2d, monkeypatch, counts)
+        assert counts["nonlinear_rhs"] == 2 * res.state.step
+        assert counts["report"] == len(res.series)
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 12)])
+    def test_handed_out_fields_are_exactly_hermitian(self, monkeypatch, dim, n):
+        res, seen = self.run(Grid(dim, n), monkeypatch, {})
+        for f in seen + [res.field]:
+            assert upper_mirror_gap(f) == 0.0
 
 
 class TestEnergyBehaviour:

@@ -155,10 +155,8 @@ class TestCheckpoint:
         assert np.array_equal(back_field.data, result.field.data)
         assert back_state.t == state.t
         assert back_state.step == state.step
-        assert np.array_equal(back_state.prev_field.data, state.prev_field.data)
-        assert np.array_equal(
-            back_state.prev_nonlinear.data, state.prev_nonlinear.data
-        )
+        assert np.array_equal(back_state.prev_field, state.prev_field)
+        assert np.array_equal(back_state.prev_nonlinear, state.prev_nonlinear)
         assert back_state.history_dt == state.history_dt == cfg.dt
 
     @pytest.mark.parametrize("scheme", ["etd1", "etd_rk2", "imex_bdf2"])
@@ -207,13 +205,20 @@ class TestCheckpoint:
         ids=["other-grid", "other-representation"],
     )
     def test_history_must_match_state(self, tmp_path, history_n, to_repr):
+        # save_checkpoint writes only consistent histories, so the file is
+        # assembled from snapshot bodies: state, scheme header, history pair
+        def body(field):
+            snap = tmp_path / "part.snap"
+            save_snapshot(snap, field)
+            return snap.read_bytes()[len(SNAPSHOT_MAGIC):]
+
         state_field = to_spectral(sample_field(Grid(2, 32)))
         history = to_repr(sample_field(Grid(2, history_n), seed=1))
-        state = SchemeState(
-            t=0.1, step=10, prev_field=history, prev_nonlinear=history, history_dt=1e-2
-        )
+        header = b"t=0.1\ndt=0.01\nstep=10\nhistory=1\nhistory_dt=0.01\n\n"
         path = tmp_path / "run.ckpt"
-        save_checkpoint(path, state_field, state, 1e-2)
+        path.write_bytes(
+            CHECKPOINT_MAGIC + body(state_field) + header + 2 * body(history)
+        )
         with pytest.raises(SnapshotFormatError, match="history"):
             load_checkpoint(path, expected_grid=Grid(2, 32))
 

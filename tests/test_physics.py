@@ -54,6 +54,13 @@ GENERAL_PARAMS = EffectiveFieldParams(chi=0.4, lambda_r=0.7, lambda_e=1.3, gamma
 BOTH_PARAMS = [DEFAULT_PARAMS, GENERAL_PARAMS]
 
 
+def nonlinear_field(u, p=DEFAULT_PARAMS, J=None):
+    """N(u) on the full lattice: nonlinear_rhs maps half spectra."""
+    grid = u.grid
+    half = nonlinear_rhs(grid, grid.half_spectrum(to_spectral(u).data), p, J)
+    return Field(grid, grid.full_spectrum(half), SPECTRAL)
+
+
 def fd_rhs(u, p):
     """Five-term right-hand side with every derivative a 14th-order
     finite difference and every product pointwise."""
@@ -393,10 +400,21 @@ class TestMollifiedRhs:
         J = make_mollifier(grid32_2d, 0.2)
         a = 0.37
         scaled = Field(grid32_2d, a * u.data, "physical")
-        big = rhs(u, J=J) - nonlinear_rhs(u, J=J)
-        small = rhs(scaled, J=J) - nonlinear_rhs(scaled, J=J)
+        big = rhs(u, J=J) - nonlinear_field(u, J=J)
+        small = rhs(scaled, J=J) - nonlinear_field(scaled, J=J)
         gap = norm(small - big * a, "l2")
         assert gap <= 1e-12 * max(norm(big, "l2"), 1e-300)
+
+
+    def test_non_finite_input_gives_non_finite_output(self, grid16_2d):
+        """Inside a time step an overflowed stage must not raise: the
+        non-finite result marks the step a blow-up."""
+        half = np.zeros((3, 16, 9), dtype=np.complex128)
+        half[0, 1, 1] = complex("inf")
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = nonlinear_rhs(grid16_2d, half)
+        assert out.shape == half.shape
+        assert not np.all(np.isfinite(out))
 
 
 class TestSplitting:
@@ -433,7 +451,7 @@ class TestSplitting:
         uhat = to_spectral(u)
         sym = linear_symbol(grid, p, J)
         lin = Field(grid, sym * uhat.data, SPECTRAL)
-        recon = lin + nonlinear_rhs(u, p, J)
+        recon = lin + nonlinear_field(u, p, J)
         total = rhs(u, p, J=J)
         assert norm(recon - total, "l2") <= 1e-12 * norm(total, "l2")
 
