@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import DataError, UsageError
-from .grid import SPECTRAL, Field, check_conjugate_symmetry
+from .grid import Field, to_physical, to_spectral
 from .physics import DEFAULT_PARAMS, EffectiveFieldParams
 
 # exact CSV column order
@@ -73,35 +73,28 @@ def report(
     The same quantities as norm(), energy(), dissipation() and
     effective_field(), from three real transforms: the Sobolev norms and
     the quadratic parts of E and D are Parseval sums over the half lattice,
-    and only |u| and H = Lap u + (1/(2 chi)) (1 - |u|^2) u are sampled.
-    A spectral u must be conjugate-symmetric (DataError otherwise)."""
+    and only |u| and H = Lap u + (1/(2 chi)) (1 - |u|^2) u are sampled."""
     if not np.all(np.isfinite(u.data)):
         nan = float("nan")
         return EnergyReport(t, nan, nan, nan, nan, nan, nan, nan, nan, nan, "nan")
     grid = u.grid
-    axes = u.spatial_axes
     with np.errstate(over="ignore", invalid="ignore"):
-        if u.representation == SPECTRAL:
-            check_conjugate_symmetry(u)
-            uhat = grid.half_spectrum(u.data)
-            up = np.fft.irfftn(uhat, s=grid.shape, axes=axes)
-        else:
-            up = u.data
-            uhat = np.fft.rfftn(up, axes=axes)
-        lap = np.fft.irfftn(-grid.ksq_half * uhat, s=grid.shape, axes=axes)
+        uhat = to_spectral(u).data
+        up = to_physical(u).data
+        lap = grid.irfftn(-grid.ksq * uhat)
         usq = np.sum(up**2, axis=0)
         h = lap + (0.5 / p.chi) * (1.0 - usq) * up
-        hhat = np.fft.rfftn(h, axes=axes)
+        hhat = grid.rfftn(h)
 
         parseval = grid.cell_volume / grid.npoints
-        bessel = 1.0 + grid.ksq_half
+        bessel = 1.0 + grid.ksq
         dens = grid.mode_density(uhat)
         l2_sq = float(np.sum(dens)) * parseval
-        grad_sq = float(np.sum(grid.kodd_sq_half * dens)) * parseval
+        grad_sq = float(np.sum(grid.kodd_sq * dens)) * parseval
         l4_4 = float(np.sum(usq**2)) * grid.cell_volume
         hdens = grid.mode_density(hhat)
         heff_sq = float(np.sum(hdens)) * parseval
-        grad_h_sq = float(np.sum(grid.kodd_sq_half * hdens)) * parseval
+        grad_h_sq = float(np.sum(grid.kodd_sq * hdens)) * parseval
         rep = EnergyReport(
             t=t,
             l2=math.sqrt(l2_sq),

@@ -25,9 +25,8 @@ from .physics import DEFAULT_PARAMS, EffectiveFieldParams, gn_ratios, lipschitz_
 
 STUDY_KINDS = ("eps_cauchy", "eps_limit", "uniqueness", "linear_growth", "gn_calibration")
 
-# spectrum decay exponents for the two regularity tiers of generated data
+# spectrum decay exponent of generated data (H^2 regularity)
 SMOOTHNESS_H2 = 3.0
-SMOOTHNESS_H6 = 5.0
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,13 @@ All operations are pure: they return new Field objects and never mutate
 their inputs.
 
 Half lattice. A real field's spectrum is Hermitian, u_hat(-m) = conj(u_hat(m)),
-so the hot paths (time stepping, the nonlinear right-hand side and the
-per-report observables) work on the real-transform half `[..., :n//2+1]`
-of the last axis, the layout of numpy's rfftn/irfftn. Grid caches the
-half-lattice symbols and the Parseval weights that count each mirrored
-mode twice, cuts a full spectrum to its half, and expands a half spectrum
-back to the full lattice, which Field keeps. The integrator holds its
-state as a half spectrum and builds a full one only for data it hands out.
+so a spectral Field holds only the real-transform half `[..., :n//2+1]` of
+the last axis, the layout of numpy's rfftn/irfftn, and every transform in
+the package is real except the seeded generator's full-lattice draw. The
+wavenumbers, symbols and dealiasing mask live on that lattice, and Parseval
+sums weight each mode by how often it occurs in the full lattice. Spectral
+data entering from outside is checked at Field construction: only the
+self-mirrored planes (last-axis index 0 and n/2) can violate the symmetry.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from .errors import DataError, GridMismatchError, UsageError
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
-# Fields produced by real dynamics may carry at most this much relative
-# imaginary contamination when transformed back to physical space.  Roundoff
-# amplified through the quartic symbol reaches ~1e-11 relative on 64-per-axis
-# grids; genuine conjugate-symmetry bugs sit at O(1).  The guard separates
-# the two regimes.  check_conjugate_symmetry applies the same bound to the
-# mismatch between u_hat(m) and conj(u_hat(-m)) without a transform.
+# A spectrum of real data may miss conjugate symmetry by at most this much
+# relative to its largest coefficient.  Transform roundoff, amplified
+# through the quartic symbol, reaches ~1e-11 relative on 64-per-axis grids;
+# genuine conjugate-symmetry bugs sit at O(1).  The guard separates the two
+# regimes.
 IMAG_TOL = 1e-9
 
 
@@ -63,6 +62,11 @@ class Grid:
         return (self.n,) * self.dim
 
     @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Shape of the half lattice: the last axis keeps modes 0..n/2."""
+        return (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
+
+    @property
     def npoints(self) -> int:
         return self.n**self.dim
 
@@ -83,22 +87,28 @@ class Grid:
         """Sample coordinates along one axis."""
         return np.arange(self.n) * self.dx
 
-    # -- wavenumber lattice --------------------------------------------------
+    # -- wavenumber lattice (the half lattice) --------------------------------
 
     @cached_property
     def k1(self) -> np.ndarray:
-        """Wavenumbers along one axis, fft ordering."""
+        """Wavenumbers along one full axis, fft ordering."""
         return 2 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+
+    def _per_axis(self, full: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One array per axis, broadcastable against half-lattice arrays:
+        `full` along the leading axes, `last` along the last one."""
+        out = []
+        for axis in range(self.dim):
+            values = last if axis == self.dim - 1 else full
+            shape = [1] * self.dim
+            shape[axis] = values.size
+            out.append(values.reshape(shape))
+        return tuple(out)
 
     @cached_property
     def k(self) -> tuple[np.ndarray, ...]:
-        """Per-axis wavenumbers, broadcastable against grid-shaped arrays."""
-        out = []
-        for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = self.n
-            out.append(self.k1.reshape(shape))
-        return tuple(out)
+        """Per-axis wavenumbers; the last axis runs over 0..n/2."""
+        return self._per_axis(self.k1, 2 * np.pi * np.fft.rfftfreq(self.n, d=self.dx))
 
     @cached_property
     def k_odd(self) -> tuple[np.ndarray, ...]:
@@ -118,50 +128,30 @@ class Grid:
 
     @cached_property
     def ksq(self) -> np.ndarray:
-        """|xi|^2 on the full lattice, shape == grid.shape."""
-        out = np.zeros(self.shape)
-        for ka in self.k:
-            out = out + ka**2
-        return out
+        """|xi|^2, shape == spectral_shape."""
+        return sum(ka**2 for ka in self.k)
+
+    @cached_property
+    def kodd_sq(self) -> np.ndarray:
+        """Sum over axes of the Nyquist-zeroed k_odd^2: the gradient's
+        Parseval symbol."""
+        return sum(ka**2 for ka in self.k_odd)
 
     @cached_property
     def mode_numbers(self) -> tuple[np.ndarray, ...]:
-        """Per-axis integer mode numbers m (signed, fft ordering)."""
+        """Per-axis integer mode numbers m (signed, fft ordering; 0..n/2 on
+        the last axis)."""
         m1 = np.rint(np.fft.fftfreq(self.n, d=1.0 / self.n)).astype(int)
-        out = []
-        for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = self.n
-            out.append(m1.reshape(shape))
-        return tuple(out)
+        return self._per_axis(m1, np.arange(self.n // 2 + 1))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: keep |m| <= n//3 on every axis."""
         cutoff = self.n // 3
-        mask = np.ones(self.shape, dtype=bool)
+        mask = np.ones(self.spectral_shape, dtype=bool)
         for ma in self.mode_numbers:
             mask = mask & (np.abs(ma) <= cutoff)
         return mask
-
-    # -- half lattice (last axis 0..n//2, the rfftn layout) -------------------
-
-    @cached_property
-    def ksq_half(self) -> np.ndarray:
-        return self.half_spectrum(self.ksq)
-
-    @cached_property
-    def dealias_mask_half(self) -> np.ndarray:
-        return self.half_spectrum(self.dealias_mask)
-
-    @cached_property
-    def kodd_sq_half(self) -> np.ndarray:
-        """Sum over axes of the Nyquist-zeroed k_odd^2: the gradient's
-        Parseval symbol."""
-        out = np.zeros(self.shape)
-        for ka in self.k_odd:
-            out = out + ka**2
-        return self.half_spectrum(out)
 
     @cached_property
     def parseval_weights(self) -> np.ndarray:
@@ -176,19 +166,13 @@ class Grid:
         so that its sum is the full-lattice Parseval sum."""
         return self.parseval_weights * np.sum(half.real**2 + half.imag**2, axis=0)
 
-    def half_spectrum(self, full: np.ndarray) -> np.ndarray:
-        """The half (..., n//2+1) of a full spectrum (a view)."""
-        return full[..., : self.n // 2 + 1]
+    # -- real transforms over the trailing dim axes ---------------------------
 
-    def full_spectrum(self, half: np.ndarray) -> np.ndarray:
-        """Expand a half spectrum (..., n//2+1) to the full Hermitian one:
-        last-axis index j > n/2 holds conj(u_hat(-m))."""
-        h = self.n // 2 + 1
-        out = np.empty(half.shape[:-1] + (self.n,), dtype=np.complex128)
-        out[..., :h] = half
-        upper = _negate_modes(half[..., h - 2 : 0 : -1], tuple(range(-self.dim, -1)))
-        np.conj(upper, out=out[..., h:])
-        return out
+    def rfftn(self, a: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(a, axes=tuple(range(-self.dim, 0)))
+
+    def irfftn(self, a: np.ndarray) -> np.ndarray:
+        return np.fft.irfftn(a, s=self.shape, axes=tuple(range(-self.dim, 0)))
 
     def compatible(self, other: "Grid") -> bool:
         return (
@@ -215,12 +199,27 @@ def _check_same_grid(a, b):
         )
 
 
+def _check_conjugate_symmetry(a, axes, scale, what="spectral field") -> None:
+    """Reject spectral data that no real field has, without a transform:
+    u_hat(-m), the mode negated on `axes`, must equal conj(u_hat(m)) to
+    IMAG_TOL relative to the largest coefficient `scale`."""
+    gap = np.max(np.abs(a - np.conj(_negate_modes(a, tuple(axes)))))
+    if scale > 0 and gap > IMAG_TOL * scale:
+        raise DataError(
+            f"{what} is not Hermitian: max |u(m) - conj u(-m)| = "
+            f"{gap:.3e} exceeds {IMAG_TOL:.0e} x largest coefficient "
+            f"{scale:.3e} (spectrum lacks conjugate symmetry)"
+        )
+
+
 @dataclass(eq=False)
 class Field:
-    """R^3-valued samples on a Grid, stored component-first, shape (3, *grid.shape).
+    """R^3-valued samples on a Grid, stored component-first.
 
-    Physical data is float64; spectral data is complex128 in unnormalized
-    forward-transform scaling.
+    Physical data is float64 of shape (3, *grid.shape); spectral data is
+    the complex128 half spectrum of shape (3, *grid.spectral_shape), in
+    unnormalized forward-transform scaling. Spectral data given here must
+    be conjugate-symmetric (DataError otherwise).
     """
 
     grid: Grid
@@ -230,12 +229,14 @@ class Field:
     def __post_init__(self):
         if self.representation not in (PHYSICAL, SPECTRAL):
             raise UsageError(f"unknown representation {self.representation!r}")
-        expected = (3,) + self.grid.shape
+        spectral = self.representation == SPECTRAL
+        expected = (3,) + (self.grid.spectral_shape if spectral else self.grid.shape)
         if self.data.shape != expected:
             raise DataError(
-                f"field data shape {self.data.shape} != expected {expected}"
+                f"{self.representation} field data shape {self.data.shape} "
+                f"!= expected {expected}"
             )
-        if self.representation == PHYSICAL:
+        if not spectral:
             if not np.isrealobj(self.data):
                 raise DataError("physical field data must be real-valued")
             if self.data.dtype != np.float64:
@@ -243,13 +244,14 @@ class Field:
         else:
             if self.data.dtype != np.complex128:
                 self.data = self.data.astype(np.complex128)
-
-    @property
-    def spatial_axes(self) -> tuple[int, ...]:
-        return tuple(range(1, self.grid.dim + 1))
+            # off the self-mirrored last-axis planes 0 and n/2, every
+            # mode's mirror is implicit
+            planes = self.data[..., [0, self.grid.n // 2]]
+            scale = np.max(np.abs(self.data))
+            _check_conjugate_symmetry(planes, range(-self.grid.dim, -1), scale)
 
     def copy(self) -> "Field":
-        return Field(self.grid, self.data.copy(), self.representation)
+        return _derived(self.grid, self.data.copy(), self.representation)
 
     # Small arithmetic conveniences for same-representation fields.
 
@@ -258,8 +260,8 @@ class Field:
             _check_same_grid(self, other)
             if other.representation != self.representation:
                 raise UsageError("cannot combine fields in different representations")
-            return Field(self.grid, op(self.data, other.data), self.representation)
-        return Field(self.grid, op(self.data, other), self.representation)
+            return _derived(self.grid, op(self.data, other.data), self.representation)
+        return _derived(self.grid, op(self.data, other), self.representation)
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -268,12 +270,23 @@ class Field:
         return self._binary(other, np.subtract)
 
     def __mul__(self, scalar):
-        return Field(self.grid, self.data * scalar, self.representation)
+        return _derived(self.grid, self.data * scalar, self.representation)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Field(self.grid, -self.data, self.representation)
+        return _derived(self.grid, -self.data, self.representation)
+
+
+def _derived(grid: Grid, data: np.ndarray, representation: str = SPECTRAL) -> Field:
+    """A Field computed from validated Fields. Spectral data skips the
+    conjugate-symmetry check: it inherits the symmetry, and the check would
+    misread the roundoff left by a difference of nearly equal fields."""
+    if representation == PHYSICAL:
+        return Field(grid, data, PHYSICAL)
+    f = object.__new__(Field)
+    f.grid, f.data, f.representation = grid, data, SPECTRAL
+    return f
 
 
 def constant_field(grid: Grid, vector) -> Field:
@@ -291,41 +304,13 @@ def constant_field(grid: Grid, vector) -> Field:
 def to_spectral(f: Field) -> Field:
     if f.representation == SPECTRAL:
         return f
-    data = np.fft.fftn(f.data, axes=f.spatial_axes)
-    return Field(f.grid, data, SPECTRAL)
+    return _derived(f.grid, f.grid.rfftn(f.data))
 
 
 def to_physical(f: Field) -> Field:
-    """Inverse transform; rejects spectra inconsistent with a real field."""
     if f.representation == PHYSICAL:
         return f
-    data = np.fft.ifftn(f.data, axes=f.spatial_axes)
-    scale = np.max(np.abs(data))
-    imag = np.max(np.abs(data.imag))
-    if scale > 0 and imag > IMAG_TOL * scale:
-        raise DataError(
-            f"non-real inverse transform: max |imag| = {imag:.3e} "
-            f"exceeds {IMAG_TOL:.0e} x magnitude {scale:.3e} "
-            "(spectrum lacks conjugate symmetry)"
-        )
-    return Field(f.grid, data.real.copy(), PHYSICAL)
-
-
-def check_conjugate_symmetry(f: Field) -> None:
-    """Reject a spectrum that no real field has, without a transform:
-    u_hat(-m) must equal conj(u_hat(m)) to IMAG_TOL relative to the
-    largest coefficient."""
-    mismatch = _negate_modes(f.data, tuple(range(-f.grid.dim, 0)))
-    np.conj(mismatch, out=mismatch)
-    mismatch -= f.data
-    gap = np.max(np.abs(mismatch))
-    scale = np.max(np.abs(f.data))
-    if scale > 0 and gap > IMAG_TOL * scale:
-        raise DataError(
-            f"spectral field is not Hermitian: max |u(m) - conj u(-m)| = "
-            f"{gap:.3e} exceeds {IMAG_TOL:.0e} x largest coefficient "
-            f"{scale:.3e} (spectrum lacks conjugate symmetry)"
-        )
+    return Field(f.grid, f.grid.irfftn(f.data), PHYSICAL)
 
 
 # -- multiplier operators -----------------------------------------------------
@@ -341,9 +326,10 @@ class MultiplierOp:
     name: str = ""
 
     def __post_init__(self):
-        if self.values.shape != self.grid.shape:
+        if self.values.shape != self.grid.spectral_shape:
             raise DataError(
-                f"symbol shape {self.values.shape} != grid shape {self.grid.shape}"
+                f"symbol shape {self.values.shape} != lattice shape "
+                f"{self.grid.spectral_shape}"
             )
         if not np.isrealobj(self.values):
             raise DataError("multiplier symbols must be real")
@@ -358,7 +344,7 @@ class MultiplierOp:
 def multiplier(grid: Grid, symbol, name: str = "") -> MultiplierOp:
     """Build a MultiplierOp from a scalar function of |xi|^2."""
     values = np.asarray(symbol(grid.ksq), dtype=np.float64)
-    values = np.broadcast_to(values, grid.shape).copy()
+    values = np.broadcast_to(values, grid.spectral_shape).copy()
     return MultiplierOp(grid, values, name)
 
 
@@ -377,15 +363,13 @@ def bessel_op(grid: Grid, s: float) -> MultiplierOp:
 def apply_multiplier(op: MultiplierOp, f: Field) -> Field:
     """Apply a diagonal operator; preserves the input representation."""
     _check_same_grid(op.grid, f)
-    fs = to_spectral(f)
-    out = Field(f.grid, op.values[np.newaxis] * fs.data, SPECTRAL)
+    out = _derived(f.grid, op.values[np.newaxis] * to_spectral(f).data)
     return out if f.representation == SPECTRAL else to_physical(out)
 
 
 def dealias(f: Field) -> Field:
     """Zero all modes outside the 2/3-rule band; preserves representation."""
-    fs = to_spectral(f)
-    out = Field(f.grid, fs.data * f.grid.dealias_mask[np.newaxis], SPECTRAL)
+    out = _derived(f.grid, to_spectral(f).data * f.grid.dealias_mask[np.newaxis])
     return out if f.representation == SPECTRAL else to_physical(out)
 
 
@@ -397,7 +381,7 @@ def gradient(f: Field) -> tuple[Field, ...]:
     fs = to_spectral(f)
     out = []
     for ka in f.grid.k_odd:
-        g = Field(f.grid, (1j * ka)[np.newaxis] * fs.data, SPECTRAL)
+        g = _derived(f.grid, (1j * ka)[np.newaxis] * fs.data)
         out.append(g if f.representation == SPECTRAL else to_physical(g))
     return tuple(out)
 
@@ -406,8 +390,7 @@ def gradient(f: Field) -> tuple[Field, ...]:
 
 
 def _spectral_weighted_sq(f: Field, weight) -> float:
-    fs = to_spectral(f)
-    total = np.sum(weight * np.abs(fs.data) ** 2)
+    total = np.sum(weight * f.grid.mode_density(to_spectral(f).data))
     return float(total) * f.grid.cell_volume / f.grid.npoints
 
 
@@ -446,7 +429,8 @@ def inner_product(f: Field, g: Field) -> float:
     """
     _check_same_grid(f, g)
     if f.representation == SPECTRAL and g.representation == SPECTRAL:
-        total = np.real(np.sum(f.data * np.conj(g.data)))
+        pair = np.real(f.data * np.conj(g.data))
+        total = np.sum(f.grid.parseval_weights * pair)
         return float(total) * f.grid.cell_volume / f.grid.npoints
     fp, gp = to_physical(f), to_physical(g)
     return float(np.sum(fp.data * gp.data) * f.grid.cell_volume)
@@ -469,6 +453,9 @@ def random_band_limited_field(
     profile exactly away from the self-conjugate modes. Modes with any
     |m| > kmax are zeroed (default kmax = n//3, the dealias band). The result
     is rescaled so its pointwise Euclidean Linf norm equals `amplitude`.
+
+    The draw and its inverse transform run on the full lattice, with a
+    complex transform, which fixes the bits of seeded data.
     """
     if kmax is None:
         kmax = grid.n // 3
@@ -476,10 +463,15 @@ def random_band_limited_field(
         raise UsageError(f"kmax must lie in [0, n/2 - 1], got {kmax}")
     rng = np.random.default_rng(seed)
 
-    profile = (1.0 + grid.ksq) ** (-decay_r)
+    m1 = np.rint(np.fft.fftfreq(grid.n, d=1.0 / grid.n)).astype(int)
+    ksq = np.zeros(grid.shape)
     band = np.ones(grid.shape, dtype=bool)
-    for ma in grid.mode_numbers:
-        band = band & (np.abs(ma) <= kmax)
+    for axis in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[axis] = grid.n
+        ksq = ksq + grid.k1.reshape(shape) ** 2
+        band = band & (np.abs(m1.reshape(shape)) <= kmax)
+    profile = (1.0 + ksq) ** (-decay_r)
     profile = profile * band
 
     # Pair each lattice point m with -m (mod n); keep the draw on the
@@ -500,8 +492,8 @@ def random_band_limited_field(
             key < key_flip, a, np.where(key > key_flip, a_mirror, self_conj)
         )
 
-    phys = to_physical(Field(grid, data, SPECTRAL))
-    peak = norm(phys, "linf")
+    phys = np.fft.ifftn(data, axes=tuple(range(1, grid.dim + 1))).real
+    peak = float(np.sqrt(np.max(np.sum(phys**2, axis=0))))
     if peak == 0.0:
         raise DataError("generated field is identically zero")
-    return Field(grid, phys.data * (amplitude / peak), PHYSICAL)
+    return Field(grid, phys * (amplitude / peak), PHYSICAL)

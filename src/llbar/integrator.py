@@ -6,32 +6,20 @@ Euler (etd1), the two-stage exponential Runge-Kutta scheme (etd_rk2), or
 the semi-implicit two-step backward differentiation formula (imex_bdf2,
 bootstrapped by one etd_rk2 step).
 
-A real field's spectrum is Hermitian, so the state, the propagator tables,
-N(u) and the imex_bdf2 history all live on the half lattice of real
-transforms, `[..., :n//2+1]` of the last axis (see llbar.grid). A full
-spectral Field is built only where data leaves the integrator: at each
-sample handed to report() and the observer, for the final field, for the
-field of a blow-up, and in checkpoints.
+The state, the propagator tables, N(u), the imex_bdf2 history, the
+samples and the returned field all use the one spectral layout of
+llbar.grid, the half lattice of real transforms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diagnostics import TimeSeries, report
 from .errors import BlowUpError, UsageError
-from .grid import (
-    SPECTRAL,
-    Field,
-    Grid,
-    check_conjugate_symmetry,
-    norm,
-    to_physical,
-    to_spectral,
-)
+from .grid import SPECTRAL, Field, Grid, _derived, norm, to_physical, to_spectral
 from .mollifier import MollifierSymbol
 from .physics import DEFAULT_PARAMS, EffectiveFieldParams, linear_symbol, nonlinear_rhs
 
@@ -72,8 +60,7 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class LinearPropagator:
-    """Tabulated e^{dt sigma}, phi1(dt sigma), phi2(dt sigma) on the half
-    lattice."""
+    """Tabulated e^{dt sigma}, phi1(dt sigma), phi2(dt sigma)."""
 
     grid: Grid
     dt: float
@@ -90,7 +77,7 @@ class LinearPropagator:
         p: EffectiveFieldParams = DEFAULT_PARAMS,
         J: MollifierSymbol | None = None,
     ) -> "LinearPropagator":
-        sigma = grid.half_spectrum(linear_symbol(grid, p, J))
+        sigma = linear_symbol(grid, p, J)
         z = dt * sigma
         return cls(grid, dt, sigma, np.exp(z), _phi1(z), _phi2(z))
 
@@ -113,15 +100,26 @@ def _phi2(z):
     return np.where(small, series, direct)
 
 
+@dataclass(frozen=True)
+class HistoryKey:
+    """What the imex_bdf2 history pair depends on besides the state: the
+    step, the constants and the smoothing symbol (J's kind and eps)."""
+
+    dt: float
+    params: EffectiveFieldParams
+    kernel: str = "none"  # the limit flow
+    eps: float = 0.0
+
+
 @dataclass
 class SchemeState:
     """Everything beyond the field needed to continue a run bit-exactly."""
 
     t: float = 0.0
     step: int = 0
-    prev_field: np.ndarray | None = None  # u_{n-1}, half spectrum (imex_bdf2)
-    prev_nonlinear: np.ndarray | None = None  # N(u_{n-1}), half spectrum
-    history_dt: float | None = None  # the dt the history pair was built at
+    prev_field: np.ndarray | None = None  # u_{n-1}, spectral (imex_bdf2)
+    prev_nonlinear: np.ndarray | None = None  # N(u_{n-1}), spectral
+    history_key: HistoryKey | None = None  # what the history pair was built under
 
 
 @dataclass
@@ -177,7 +175,7 @@ class Stepper:
         a = lp.exp * uhat + dt * lp.phi1 * nhat
         return a + dt * lp.phi2 * (self._nonlinear(a) - nhat)
 
-    def _bdf2(self, uhat: np.ndarray, dt: float) -> np.ndarray:
+    def _bdf2(self, uhat: np.ndarray, dt: float, key: HistoryKey) -> np.ndarray:
         st = self.state
         lp = self._prop(dt)
         nhat = self._nonlinear(uhat)
@@ -192,12 +190,12 @@ class Stepper:
             new = num / (3.0 - 2.0 * dt * lp.symbol)
         st.prev_field = uhat
         st.prev_nonlinear = nhat
-        st.history_dt = dt
+        st.history_key = key
         return new
 
     def advance(self, uhat: np.ndarray, dt: float) -> np.ndarray:
-        """One step of size dt from the half spectrum uhat (never
-        modified); returns the new half spectrum."""
+        """One step of size dt from the spectrum uhat (never modified);
+        returns the new spectrum."""
         # Overflow in a diverging run is detected downstream as a non-finite
         # state and escalated to the blow-up signal; silence the interim
         # numpy warnings so the termination is clean.
@@ -206,18 +204,21 @@ class Stepper:
                 return self._etd1(uhat, dt)
             if self.cfg.scheme == "etd_rk2":
                 return self._etd_rk2(uhat, dt)
-            # the two-step formula needs a constant dt: a step at any other
-            # dt than the history's (the shortened final step, a resume at
-            # a new dt) drops the history and bootstraps like a fresh state
-            if dt != self.state.history_dt:
+            # the two-step formula needs the history's dt, constants and J:
+            # a step under any other key (the shortened final step, a
+            # resume at a new dt or eps) drops the history and bootstraps
+            # like a fresh state
+            kernel = () if self.J is None else (self.J.kind, self.J.eps)
+            key = HistoryKey(dt, self.p, *kernel)
+            if key != self.state.history_key:
                 self.state.prev_field = None
                 self.state.prev_nonlinear = None
-            return self._bdf2(uhat, dt)
+            return self._bdf2(uhat, dt, key)
 
     def advance_adaptive(self, uhat: np.ndarray, dt: float):
         """Step-doubling control: one dt step against two dt/2 steps.
 
-        Returns (new half spectrum, dt taken, next dt). Raises the blow-up
+        Returns (new spectrum, dt taken, next dt). Raises the blow-up
         signal when dt collapses below dt_min.
         """
         cfg = self.cfg
@@ -226,8 +227,8 @@ class Stepper:
             big = self.advance(uhat, dt)
             half = self.advance(self.advance(uhat, dt / 2.0), dt / 2.0)
             if np.all(np.isfinite(half)) and np.all(np.isfinite(big)):
-                est = self._l2(big - half) / (2.0**p_ord - 1.0)
-                scale = max(1.0, self._l2(half))
+                est = norm(_derived(self.grid, big - half), "l2") / (2.0**p_ord - 1.0)
+                scale = max(1.0, norm(_derived(self.grid, half), "l2"))
             else:
                 est, scale = float("inf"), 1.0
             if est <= cfg.tol * scale:
@@ -245,17 +246,6 @@ class Stepper:
                     step=self.state.step,
                 )
 
-    def _l2(self, uhat: np.ndarray) -> float:
-        """L2 norm of a field from its half spectrum (Parseval)."""
-        g = self.grid
-        return math.sqrt(float(np.sum(g.mode_density(uhat))) * g.cell_volume / g.npoints)
-
-
-def _full(grid: Grid, uhat: np.ndarray) -> Field:
-    """The spectral Field of a half spectrum, for data that leaves the
-    integrator."""
-    return Field(grid, grid.full_spectrum(uhat), SPECTRAL)
-
 
 def step(
     u: Field,
@@ -266,21 +256,15 @@ def step(
     """One fixed step of the configured scheme (representation preserved).
 
     Raises the blow-up signal on non-finite input (step 0) or output
-    (step 1). A spectral u must be conjugate-symmetric (DataError
-    otherwise).
+    (step 1).
     """
     if not np.all(np.isfinite(u.data)):
         raise BlowUpError("non-finite input state", t=0.0, step=0, field=u)
-    if u.representation == SPECTRAL:
-        check_conjugate_symmetry(u)
-    grid = u.grid
-    stepper = Stepper(grid, cfg, p, J)
-    out = _full(grid, stepper.advance(grid.half_spectrum(to_spectral(u).data), cfg.dt))
+    stepper = Stepper(u.grid, cfg, p, J)
+    out = _derived(u.grid, stepper.advance(to_spectral(u).data, cfg.dt))
     if not np.all(np.isfinite(out.data)):
         raise BlowUpError("non-finite state after one step", t=cfg.dt, step=1, field=out)
-    if u.representation == SPECTRAL:
-        return out
-    return to_physical(out)
+    return out if u.representation == SPECTRAL else to_physical(out)
 
 
 def integrate(
@@ -300,10 +284,11 @@ def integrate(
     observer gets (u, t, step) with a new spectral Field u that the
     integrator keeps no reference to.
 
-    A non-finite state raises the blow-up signal carrying the partial
-    series and the offending field; the series always gains a final
-    flagged report first, so on-disk records show the failure. A
-    spectral u0 must be conjugate-symmetric (DataError otherwise).
+    A non-finite state, or an adaptive step size collapsing below
+    dt_min, raises the blow-up signal carrying the partial series and the
+    offending field; the series gains a final flagged report first
+    ("nan", or "dt_collapse" past its last row), so on-disk records show
+    the failure.
     """
     if t_end < 0:
         raise UsageError(f"t_end must be nonnegative, got {t_end}")
@@ -322,18 +307,16 @@ def integrate(
             series=series,
             field=u0,
         )
-    if u0.representation == SPECTRAL:
-        check_conjugate_symmetry(u0)
     u0hat = to_spectral(u0)
-    uhat = grid.half_spectrum(u0hat.data)
+    uhat = u0hat.data
 
     def sample(uhat, force=False):
         if force or st.step % report_every == 0:
             if not series.reports or st.t > series.reports[-1].t:
-                u = _full(grid, uhat)
+                u = _derived(grid, uhat)
                 series.append(report(u, st.t, p))
                 if observer is not None:
-                    observer(u, st.t, st.step)
+                    observer(u.copy(), st.t, st.step)
 
     sample(uhat, force=True)
     if t_end == 0:
@@ -352,11 +335,19 @@ def integrate(
             uhat = stepper.advance(uhat, dt)
             taken = dt
         else:
-            uhat, taken, dt_next = stepper.advance_adaptive(uhat, dt)
+            try:
+                uhat, taken, dt_next = stepper.advance_adaptive(uhat, dt)
+            except BlowUpError as exc:
+                exc.field = _derived(grid, uhat)
+                if st.t > series.reports[-1].t:
+                    rep = report(exc.field, st.t, p)
+                    series.append(replace(rep, flags="dt_collapse"))
+                exc.series = series
+                raise
         st.t += taken
         st.step += 1
         if not np.all(np.isfinite(uhat)):
-            u = _full(grid, uhat)
+            u = _derived(grid, uhat)
             series.append(report(u, st.t, p))
             raise BlowUpError(
                 f"non-finite state at t={st.t:.6g} (step {st.step})",
@@ -367,7 +358,7 @@ def integrate(
             )
         sample(uhat)
     sample(uhat, force=True)
-    return IntegrationResult(_full(grid, uhat), series, st)
+    return IntegrationResult(_derived(grid, uhat), series, st)
 
 
 @dataclass(frozen=True)

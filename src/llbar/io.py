@@ -5,11 +5,15 @@ one per line, blank line terminator), then the raw little-endian array
 bytes. No timestamps anywhere: a file's bytes are a pure function of the
 data, so reruns with the same seed produce identical files.
 
+Spectral data is stored on the full Hermitian lattice, (3, n, ..., n),
+although a spectral Field holds only its real-transform half: writing
+expands the half by conjugate mirroring, and loading rejects a file whose
+upper half is not the mirror of its lower half before cutting it back.
+
 Checkpoint layout: one snapshot of the state field, then a scheme-state
-header (t, dt, step, and the history's dt when there is one), then zero or
-two more raw arrays for the two-step scheme's history. The integrator
-holds that history as half spectra; a checkpoint stores it as full
-spectral fields and loading cuts it back to the half. Loading reconstructs
+header (t, dt, step, and when there is a history, the key it was built
+under: dt, the four constants, J's eps and kind), then zero or two more
+spectral arrays for the two-step scheme's history. Loading reconstructs
 everything needed to continue the run bit-exactly.
 """
 
@@ -20,8 +24,9 @@ import os
 import numpy as np
 
 from .errors import GridMismatchError, SnapshotFormatError, UsageError
-from .grid import PHYSICAL, SPECTRAL, Field, Grid
-from .integrator import SchemeState
+from .grid import PHYSICAL, SPECTRAL, Field, Grid, _check_conjugate_symmetry, _negate_modes
+from .integrator import HistoryKey, SchemeState
+from .physics import EffectiveFieldParams
 
 SNAPSHOT_MAGIC = b"LLBAR1\n"
 CHECKPOINT_MAGIC = b"LLBARCK1\n"
@@ -58,6 +63,17 @@ def _read_exact(fh, nbytes, path):
     return buf
 
 
+def _full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Expand a half spectrum (..., n//2+1) to the full Hermitian one:
+    last-axis index j > n/2 holds conj(u_hat(-m))."""
+    h = grid.n // 2 + 1
+    out = np.empty(half.shape[:-1] + (grid.n,), dtype=np.complex128)
+    out[..., :h] = half
+    upper = _negate_modes(half[..., h - 2 : 0 : -1], tuple(range(-grid.dim, -1)))
+    np.conj(upper, out=out[..., h:])
+    return out
+
+
 def _write_field_body(fh, field: Field):
     g = field.grid
     _write_header(
@@ -70,8 +86,10 @@ def _write_field_body(fh, field: Field):
             ("box_length", repr(g.box_length)),
         ],
     )
-    data = np.ascontiguousarray(field.data, dtype=_DTYPES[field.representation])
-    fh.write(data.tobytes())
+    data = field.data
+    if field.representation == SPECTRAL:
+        data = _full_spectrum(g, data)
+    fh.write(np.ascontiguousarray(data, dtype=_DTYPES[field.representation]).tobytes())
 
 
 def _read_field_body(fh, path) -> Field:
@@ -87,8 +105,13 @@ def _read_field_body(fh, path) -> Field:
     grid = Grid(dim, n, box_length)
     nbytes = 3 * grid.npoints * dtype.itemsize
     raw = _read_exact(fh, nbytes, path)
-    data = np.frombuffer(raw, dtype=dtype).reshape((3,) + grid.shape).copy()
-    return Field(grid, data, representation)
+    data = np.frombuffer(raw, dtype=dtype).reshape((3,) + grid.shape)
+    if representation == SPECTRAL:
+        # the full lattice must mirror itself; keep its half
+        axes = range(-grid.dim, 0)
+        _check_conjugate_symmetry(data, axes, np.max(np.abs(data)), f"spectrum in {path}")
+        data = data[..., : grid.n // 2 + 1]
+    return Field(grid, data.copy(), representation)
 
 
 def save_snapshot(path, field: Field) -> None:
@@ -101,7 +124,8 @@ def load_snapshot(path, expected_grid: Grid | None = None) -> Field:
     """Read a field snapshot; bit-exact inverse of save_snapshot.
 
     With expected_grid supplied, a shape/box mismatch is a
-    GridMismatchError (the file is valid, just for another run).
+    GridMismatchError (the file is valid, just for another run). A
+    spectrum without conjugate symmetry is a DataError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(SNAPSHOT_MAGIC))
@@ -133,15 +157,17 @@ def save_checkpoint(path, field: Field, state: SchemeState, dt: float) -> None:
         ("history", int(has_history)),
     ]
     if has_history:
-        pairs.append(("history_dt", repr(float(state.history_dt))))
+        key, p = state.history_key, state.history_key.params
+        values = (key.dt, p.chi, p.lambda_r, p.lambda_e, p.gamma, key.eps)
+        text = ",".join(repr(float(v)) for v in values)
+        pairs.append(("history_key", f"{text},{key.kernel}"))
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         _write_field_body(fh, field)
         _write_header(fh, pairs)
         if has_history:
-            g = field.grid
-            for half in (state.prev_field, state.prev_nonlinear):
-                _write_field_body(fh, Field(g, g.full_spectrum(half), SPECTRAL))
+            for data in (state.prev_field, state.prev_nonlinear):
+                _write_field_body(fh, Field(field.grid, data, SPECTRAL))
 
 
 def load_checkpoint(path, expected_grid: Grid | None = None):
@@ -157,7 +183,12 @@ def load_checkpoint(path, expected_grid: Grid | None = None):
             dt = float(head["dt"])
             step = int(head["step"])
             has_history = bool(int(head["history"]))
-            history_dt = float(head["history_dt"]) if has_history else None
+            history_key = None
+            if has_history:
+                *values, kernel = head["history_key"].split(",")
+                dt, chi, lambda_r, lambda_e, gamma, eps = (float(v) for v in values)
+                params = EffectiveFieldParams(chi, lambda_r, lambda_e, gamma)
+                history_key = HistoryKey(dt, params, kernel, eps)
         except (KeyError, ValueError) as exc:
             raise SnapshotFormatError(f"bad checkpoint header in {path}: {exc}") from exc
         history = []
@@ -169,7 +200,7 @@ def load_checkpoint(path, expected_grid: Grid | None = None):
                     f"{hist.grid.dim}d n={hist.grid.n} {hist.representation} "
                     f"against {field.grid.dim}d n={field.grid.n} {SPECTRAL}"
                 )
-            history.append(field.grid.half_spectrum(hist.data))
+            history.append(hist.data)
         prev_field, prev_nonlinear = history or (None, None)
         if fh.read(1):
             raise SnapshotFormatError(f"trailing bytes in {path}")
@@ -179,7 +210,7 @@ def load_checkpoint(path, expected_grid: Grid | None = None):
         step=step,
         prev_field=prev_field,
         prev_nonlinear=prev_nonlinear,
-        history_dt=history_dt,
+        history_key=history_key,
     )
     return field, state, dt
 

@@ -115,12 +115,13 @@ def make_mollifier(grid: Grid, eps: float, kind: str = "gaussian") -> MollifierS
         values = np.exp(-0.5 * eps * eps * grid.ksq)
         clipped = 0
     else:
+        # every |k|^2 shell of the full lattice occurs on the half lattice
         k2_unique, inverse = np.unique(grid.ksq, return_inverse=True)
         raw = np.array([bump_profile(eps * math.sqrt(k2), grid.dim)
                         for k2 in k2_unique])
         prof = np.minimum.accumulate(np.clip(raw, 0.0, 1.0))
         clipped = int(np.sum(np.abs(prof - raw) > 1e-15))
-        values = prof[inverse].reshape(grid.shape)
+        values = prof[inverse].reshape(grid.spectral_shape)
 
     return MollifierSymbol(
         grid=grid,

@@ -28,12 +28,11 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .grid import (
-    SPECTRAL,
     Field,
     Grid,
     _check_same_grid,
+    _derived,
     apply_multiplier,
-    check_conjugate_symmetry,
     gradient,
     inner_product,
     laplacian_op,
@@ -127,39 +126,30 @@ def rhs(
     Cubic products are formed pointwise in physical space; with
     dealias=True the factors and the products are truncated by the
     2/3 rule, which keeps the quadratic identities clean at the
-    1e-10 level instead of 1e-6. A spectral u must be
-    conjugate-symmetric (DataError otherwise).
+    1e-10 level instead of 1e-6.
     """
     _require_finite(u, "rhs")
     if J is not None:
         _check_same_grid(J.grid, u)
-    if u.representation == SPECTRAL:
-        check_conjugate_symmetry(u)
     grid = u.grid
-    uhat = to_spectral(u)
+    uhat = to_spectral(u).data
     rho = _symbol(J)
     ksq = grid.ksq
-    mask = grid.dealias_mask if dealias else None
+    mask = grid.dealias_mask if dealias else 1.0
 
-    vhat = rho * uhat.data  # smoothed state, spectral
-    vhat_prod = vhat * mask if mask is not None else vhat
-    v = np.real(np.fft.ifftn(vhat_prod, axes=u.spatial_axes))
-    vsq = np.sum(v**2, axis=0)
-    cube_hat = np.fft.fftn(vsq * v, axes=u.spatial_axes)
-    lap_v = np.real(np.fft.ifftn(-ksq * vhat_prod, axes=u.spatial_axes))
-    cross_hat = np.fft.fftn(np.cross(v, lap_v, axis=0), axes=u.spatial_axes)
-    if mask is not None:
-        cube_hat = cube_hat * mask
-        cross_hat = cross_hat * mask
+    vhat = rho * uhat * mask  # smoothed state, spectral
+    v = grid.irfftn(vhat)
+    cube_hat = grid.rfftn(np.sum(v**2, axis=0) * v) * mask
+    cross_hat = grid.rfftn(_cross(v, grid.irfftn(-ksq * vhat))) * mask
 
     # the five terms, summed in place in a fixed order that fixes the rounding
     rho2 = rho * rho
-    data = -p.lambda_e * ksq**2 * rho2 * uhat.data  # bilaplacian
-    data += -p.laplacian_coeff * ksq * rho2 * uhat.data  # Laplacian
-    data += p.cubic_coeff * (rho2 * uhat.data - rho * cube_hat)  # cubic
+    data = -p.lambda_e * ksq**2 * rho2 * uhat  # bilaplacian
+    data += -p.laplacian_coeff * ksq * rho2 * uhat  # Laplacian
+    data += p.cubic_coeff * (rho2 * uhat - rho * cube_hat)  # cubic
     data += -p.cubic_laplacian_coeff * ksq * rho * cube_hat  # Laplacian of the cubic
     data += -p.gamma * rho * cross_hat  # cross product
-    return Field(grid, data, SPECTRAL)
+    return _derived(grid, data)
 
 
 def linear_symbol(
@@ -202,14 +192,13 @@ def nonlinear_rhs(
     """
     if J is not None:
         _check_same_grid(J.grid, grid)
-    axes = tuple(range(1, grid.dim + 1))
     smooth, lap, cube, cross = _nonlinear_symbols(grid, p, J)
 
     vhat = smooth * uhat
-    v = np.fft.irfftn(vhat, s=grid.shape, axes=axes)
-    lap_v = np.fft.irfftn(lap * vhat, s=grid.shape, axes=axes)
-    cube_hat = np.fft.rfftn(np.sum(v**2, axis=0) * v, axes=axes)
-    cross_hat = np.fft.rfftn(_cross(v, lap_v), axes=axes)
+    v = grid.irfftn(vhat)
+    lap_v = grid.irfftn(lap * vhat)
+    cube_hat = grid.rfftn(np.sum(v**2, axis=0) * v)
+    cross_hat = grid.rfftn(_cross(v, lap_v))
     data = cube * cube_hat
     data -= cross * cross_hat
     return data
@@ -217,12 +206,11 @@ def nonlinear_rhs(
 
 @lru_cache(maxsize=8)
 def _nonlinear_symbols(grid: Grid, p: EffectiveFieldParams, J: MollifierSymbol | None):
-    """The half-lattice symbols of nonlinear_rhs, built once per run (grid
-    and J hash by identity): rho mask, -|k|^2, -(c + c_lap |k|^2) rho mask
-    and gamma rho mask."""
-    rho = 1.0 if J is None else grid.half_spectrum(J.values)
-    ksq = grid.ksq_half
-    smooth = rho * grid.dealias_mask_half
+    """The symbols of nonlinear_rhs, built once per run (grid and J hash
+    by identity): rho mask, -|k|^2, -(c + c_lap |k|^2) rho mask and
+    gamma rho mask."""
+    ksq = grid.ksq
+    smooth = _symbol(J) * grid.dealias_mask
     cube = -(p.cubic_coeff + p.cubic_laplacian_coeff * ksq) * smooth
     return smooth, -ksq, cube, p.gamma * smooth
 
@@ -245,7 +233,7 @@ def rhs_consistency_with_heff(
     f2 = (
         p.lambda_r * h.data
         - p.lambda_e * lap_h.data
-        - p.gamma * np.cross(up.data, h.data, axis=0)
+        - p.gamma * _cross(up.data, h.data)
     )
     f2_hat = to_spectral(Field(u.grid, f2, "physical"))
     gap = norm(f1 - f2_hat, "l2")
@@ -288,9 +276,7 @@ class IdentityReport:
 
 
 def _smoothed_state(u: Field, J: MollifierSymbol | None) -> Field:
-    if J is None:
-        return to_spectral(u)
-    return Field(u.grid, _symbol(J) * to_spectral(u).data, SPECTRAL)
+    return _derived(u.grid, _symbol(J) * to_spectral(u).data)
 
 
 def _quartic_gradient_integrals(v: Field) -> tuple[float, float]:
@@ -311,8 +297,7 @@ def _cubic_laplacian_pairing(v: Field) -> float:
     grid = v.grid
     vp = to_physical(v)
     vsq = np.sum(vp.data**2, axis=0)
-    cube_hat = np.fft.fftn(vsq * vp.data, axes=v.spatial_axes)
-    lap_cube = Field(grid, -grid.ksq * cube_hat, SPECTRAL)
+    lap_cube = _derived(grid, -grid.ksq * grid.rfftn(vsq * vp.data))
     lap_v = apply_multiplier(laplacian_op(grid), v)
     return inner_product(lap_cube, lap_v)
 
@@ -370,10 +355,8 @@ def identity_h1(
 
     vp = to_physical(v)
     lap_vp = to_physical(lap_v)
-    crossed = np.fft.fftn(
-        np.cross(vp.data, lap_vp.data, axis=0), axes=u.spatial_axes
-    )
-    smoothed_cross = Field(grid, _symbol(J) * crossed, SPECTRAL)
+    crossed = grid.rfftn(_cross(vp.data, lap_vp.data))
+    smoothed_cross = _derived(grid, _symbol(J) * crossed)
     orth = inner_product(smoothed_cross, lap_u)
     orth_scale = norm(smoothed_cross, "l2") * norm(lap_u, "l2")
     orth_rel = abs(orth) / orth_scale if orth_scale >= DEGENERATE_SCALE else abs(orth)

@@ -258,10 +258,10 @@ def test_9_oracle_equivalence():
         f = random_band_limited_field(grid, seed=5 + dim, decay_r=1.0, kmax=7)
         g = random_band_limited_field(grid, seed=50 + dim, decay_r=1.0, kmax=7)
 
-        # forward transform vs direct O(N^2) summation
+        # forward transform vs direct O(N^2) summation, on the half lattice
         fs = to_spectral(f)
         dft = direct_dft(f.data, axes)
-        err = np.max(np.abs(fs.data - dft)) / np.max(np.abs(dft))
+        err = np.max(np.abs(fs.data - dft[..., : grid.n // 2 + 1])) / np.max(np.abs(dft))
         assert err <= spectral_tol
         worst_spec = max(worst_spec, err)
 

@@ -8,11 +8,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from llbar.cli import _KEYS, _build_parser, main
 from llbar.diagnostics import TimeSeries
-from llbar.grid import Grid, constant_field
+from llbar.grid import Grid, constant_field, random_band_limited_field, to_spectral
 from llbar.io import load_snapshot, read_config, save_snapshot
 
 
@@ -108,6 +109,19 @@ class TestDataErrors:
         bad.write_bytes(b"garbage")
         assert run("simulate", "--snapshot", str(bad), "--outdir", outdir) == 4
 
+    def test_snapshot_spectrum_without_mirror(self, tmp_path, outdir, capsys):
+        # bump the last coefficient of the full-lattice body: its mirror in
+        # the lower half stays as it was
+        bad = tmp_path / "bad.snap"
+        u = random_band_limited_field(Grid(2, 16), seed=0, amplitude=0.5)
+        save_snapshot(bad, to_spectral(u))
+        blob = bytearray(bad.read_bytes())
+        blob[-16:] = (np.frombuffer(bytes(blob[-16:]), dtype="<c16") + 1.0).tobytes()
+        bad.write_bytes(bytes(blob))
+        assert run("simulate", "--snapshot", str(bad), "--n", "16",
+                   "--outdir", outdir) == 4
+        assert "conjugate symmetry" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_series_snapshot_and_config(self, outdir):
@@ -147,6 +161,15 @@ class TestSimulate:
         assert "blow-up" in capsys.readouterr().err
         series = TimeSeries.read_csv(os.path.join(outdir, "series.csv"))
         assert series.reports[-1].flags == "nan"
+        assert not os.path.exists(os.path.join(outdir, "final.snap"))
+
+    def test_adaptive_collapse_exits_3_with_series(self, outdir, capsys):
+        code = run("simulate", "--n", "16", "--t-end", "0.01", "--adaptive",
+                   "--tol", "1e-18", "--outdir", outdir)
+        assert code == 3
+        assert "collapsed" in capsys.readouterr().err
+        series = TimeSeries.read_csv(os.path.join(outdir, "series.csv"))
+        assert len(series) >= 1 and series.reports[0].t == 0.0
         assert not os.path.exists(os.path.join(outdir, "final.snap"))
 
     @pytest.mark.parametrize("value", ["0", "-1"])

@@ -29,9 +29,18 @@ from llbar.grid import (
     random_band_limited_field,
     to_spectral,
 )
-from llbar.integrator import SchemeConfig, Stepper, integrate, step
-from llbar.mollifier import make_mollifier
-from llbar.physics import DEFAULT_PARAMS, EffectiveFieldParams, rhs
+from llbar import mollifier
+from llbar.integrator import SchemeConfig, Stepper
+from llbar.mollifier import make_mollifier, verify_mollifier_properties
+from llbar.physics import (
+    DEFAULT_PARAMS,
+    EffectiveFieldParams,
+    energy_chain_rule_gap,
+    identity_cubic_expansion,
+    identity_h1,
+    identity_l2,
+    rhs,
+)
 
 from oracles import direct_dft
 
@@ -42,7 +51,7 @@ def oracle_observables(u, p):
     """Every report entry from sample sums and the direct O(N^2) DFT."""
     g = u.grid
     s = u.data
-    axes = u.spatial_axes
+    axes = tuple(range(1, g.dim + 1))
     dV = g.cell_volume
     w = dV / g.npoints  # Parseval weight for integrals of squares
     mag2 = np.sum(s * s, axis=0)
@@ -177,24 +186,19 @@ class TestReport:
         assert rep.dissipation >= 0.0
         assert rep.grad_l2 <= rep.h1
 
-    # one coefficient without its conjugate partner: off the self-mirrored
-    # planes, on the last-axis zero plane, and at the zero mode itself
+    # one coefficient without its conjugate partner on a self-mirrored
+    # plane of the half lattice: the last-axis n/2 plane, the last-axis
+    # zero plane, and the zero mode itself; no spectral Field holds it, so
+    # report, integrate, step and rhs never see it
     @pytest.mark.parametrize(
-        "index,value", [((1, 2), 1 + 2j), ((3, 0), 1 + 2j), ((0, 0), 1j)]
+        "index,value", [((1, 8), 1 + 2j), ((3, 0), 1 + 2j), ((0, 0), 1j)]
     )
     def test_conjugate_asymmetric_spectrum_rejected(self, index, value):
         g = Grid(2, 16)
-        data = np.zeros((3,) + g.shape, dtype=np.complex128)
+        data = np.zeros((3,) + g.spectral_shape, dtype=np.complex128)
         data[(0,) + index] = value
-        bad = Field(g, data, SPECTRAL)
         with pytest.raises(DataError, match="conjugate symmetry"):
-            report(bad, 0.0)
-        with pytest.raises(DataError, match="conjugate symmetry"):
-            integrate(bad, 0.01, SchemeConfig(dt=1e-3))
-        with pytest.raises(DataError, match="conjugate symmetry"):
-            step(bad, SchemeConfig(dt=1e-3))
-        with pytest.raises(DataError, match="conjugate symmetry"):
-            rhs(bad)
+            Field(g, data, SPECTRAL)
 
 
 FFT_ENTRY_POINTS = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2")
@@ -221,13 +225,36 @@ class TestTransformBudget:
         uhat = to_spectral(random_band_limited_field(g, seed=5, amplitude=0.5))
         stepper = Stepper(g, SchemeConfig(scheme="etd_rk2"), J=make_mollifier(g, 0.2))
         fft_calls.clear()
-        stepper.advance(g.half_spectrum(uhat.data), 1e-3)
+        stepper.advance(uhat.data, 1e-3)
         step_calls = list(fft_calls)
         fft_calls.clear()
         report(uhat, 0.0)
         assert step_calls and set(step_calls) <= {"rfftn", "irfftn"}
         assert fft_calls and set(fft_calls) <= {"rfftn", "irfftn"}
         assert len(fft_calls) <= 3
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 12)])
+    def test_library_makes_no_complex_transform(self, fft_calls, monkeypatch, dim, n):
+        """Only the seeded generator transforms on the full lattice, so the
+        fields are made before counting; the property check's own
+        flat-spectrum field is handed over the same way."""
+        g = Grid(dim, n)
+        fields = [
+            random_band_limited_field(g, seed=s, amplitude=0.5, kmax=n // 6)
+            for s in range(2)
+        ]
+        flat = random_band_limited_field(g, seed=99, decay_r=0.0, kmax=n // 2 - 1)
+        monkeypatch.setattr(mollifier, "random_band_limited_field", lambda *a, **k: flat)
+        J = make_mollifier(g, 0.2, "bump")
+        u = fields[0]
+        fft_calls.clear()
+        rhs(u, J=J)
+        identity_l2(u, J)
+        identity_h1(u, J)
+        identity_cubic_expansion(u, J)
+        energy_chain_rule_gap(u)
+        verify_mollifier_properties(J, fields=fields)
+        assert fft_calls and set(fft_calls) <= {"rfftn", "irfftn"}
 
 
 class TestTimeSeries:

@@ -34,6 +34,7 @@ from llbar.integrator import (
     measure_temporal_order,
     step,
 )
+from llbar.io import _full_spectrum
 from llbar.mollifier import make_mollifier
 from llbar.physics import DEFAULT_PARAMS, EffectiveFieldParams, linear_symbol
 
@@ -132,7 +133,7 @@ class TestLinearPropagator:
         # |k|^2 = 2 is a root of the full symbol: propagator exactly 1
         dt = 1e-2
         lp = LinearPropagator.build(grid32_2d, dt)
-        neutral = np.isclose(grid32_2d.ksq_half, 2.0)
+        neutral = np.isclose(grid32_2d.ksq, 2.0)
         assert neutral.any()
         assert np.all(lp.exp[neutral] == 1.0)
 
@@ -285,18 +286,18 @@ class TestIntegrate:
         assert res.series.metadata == {"seed": "7", "scheme": "etd_rk2"}
 
 
-def upper_mirror_gap(f):
-    """max |u_hat(m) - conj u_hat(-m)| over the last-axis indices above n/2."""
-    grid = f.grid
+def upper_mirror_gap(full, grid):
+    """max |u_hat(m) - conj u_hat(-m)| over the last-axis indices above n/2
+    of a full-lattice spectrum."""
     neg = (-np.arange(grid.n)) % grid.n
-    mirror = np.conj(f.data[np.ix_(np.arange(3), *([neg] * grid.dim))])
+    mirror = np.conj(full[np.ix_(np.arange(3), *([neg] * grid.dim))])
     h = grid.n // 2 + 1
-    return np.max(np.abs(f.data[..., h:] - mirror[..., h:]))
+    return np.max(np.abs(full[..., h:] - mirror[..., h:]))
 
 
 class TestHalfLattice:
-    """The state lives on the rfftn half lattice; full spectra are built
-    only for the fields the integrator hands out."""
+    """The state, the samples and the result live on the rfftn half
+    lattice; the full lattice exists only in files."""
 
     def run(self, grid, monkeypatch, counts):
         import llbar.integrator as integrator
@@ -308,12 +309,12 @@ class TestHalfLattice:
 
             return wrapped
 
-        monkeypatch.setattr(
-            Grid, "full_spectrum", counting("full_spectrum", Grid.full_spectrum)
-        )
+        # the generator's full-lattice inverse transform runs before counting
+        u0 = random_band_limited_field(grid, seed=4, amplitude=0.5, kmax=4)
+        for name in ("fftn", "ifftn", "fft2", "ifft2"):
+            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
         for name in ("nonlinear_rhs", "report"):
             monkeypatch.setattr(integrator, name, counting(name, getattr(integrator, name)))
-        u0 = random_band_limited_field(grid, seed=4, amplitude=0.5, kmax=4)
         seen = []
         res = integrate(
             u0,
@@ -325,12 +326,14 @@ class TestHalfLattice:
         )
         return res, seen
 
-    def test_full_spectra_only_for_samples_and_result(self, grid32_2d, monkeypatch):
+    def test_integrate_builds_no_full_spectrum(self, grid32_2d, monkeypatch):
         counts = {}
         res, seen = self.run(grid32_2d, monkeypatch, counts)
         assert res.state.step == 20
         assert len(seen) == len(res.series) == 3  # steps 0, 10, 20
-        assert counts["full_spectrum"] <= len(res.series) + 1
+        half = (3,) + grid32_2d.spectral_shape
+        assert all(f.data.shape == half for f in seen + [res.field])
+        assert not set(counts) & {"fftn", "ifftn", "fft2", "ifft2"}
 
     def test_one_call_per_stage_and_per_sample(self, grid32_2d, monkeypatch):
         counts = {}
@@ -340,9 +343,11 @@ class TestHalfLattice:
 
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 12)])
     def test_handed_out_fields_are_exactly_hermitian(self, monkeypatch, dim, n):
-        res, seen = self.run(Grid(dim, n), monkeypatch, {})
+        # a half spectrum has implicit mirrors; its file form mirrors exactly
+        grid = Grid(dim, n)
+        res, seen = self.run(grid, monkeypatch, {})
         for f in seen + [res.field]:
-            assert upper_mirror_gap(f) == 0.0
+            assert upper_mirror_gap(_full_spectrum(grid, f.data), grid) == 0.0
 
 
 class TestEnergyBehaviour:
@@ -490,8 +495,31 @@ class TestAdaptive:
         cfg = SchemeConfig(
             scheme="etd_rk2", dt=1e-4, adaptive=True, tol=1e-18, dt_min=1e-5
         )
-        with pytest.raises(BlowUpError, match="dt_min"):
+        with pytest.raises(BlowUpError, match="dt_min") as exc:
             integrate(u0, 0.01, cfg)
+        assert exc.value.series is not None and len(exc.value.series) >= 1
+
+    def test_collapse_after_accepted_steps_appends_flagged_row(
+        self, grid32_2d, monkeypatch
+    ):
+        # the controller gives up at step 3, past the one report at t = 0
+        accept = Stepper.advance_adaptive
+
+        def collapse_at_step_3(self, uhat, dt):
+            if self.state.step == 3:
+                raise BlowUpError("collapsed", t=self.state.t, step=self.state.step)
+            return accept(self, uhat, dt)
+
+        monkeypatch.setattr(Stepper, "advance_adaptive", collapse_at_step_3)
+        u0 = random_band_limited_field(grid32_2d, seed=3, amplitude=0.5, kmax=8)
+        cfg = SchemeConfig(scheme="etd_rk2", dt=1e-3, adaptive=True)
+        with pytest.raises(BlowUpError) as exc:
+            integrate(u0, 1.0, cfg, report_every=100)
+        rows = exc.value.series.reports
+        assert [r.flags for r in rows] == ["", "dt_collapse"]
+        assert rows[-1].t == exc.value.t > 0.0
+        assert math.isfinite(rows[-1].energy)
+        assert exc.value.field.data.shape == (3,) + grid32_2d.spectral_shape
 
 
 class TestBlowUpEscalation:

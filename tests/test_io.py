@@ -8,7 +8,7 @@ the identical float sequence the uninterrupted run produces.
 import numpy as np
 import pytest
 
-from llbar.errors import GridMismatchError, SnapshotFormatError, UsageError
+from llbar.errors import DataError, GridMismatchError, SnapshotFormatError, UsageError
 from llbar.grid import Grid, random_band_limited_field, to_physical, to_spectral
 from llbar.integrator import SchemeConfig, SchemeState, integrate
 from llbar.io import (
@@ -22,10 +22,20 @@ from llbar.io import (
     save_snapshot,
     write_config,
 )
+from llbar.mollifier import make_mollifier
 
 
 def sample_field(grid, seed=0):
     return random_band_limited_field(grid, seed=seed, amplitude=0.5, kmax=max(2, grid.n // 4))
+
+
+def corrupt_upper_half(path):
+    """Add 1 to the last coefficient of a spectral snapshot's body: last
+    axis index n - 1, above n/2, whose mirror stays unchanged."""
+    blob = bytearray(path.read_bytes())
+    last = np.frombuffer(bytes(blob[-16:]), dtype="<c16") + 1.0
+    blob[-16:] = last.tobytes()
+    path.write_bytes(bytes(blob))
 
 
 class TestSnapshotRoundTrip:
@@ -121,6 +131,14 @@ class TestSnapshotErrors:
         with pytest.raises(SnapshotFormatError):
             load_snapshot(path)
 
+    def test_spectrum_without_mirror_rejected(self, tmp_path):
+        # the file holds the full lattice; its upper half must mirror the lower
+        path = tmp_path / "state.snap"
+        save_snapshot(path, to_spectral(sample_field(Grid(2, 8))))
+        corrupt_upper_half(path)
+        with pytest.raises(DataError, match="conjugate symmetry"):
+            load_snapshot(path)
+
     def test_checkpoint_magic_rejected_for_snapshot(self, tmp_path):
         path = tmp_path / "state.ckpt"
         field = to_spectral(sample_field(Grid(2, 8)))
@@ -157,7 +175,8 @@ class TestCheckpoint:
         assert back_state.step == state.step
         assert np.array_equal(back_state.prev_field, state.prev_field)
         assert np.array_equal(back_state.prev_nonlinear, state.prev_nonlinear)
-        assert back_state.history_dt == state.history_dt == cfg.dt
+        assert back_state.history_key == state.history_key
+        assert state.history_key.dt == cfg.dt
 
     @pytest.mark.parametrize("scheme", ["etd1", "etd_rk2", "imex_bdf2"])
     def test_resume_through_file_is_bit_exact(self, tmp_path, scheme):
@@ -183,14 +202,34 @@ class TestCheckpoint:
         path = tmp_path / "run.ckpt"
         save_checkpoint(path, first.field, first.state, 1e-2)
         field, state, _ = load_checkpoint(path, expected_grid=grid)
-        assert state.prev_field is not None and state.history_dt == 1e-2
+        assert state.prev_field is not None and state.history_key.dt == 1e-2
 
         fine = SchemeConfig(scheme="imex_bdf2", dt=2.5e-3)
         fresh = SchemeState(t=state.t, step=state.step)
         reference = integrate(field, 0.2, fine, state=fresh)
         resumed = integrate(field, 0.2, fine, state=state)
         assert np.array_equal(resumed.field.data, reference.field.data)
-        assert resumed.state.history_dt == 2.5e-3
+        assert resumed.state.history_key.dt == 2.5e-3
+
+    def test_resume_under_other_eps_drops_stale_history(self, tmp_path):
+        # an imex_bdf2 history built under J at eps=0.3 holds N(u) of that
+        # J: a resume under eps=0.1 bootstraps exactly as a fresh state does
+        grid = Grid(2, 16)
+        u0 = random_band_limited_field(grid, seed=0, amplitude=0.5)
+        cfg = SchemeConfig(scheme="imex_bdf2", dt=1e-3)
+        first = integrate(u0, 0.1, cfg, J=make_mollifier(grid, 0.3))
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(path, first.field, first.state, cfg.dt)
+        field, state, _ = load_checkpoint(path, expected_grid=grid)
+        assert state.history_key == first.state.history_key
+        assert (state.history_key.kernel, state.history_key.eps) == ("gaussian", 0.3)
+
+        J = make_mollifier(grid, 0.1)
+        fresh = SchemeState(t=state.t, step=state.step)
+        reference = integrate(field, 0.2, cfg, J=J, state=fresh)
+        resumed = integrate(field, 0.2, cfg, J=J, state=state)
+        assert np.array_equal(resumed.field.data, reference.field.data)
+        assert resumed.state.history_key.eps == 0.1
 
     def test_grid_mismatch(self, tmp_path):
         field = to_spectral(sample_field(Grid(2, 16)))
@@ -214,7 +253,10 @@ class TestCheckpoint:
 
         state_field = to_spectral(sample_field(Grid(2, 32)))
         history = to_repr(sample_field(Grid(2, history_n), seed=1))
-        header = b"t=0.1\ndt=0.01\nstep=10\nhistory=1\nhistory_dt=0.01\n\n"
+        header = (
+            b"t=0.1\ndt=0.01\nstep=10\nhistory=1\n"
+            b"history_key=0.01,0.25,1.0,1.0,1.0,0.0,none\n\n"
+        )
         path = tmp_path / "run.ckpt"
         path.write_bytes(
             CHECKPOINT_MAGIC + body(state_field) + header + 2 * body(history)

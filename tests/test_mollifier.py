@@ -101,7 +101,7 @@ class TestSymbolConstruction:
     @pytest.mark.parametrize("kind", ["gaussian", "bump"])
     def test_symbol_shape_invariants(self, grid32_2d, kind):
         J = make_mollifier(grid32_2d, 0.3, kind)
-        assert J.values.shape == grid32_2d.shape
+        assert J.values.shape == grid32_2d.spectral_shape
         assert J.values.flat[0] == 1.0
         assert J.values.max() <= 1.0 + 1e-14
         if kind == "gaussian":

@@ -55,10 +55,9 @@ BOTH_PARAMS = [DEFAULT_PARAMS, GENERAL_PARAMS]
 
 
 def nonlinear_field(u, p=DEFAULT_PARAMS, J=None):
-    """N(u) on the full lattice: nonlinear_rhs maps half spectra."""
+    """N(u) as a spectral Field: nonlinear_rhs maps spectrum arrays."""
     grid = u.grid
-    half = nonlinear_rhs(grid, grid.half_spectrum(to_spectral(u).data), p, J)
-    return Field(grid, grid.full_spectrum(half), SPECTRAL)
+    return Field(grid, nonlinear_rhs(grid, to_spectral(u).data, p, J), SPECTRAL)
 
 
 def fd_rhs(u, p):
@@ -326,8 +325,10 @@ class TestEnergy:
         u = random_band_limited_field(grid, seed=6, kmax=4)
         up = to_physical(u).data
         spectrum = direct_dft(up, (1, 2))
+        k_odd = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+        k_odd[grid.n // 2] = 0.0  # the odd symbol vanishes at Nyquist
         grad_sq = 0.0
-        for ka in grid.k_odd:
+        for ka in (k_odd[:, None], k_odd[None, :]):
             g = direct_dft(1j * ka[np.newaxis] * spectrum, (1, 2), inverse=True)
             grad_sq += np.sum(np.real(g) ** 2)
         grad_sq *= grid.cell_volume
