@@ -182,7 +182,7 @@ class Grid:
         )
 
 
-def _negate_modes(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+def negate_modes(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """a with the mode at index i moved to index -i (mod n) on each axis."""
     if not axes:
         return a
@@ -199,11 +199,11 @@ def _check_same_grid(a, b):
         )
 
 
-def _check_conjugate_symmetry(a, axes, scale, what="spectral field") -> None:
+def check_conjugate_symmetry(a, axes, scale, what="spectral field") -> None:
     """Reject spectral data that no real field has, without a transform:
     u_hat(-m), the mode negated on `axes`, must equal conj(u_hat(m)) to
     IMAG_TOL relative to the largest coefficient `scale`."""
-    gap = np.max(np.abs(a - np.conj(_negate_modes(a, tuple(axes)))))
+    gap = np.max(np.abs(a - np.conj(negate_modes(a, tuple(axes)))))
     if scale > 0 and gap > IMAG_TOL * scale:
         raise DataError(
             f"{what} is not Hermitian: max |u(m) - conj u(-m)| = "
@@ -227,6 +227,16 @@ class Field:
     representation: str = PHYSICAL
 
     def __post_init__(self):
+        self._check_layout()
+        if self.representation == SPECTRAL:
+            # off the self-mirrored last-axis planes 0 and n/2, every
+            # mode's mirror is implicit
+            planes = self.data[..., [0, self.grid.n // 2]]
+            scale = np.max(np.abs(self.data))
+            check_conjugate_symmetry(planes, range(-self.grid.dim, -1), scale)
+
+    def _check_layout(self):
+        """Representation, shape and dtype: checked for every Field."""
         if self.representation not in (PHYSICAL, SPECTRAL):
             raise UsageError(f"unknown representation {self.representation!r}")
         spectral = self.representation == SPECTRAL
@@ -241,14 +251,8 @@ class Field:
                 raise DataError("physical field data must be real-valued")
             if self.data.dtype != np.float64:
                 self.data = self.data.astype(np.float64)
-        else:
-            if self.data.dtype != np.complex128:
-                self.data = self.data.astype(np.complex128)
-            # off the self-mirrored last-axis planes 0 and n/2, every
-            # mode's mirror is implicit
-            planes = self.data[..., [0, self.grid.n // 2]]
-            scale = np.max(np.abs(self.data))
-            _check_conjugate_symmetry(planes, range(-self.grid.dim, -1), scale)
+        elif self.data.dtype != np.complex128:
+            self.data = self.data.astype(np.complex128)
 
     def copy(self) -> "Field":
         return _derived(self.grid, self.data.copy(), self.representation)
@@ -279,13 +283,13 @@ class Field:
 
 
 def _derived(grid: Grid, data: np.ndarray, representation: str = SPECTRAL) -> Field:
-    """A Field computed from validated Fields. Spectral data skips the
-    conjugate-symmetry check: it inherits the symmetry, and the check would
-    misread the roundoff left by a difference of nearly equal fields."""
-    if representation == PHYSICAL:
-        return Field(grid, data, PHYSICAL)
+    """A Field computed from validated Fields. It gets the layout check
+    but not the conjugate-symmetry check: computed spectra inherit the
+    symmetry, and the check would misread the roundoff left by a
+    difference of nearly equal fields."""
     f = object.__new__(Field)
-    f.grid, f.data, f.representation = grid, data, SPECTRAL
+    f.grid, f.data, f.representation = grid, data, representation
+    f._check_layout()
     return f
 
 

@@ -287,8 +287,9 @@ def integrate(
     A non-finite state, or an adaptive step size collapsing below
     dt_min, raises the blow-up signal carrying the partial series and the
     offending field; the series gains a final flagged report first
-    ("nan", or "dt_collapse" past its last row), so on-disk records show
-    the failure.
+    ("nan"), or its row at the collapse time is flagged "dt_collapse"
+    (appended when that time is past the last row), so on-disk records
+    show the failure.
     """
     if t_end < 0:
         raise UsageError(f"t_end must be nonnegative, got {t_end}")
@@ -340,8 +341,8 @@ def integrate(
             except BlowUpError as exc:
                 exc.field = _derived(grid, uhat)
                 if st.t > series.reports[-1].t:
-                    rep = report(exc.field, st.t, p)
-                    series.append(replace(rep, flags="dt_collapse"))
+                    series.append(report(exc.field, st.t, p))
+                series.reports[-1] = replace(series.reports[-1], flags="dt_collapse")
                 exc.series = series
                 raise
         st.t += taken

@@ -24,7 +24,7 @@ import os
 import numpy as np
 
 from .errors import GridMismatchError, SnapshotFormatError, UsageError
-from .grid import PHYSICAL, SPECTRAL, Field, Grid, _check_conjugate_symmetry, _negate_modes
+from .grid import PHYSICAL, SPECTRAL, Field, Grid, check_conjugate_symmetry, negate_modes
 from .integrator import HistoryKey, SchemeState
 from .physics import EffectiveFieldParams
 
@@ -69,27 +69,25 @@ def _full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
     h = grid.n // 2 + 1
     out = np.empty(half.shape[:-1] + (grid.n,), dtype=np.complex128)
     out[..., :h] = half
-    upper = _negate_modes(half[..., h - 2 : 0 : -1], tuple(range(-grid.dim, -1)))
+    upper = negate_modes(half[..., h - 2 : 0 : -1], tuple(range(-grid.dim, -1)))
     np.conj(upper, out=out[..., h:])
     return out
 
 
-def _write_field_body(fh, field: Field):
-    g = field.grid
+def _write_field_body(fh, g: Grid, representation: str, data: np.ndarray):
     _write_header(
         fh,
         [
             ("version", "1"),
-            ("representation", field.representation),
+            ("representation", representation),
             ("dim", g.dim),
             ("n", g.n),
             ("box_length", repr(g.box_length)),
         ],
     )
-    data = field.data
-    if field.representation == SPECTRAL:
+    if representation == SPECTRAL:
         data = _full_spectrum(g, data)
-    fh.write(np.ascontiguousarray(data, dtype=_DTYPES[field.representation]).tobytes())
+    fh.write(np.ascontiguousarray(data, dtype=_DTYPES[representation]).tobytes())
 
 
 def _read_field_body(fh, path) -> Field:
@@ -109,7 +107,7 @@ def _read_field_body(fh, path) -> Field:
     if representation == SPECTRAL:
         # the full lattice must mirror itself; keep its half
         axes = range(-grid.dim, 0)
-        _check_conjugate_symmetry(data, axes, np.max(np.abs(data)), f"spectrum in {path}")
+        check_conjugate_symmetry(data, axes, np.max(np.abs(data)), f"spectrum in {path}")
         data = data[..., : grid.n // 2 + 1]
     return Field(grid, data.copy(), representation)
 
@@ -117,7 +115,7 @@ def _read_field_body(fh, path) -> Field:
 def save_snapshot(path, field: Field) -> None:
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
-        _write_field_body(fh, field)
+        _write_field_body(fh, field.grid, field.representation, field.data)
 
 
 def load_snapshot(path, expected_grid: Grid | None = None) -> Field:
@@ -163,11 +161,11 @@ def save_checkpoint(path, field: Field, state: SchemeState, dt: float) -> None:
         pairs.append(("history_key", f"{text},{key.kernel}"))
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        _write_field_body(fh, field)
+        _write_field_body(fh, field.grid, field.representation, field.data)
         _write_header(fh, pairs)
         if has_history:
             for data in (state.prev_field, state.prev_nonlinear):
-                _write_field_body(fh, Field(field.grid, data, SPECTRAL))
+                _write_field_body(fh, field.grid, SPECTRAL, data)
 
 
 def load_checkpoint(path, expected_grid: Grid | None = None):
@@ -186,9 +184,9 @@ def load_checkpoint(path, expected_grid: Grid | None = None):
             history_key = None
             if has_history:
                 *values, kernel = head["history_key"].split(",")
-                dt, chi, lambda_r, lambda_e, gamma, eps = (float(v) for v in values)
+                key_dt, chi, lambda_r, lambda_e, gamma, eps = (float(v) for v in values)
                 params = EffectiveFieldParams(chi, lambda_r, lambda_e, gamma)
-                history_key = HistoryKey(dt, params, kernel, eps)
+                history_key = HistoryKey(key_dt, params, kernel, eps)
         except (KeyError, ValueError) as exc:
             raise SnapshotFormatError(f"bad checkpoint header in {path}: {exc}") from exc
         history = []

@@ -170,6 +170,7 @@ class TestSimulate:
         assert "collapsed" in capsys.readouterr().err
         series = TimeSeries.read_csv(os.path.join(outdir, "series.csv"))
         assert len(series) >= 1 and series.reports[0].t == 0.0
+        assert series.reports[-1].flags == "dt_collapse"
         assert not os.path.exists(os.path.join(outdir, "final.snap"))
 
     @pytest.mark.parametrize("value", ["0", "-1"])

@@ -178,6 +178,18 @@ class TestCheckpoint:
         assert back_state.history_key == state.history_key
         assert state.history_key.dt == cfg.dt
 
+    def test_run_dt_survives_a_short_final_step(self, tmp_path):
+        # 0.105 = 10 steps of 0.01 and one short step of 0.005: the history
+        # is keyed to the short step, the run itself to the nominal dt
+        cfg = SchemeConfig(scheme="imex_bdf2", dt=1e-2)
+        result = integrate(sample_field(Grid(2, 16)), 0.105, cfg)
+        assert result.state.history_key.dt == pytest.approx(5e-3)
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(path, result.field, result.state, cfg.dt)
+        _, back_state, back_dt = load_checkpoint(path)
+        assert back_dt == cfg.dt
+        assert back_state.history_key == result.state.history_key
+
     @pytest.mark.parametrize("scheme", ["etd1", "etd_rk2", "imex_bdf2"])
     def test_resume_through_file_is_bit_exact(self, tmp_path, scheme):
         u0 = sample_field(Grid(2, 16), seed=2)
