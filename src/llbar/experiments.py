@@ -529,8 +529,9 @@ class CalibrationReport:
 
 def run_gn_calibration(spec: StudySpec) -> CalibrationReport:
     """Max observed constants of the interpolation inequalities and the
-    smoothed-dynamics Lipschitz bound over a seeded field family; the
-    written file feeds the regression tests."""
+    smoothed-dynamics Lipschitz bound over a seeded field family; with an
+    outdir they are written to constants.txt, which feeds the regression
+    tests."""
     if spec.kind != "gn_calibration":
         raise UsageError(f"spec kind {spec.kind!r} is not gn_calibration")
     if spec.family_size < 100:
@@ -568,8 +569,6 @@ def run_gn_calibration(spec: StudySpec) -> CalibrationReport:
         "grid": f"{spec.dim}d-n{spec.n}",
     }
     report = CalibrationReport(constants=constants)
-    rows = ["constant,value"] + [f"{k},{v}" for k, v in sorted(constants.items())]
-    _write_study_outputs(spec, report, rows)
     if spec.outdir is not None:
         write_config(
             os.path.join(spec.outdir, "constants.txt"),

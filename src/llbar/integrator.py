@@ -103,12 +103,14 @@ def _phi2(z):
 @dataclass(frozen=True)
 class HistoryKey:
     """What the imex_bdf2 history pair depends on besides the state: the
-    step, the constants and the smoothing symbol (J's kind and eps)."""
+    step, the constants, the smoothing symbol (J's kind and eps) and
+    whether the nonlinearity is on."""
 
     dt: float
     params: EffectiveFieldParams
     kernel: str = "none"  # the limit flow
     eps: float = 0.0
+    nonlinear: bool = True
 
 
 @dataclass
@@ -204,12 +206,13 @@ class Stepper:
                 return self._etd1(uhat, dt)
             if self.cfg.scheme == "etd_rk2":
                 return self._etd_rk2(uhat, dt)
-            # the two-step formula needs the history's dt, constants and J:
-            # a step under any other key (the shortened final step, a
-            # resume at a new dt or eps) drops the history and bootstraps
-            # like a fresh state
+            # the two-step formula needs the history's dt, constants, J and
+            # nonlinearity switch: a step under any other key (the shortened
+            # final step, a resume at a new dt or eps or with the
+            # nonlinearity on) drops the history and bootstraps like a
+            # fresh state
             kernel = () if self.J is None else (self.J.kind, self.J.eps)
-            key = HistoryKey(dt, self.p, *kernel)
+            key = HistoryKey(dt, self.p, *kernel, nonlinear=self.cfg.nonlinear)
             if key != self.state.history_key:
                 self.state.prev_field = None
                 self.state.prev_nonlinear = None

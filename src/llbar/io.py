@@ -158,7 +158,7 @@ def save_checkpoint(path, field: Field, state: SchemeState, dt: float) -> None:
         key, p = state.history_key, state.history_key.params
         values = (key.dt, p.chi, p.lambda_r, p.lambda_e, p.gamma, key.eps)
         text = ",".join(repr(float(v)) for v in values)
-        pairs.append(("history_key", f"{text},{key.kernel}"))
+        pairs.append(("history_key", f"{text},{key.kernel},{int(key.nonlinear)}"))
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         _write_field_body(fh, field.grid, field.representation, field.data)
@@ -183,10 +183,10 @@ def load_checkpoint(path, expected_grid: Grid | None = None):
             has_history = bool(int(head["history"]))
             history_key = None
             if has_history:
-                *values, kernel = head["history_key"].split(",")
+                *values, kernel, nonlinear = head["history_key"].split(",")
                 key_dt, chi, lambda_r, lambda_e, gamma, eps = (float(v) for v in values)
                 params = EffectiveFieldParams(chi, lambda_r, lambda_e, gamma)
-                history_key = HistoryKey(key_dt, params, kernel, eps)
+                history_key = HistoryKey(key_dt, params, kernel, eps, bool(int(nonlinear)))
         except (KeyError, ValueError) as exc:
             raise SnapshotFormatError(f"bad checkpoint header in {path}: {exc}") from exc
         history = []

@@ -5,6 +5,7 @@ Exit-code contract: 0 all checks passed, 1 usage error, 2 a check failed,
 """
 
 import os
+import platform
 import subprocess
 import sys
 
@@ -367,3 +368,36 @@ class TestConsoleEntryPoint:
         for name in ("simulate", "verify", "converge", "mollifier-check",
                      "calibrate"):
             assert name in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        """The runtime needs numpy only; scipy is a test dependency."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, llbar.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator")
+    def test_steps_reuse_freed_memory(self, tmp_path):
+        """200 steps at 2d n=64 fault in a few hundred pages; with freed
+        arrays unmapped and the heap trimmed they took over 20,000."""
+        code = (
+            "import resource, sys, llbar.cli\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "rc = llbar.cli.main(sys.argv[1:])\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "print(rc, after - before)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "simulate", "--n", "64", "--t-end", "0.2",
+             "--outdir", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        rc, faults = map(int, proc.stdout.split()[-2:])
+        assert rc == 0
+        assert faults < 5000

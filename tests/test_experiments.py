@@ -448,6 +448,7 @@ class TestGnCalibration:
         )
         stored = read_config(tmp_path / "constants.txt")
         assert stored == calibration_report.constants
+        assert [p.name for p in tmp_path.iterdir()] == ["constants.txt"]
 
 
 class TestCalibrationRegression:

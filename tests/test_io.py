@@ -243,6 +243,26 @@ class TestCheckpoint:
         assert np.array_equal(resumed.field.data, reference.field.data)
         assert resumed.state.history_key.eps == 0.1
 
+    def test_resume_with_nonlinearity_on_drops_linear_history(self, tmp_path):
+        # a history built with the nonlinearity off holds N(u) = 0: a
+        # resume with it on bootstraps exactly as a fresh state does
+        grid = Grid(2, 16)
+        u0 = random_band_limited_field(grid, seed=0, amplitude=0.5)
+        linear = SchemeConfig(scheme="imex_bdf2", dt=1e-3, nonlinear=False)
+        first = integrate(u0, 0.05, linear)
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(path, first.field, first.state, linear.dt)
+        field, state, _ = load_checkpoint(path, expected_grid=grid)
+        assert state.history_key == first.state.history_key
+        assert state.history_key.nonlinear is False
+
+        cfg = SchemeConfig(scheme="imex_bdf2", dt=1e-3)
+        fresh = SchemeState(t=state.t, step=state.step)
+        reference = integrate(field, 0.1, cfg, state=fresh)
+        resumed = integrate(field, 0.1, cfg, state=state)
+        assert np.array_equal(resumed.field.data, reference.field.data)
+        assert resumed.state.history_key.nonlinear is True
+
     def test_grid_mismatch(self, tmp_path):
         field = to_spectral(sample_field(Grid(2, 16)))
         path = tmp_path / "run.ckpt"
@@ -267,7 +287,7 @@ class TestCheckpoint:
         history = to_repr(sample_field(Grid(2, history_n), seed=1))
         header = (
             b"t=0.1\ndt=0.01\nstep=10\nhistory=1\n"
-            b"history_key=0.01,0.25,1.0,1.0,1.0,0.0,none\n\n"
+            b"history_key=0.01,0.25,1.0,1.0,1.0,0.0,none,1\n\n"
         )
         path = tmp_path / "run.ckpt"
         path.write_bytes(

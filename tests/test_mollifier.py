@@ -1,9 +1,9 @@
 """Mollifier tests.
 
-Oracles: the bump symbol tabulation against Gauss-Legendre quadrature of the
-physical kernel (independent of the adaptive quadrature used in the library),
-and the gaussian symbol against direct circular convolution with the
-periodized physical-space gaussian kernel.
+Oracles: the bump symbol tabulation against adaptive quadrature of the
+physical kernel (independent of the fixed-node trapezoid sums used in the
+library), and the gaussian symbol against direct circular convolution with
+the periodized physical-space gaussian kernel.
 """
 
 import math
@@ -29,33 +29,43 @@ from llbar.mollifier import (
 )
 
 
-def bump_oracle(r, dim, nodes=800):
-    """Transform of the unit-mass radial bump via Gauss-Legendre quadrature."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    s = 0.5 * (x + 1.0)  # map to (0, 1)
-    w = 0.5 * w
-    rho = np.exp(-1.0 / (1.0 - s**2))
-    if dim == 1:
-        mass = 2.0 * np.sum(w * rho)
-        return 2.0 * np.sum(w * rho * np.cos(r * s)) / mass
-    if dim == 2:
-        from scipy.special import j0
+def bump_oracle(r, dim):
+    """Transform of the unit-mass radial bump via adaptive quadrature."""
+    from scipy import integrate, special
 
-        mass = 2.0 * np.pi * np.sum(w * rho * s)
-        return 2.0 * np.pi * np.sum(w * rho * j0(r * s) * s) / mass
-    mass = 4.0 * np.pi * np.sum(w * rho * s**2)
-    sinc = np.where(r * s > 0, np.sin(r * s) / np.where(r * s > 0, r * s, 1.0), 1.0)
-    return 4.0 * np.pi * np.sum(w * rho * sinc * s**2) / mass
+    def rho(s):
+        return math.exp(-1.0 / (1.0 - s * s)) if s < 1.0 else 0.0
+
+    def quad(f, **kw):
+        return integrate.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12,
+                              limit=800, **kw)[0]
+
+    mass = quad(lambda s: rho(s) * s ** (dim - 1))
+    if r == 0.0:
+        return 1.0
+    if dim == 1:
+        return quad(rho, weight="cos", wvar=r) / mass
+    if dim == 2:
+        return quad(lambda s: rho(s) * special.j0(r * s) * s) / mass
+    return quad(lambda s: rho(s) * s, weight="sin", wvar=r) / (r * mass)
 
 
 class TestBumpProfile:
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("r", [0.0, 0.7, 2.3, 6.0, 15.0, 40.0])
+    @pytest.mark.parametrize("r", [0.0, 0.7, 2.3, 6.0, 15.0, 40.0, 90.0, 181.0])
     def test_matches_quadrature_oracle(self, dim, r):
-        """Raw tabulation agrees with an independent quadrature method."""
+        """Raw tabulation agrees with an independent quadrature method, up
+        to r = 181, the largest radial frequency of 2d n=256 at eps = 1."""
         assert bump_profile(r, dim) == pytest.approx(
             bump_oracle(r, dim), abs=1e-10
         )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_array_form_equals_scalar_calls(self, dim):
+        r = np.linspace(0.0, 200.0, 401)
+        values = bump_profile(r, dim)
+        assert values.shape == r.shape
+        assert np.array_equal(values, [bump_profile(float(x), dim) for x in r])
 
     def test_unit_normalization(self):
         for dim in (1, 2, 3):
@@ -71,6 +81,8 @@ class TestBumpProfile:
             bump_profile(1.0, 4)
         with pytest.raises(UsageError):
             bump_profile(-1.0, 2)
+        with pytest.raises(UsageError):
+            bump_profile(np.array([1.0, -1.0]), 2)
 
 
 class TestGaussianKernel:
