@@ -59,6 +59,7 @@ from .integrator import (
     Stepper,
     integrate,
     measure_temporal_order,
+    trajectory,
 )
 from .io import (
     load_checkpoint,

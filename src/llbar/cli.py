@@ -534,7 +534,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except BlowUpError as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
+        where = f" in {exc.study_label}" if getattr(exc, "study_label", None) else ""
+        print(f"blow-up{where}: {exc}", file=sys.stderr)
         return 3
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

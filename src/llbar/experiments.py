@@ -9,6 +9,7 @@ over the shared report cadence of the compared runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field as dc_field, replace
@@ -18,7 +19,7 @@ import numpy as np
 from .diagnostics import blowup_monitor, monotonicity_audit
 from .errors import BlowUpError, UsageError
 from .grid import Field, Grid, norm, random_band_limited_field, to_spectral
-from .integrator import SchemeConfig, integrate
+from .integrator import SchemeConfig, integrate, trajectory
 from .io import write_config
 from .mollifier import make_mollifier, mollify
 from .physics import DEFAULT_PARAMS, EffectiveFieldParams, gn_ratios, lipschitz_probe
@@ -63,6 +64,8 @@ class StudySpec:
         if self.t_end <= 0:
             raise UsageError(f"t_end must be positive, got {self.t_end}")
         if self.kind in ("eps_cauchy", "eps_limit"):
+            if self.scheme.adaptive:
+                raise UsageError(f"{self.kind} steps its legs on one fixed dt; drop --adaptive")
             need = 3 if self.kind == "eps_cauchy" else 2
             if len(self.eps_list) < need:
                 raise UsageError(f"{self.kind} needs at least {need} eps values")
@@ -104,22 +107,17 @@ def _leg_start(u0, eps, kernel):
     return J, mollify(J, to_spectral(u0))
 
 
-def _run_trajectory(spec, u0, eps):
-    """Integrate one leg of spec's scheme and kernel from _leg_start,
-    collecting the field at every report time."""
+def _leg(spec, u0, eps):
+    """The samples of one leg of spec's scheme and kernel from _leg_start;
+    a blow-up carries the leg's label and verdict."""
     J, start = _leg_start(u0, eps, spec.kernel)
-    snapshots = {}
-    result = integrate(
-        start,
-        spec.t_end,
-        spec.scheme,
-        spec.params,
-        J,
-        observer=lambda u, t, k: snapshots.__setitem__(k, u),
-        report_every=spec.report_every,
-        metadata=_study_metadata(spec, eps),
-    )
-    return result, snapshots
+    try:
+        yield from trajectory(
+            start, spec.t_end, spec.scheme, spec.params, J,
+            report_every=spec.report_every, metadata=_study_metadata(spec, eps),
+        )
+    except BlowUpError as exc:
+        raise _attach_verdict(exc, f"eps={eps}")
 
 
 def _attach_verdict(exc: BlowUpError, label: str) -> BlowUpError:
@@ -179,33 +177,31 @@ class RateReport:
 
 
 def _eps_study(spec: StudySpec, against_limit: bool) -> RateReport:
+    """Steps the legs in lockstep, one sample at a time in eps order, and
+    holds only their current states: each pair's sup-in-t L2 difference
+    and each leg's sup-in-t H2 are running maxima. A blow-up names the
+    first leg to blow up, to within one report interval; legs that blow
+    up in the same interval go in eps order."""
     u0 = spec.initial_data()
-    grid = u0.grid
-    legs = {}
-    h2_sups = []
     eps_values = list(spec.eps_list) + ([None] if against_limit else [])
-    for eps in eps_values:
-        try:
-            result, snaps = _run_trajectory(spec, u0, eps)
-        except BlowUpError as exc:
-            raise _attach_verdict(exc, f"eps={eps}")
-        legs[eps] = snaps
-        h2_sups.append((eps, float(np.max(result.series.column("h2")))))
-
-    pairs = []
+    m = len(spec.eps_list)
     if against_limit:
-        for eps in spec.eps_list:
-            pairs.append((eps, 0.0, sup_t_difference(legs[eps], legs[None])))
+        pair_index = [(i, m) for i in range(m)]
     else:
-        eps = spec.eps_list
-        for i in range(len(eps)):
-            for j in range(i + 1, len(eps)):
-                pairs.append((eps[i], eps[j], sup_t_difference(legs[eps[i]], legs[eps[j]])))
-
-    xs = [max(a, b) for a, b, _ in pairs]
-    ys = [d for _, _, d in pairs]
-    scale = max(1.0, max(v for _, v in h2_sups))
-    stationary = max(ys) <= 1e-12 * scale
+        pair_index = list(itertools.combinations(range(m), 2))
+    ys = [0.0] * len(pair_index)
+    h2 = [-math.inf] * len(eps_values)
+    for samples in zip(*(_leg(spec, u0, eps) for eps in eps_values), strict=True):
+        if len({r.t for _, r in samples}) > 1:
+            raise UsageError("compared runs must share their report cadence")
+        ys = [
+            max(d, norm(samples[i][0] - samples[j][0], "l2"))
+            for d, (i, j) in zip(ys, pair_index)
+        ]
+        h2 = [max(h, r.h2) for h, (_, r) in zip(h2, samples)]
+    pairs = [(eps_values[i], eps_values[j] or 0.0, d) for (i, j), d in zip(pair_index, ys)]
+    xs = [eps_values[i] for i, _ in pair_index]  # the larger eps of each pair
+    stationary = max(ys) <= 1e-12 * max(1.0, *h2)
     if stationary:
         slope, intercept = float("nan"), float("nan")
         dropped = False
@@ -226,7 +222,7 @@ def _eps_study(spec: StudySpec, against_limit: bool) -> RateReport:
         slope=slope,
         intercept=intercept,
         dropped_largest=dropped,
-        h2_sups=tuple(h2_sups),
+        h2_sups=tuple(zip(eps_values, h2)),
         stationary=stationary,
     )
     _write_study_outputs(spec, report, _rate_rows(report))
@@ -320,9 +316,7 @@ def _leg_with_estimate(spec, u0, eps, cfg, kernel, label):
         fine = _segmented_trajectory(spec, u0, eps, fine_cfg, kernel)
     except BlowUpError as exc:
         raise _attach_verdict(exc, label)
-    last = max(fine)
-    est = sup_t_difference(coarse, fine) / (2.0**cfg.order - 1.0)
-    return fine, est, last
+    return fine, sup_t_difference(coarse, fine) / (2.0**cfg.order - 1.0)
 
 
 def _coarsened(cfg, est, est_target, t_end, n_checkpoints=10):
@@ -349,8 +343,8 @@ def run_uniqueness(spec: StudySpec) -> UniquenessReport:
         raise UsageError("uniqueness study needs a second configuration (scheme_b)")
     u0 = spec.initial_data()
     cfg_a, cfg_b = spec.scheme, spec.scheme_b
-    snaps_a, est_a, _ = _leg_with_estimate(spec, u0, spec.eps_a, cfg_a, spec.kernel, "leg a")
-    snaps_b, est_b, _ = _leg_with_estimate(spec, u0, spec.eps_b, cfg_b, spec.kernel_b, "leg b")
+    snaps_a, est_a = _leg_with_estimate(spec, u0, spec.eps_a, cfg_a, spec.kernel, "leg a")
+    snaps_b, est_b = _leg_with_estimate(spec, u0, spec.eps_b, cfg_b, spec.kernel_b, "leg b")
     # One rescaling pass toward matched accuracy so "3x the finer estimate"
     # compares runs of commensurate quality.  Always coarsen the *more
     # accurate* leg: refining the sloppier one can demand arbitrarily many
@@ -360,12 +354,12 @@ def run_uniqueness(spec: StudySpec) -> UniquenessReport:
     if est_a > 0 and est_b > 0 and not (0.1 <= est_b / est_a <= 10.0):
         if est_b < est_a:
             cfg_b = _coarsened(cfg_b, est_b, est_a, spec.t_end)
-            snaps_b, est_b, _ = _leg_with_estimate(
+            snaps_b, est_b = _leg_with_estimate(
                 spec, u0, spec.eps_b, cfg_b, spec.kernel_b, "leg b (rescaled)"
             )
         else:
             cfg_a = _coarsened(cfg_a, est_a, est_b, spec.t_end)
-            snaps_a, est_a, _ = _leg_with_estimate(
+            snaps_a, est_a = _leg_with_estimate(
                 spec, u0, spec.eps_a, cfg_a, spec.kernel, "leg a (rescaled)"
             )
     last = max(snaps_a)
@@ -450,22 +444,8 @@ def _measure_mode_rate(spec, grid, mode, amplitude):
     """Fit log |u_hat(mode, t)| vs t over the report cadence."""
     u0 = _seed_mode(grid, mode, amplitude)
     idx = tuple(m % grid.n for m in mode)
-    series_t, series_a = [], []
-
-    def observer(u, t, k):
-        series_t.append(t)
-        series_a.append(abs(u.data[(2,) + idx]))
-
-    integrate(
-        to_spectral(u0),
-        spec.t_end,
-        spec.scheme,
-        spec.params,
-        observer=observer,
-        report_every=spec.report_every,
-    )
-    amps = np.array(series_a)
-    ts = np.array(series_t)
+    run = trajectory(u0, spec.t_end, spec.scheme, spec.params, report_every=spec.report_every)
+    ts, amps = np.array([(r.t, abs(u.data[(2,) + idx])) for u, r in run]).T
     if np.any(amps <= 0):
         raise UsageError(f"mode {mode} amplitude reached zero; shorten t_end")
     rate, _ = np.polyfit(ts, np.log(amps), 1)

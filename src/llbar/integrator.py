@@ -6,6 +6,9 @@ Euler (etd1), the two-stage exponential Runge-Kutta scheme (etd_rk2), or
 the semi-implicit two-step backward differentiation formula (imex_bdf2,
 bootstrapped by one etd_rk2 step).
 
+trajectory is the one stepping loop: a generator of the samples that
+returns the run's result. integrate drains it.
+
 The state, the propagator tables, N(u), the imex_bdf2 history, the
 samples and the returned field all use the one spectral layout of
 llbar.grid, the half lattice of real transforms.
@@ -13,11 +16,12 @@ llbar.grid, the half lattice of real transforms.
 
 from __future__ import annotations
 
+from collections.abc import Generator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import TimeSeries, report
+from .diagnostics import EnergyReport, TimeSeries, report
 from .errors import BlowUpError, UsageError
 from .grid import SPECTRAL, Field, Grid, _derived, norm, to_physical, to_spectral
 from .mollifier import MollifierSymbol
@@ -270,29 +274,27 @@ def step(
     return out if u.representation == SPECTRAL else to_physical(out)
 
 
-def integrate(
+def trajectory(
     u0: Field,
     t_end: float,
     cfg: SchemeConfig,
     p: EffectiveFieldParams = DEFAULT_PARAMS,
     J: MollifierSymbol | None = None,
-    observer=None,
     report_every: int = 10,
     metadata: dict | None = None,
     state: SchemeState | None = None,
-) -> IntegrationResult:
-    """Advance u0 to t_end; returns the final field, the sampled time
-    series (first step, every report_every-th, last), and the scheme
-    state needed to continue the run bit-exactly. At each sample the
-    observer gets (u, t, step) with a new spectral Field u that the
-    integrator keeps no reference to.
+) -> Generator[tuple[Field, EnergyReport], None, IntegrationResult]:
+    """Advance u0 to t_end, yielding (u, report) at each sample (first
+    step, every report_every-th, last): u is a new spectral Field the
+    integrator keeps no reference to, report the EnergyReport just
+    appended to the series. Returns the IntegrationResult of integrate.
 
     A non-finite state, or an adaptive step size collapsing below
     dt_min, raises the blow-up signal carrying the partial series and the
     offending field; the series gains a final flagged report first
     ("nan"), or its row at the collapse time is flagged "dt_collapse"
     (appended when that time is past the last row), so on-disk records
-    show the failure.
+    show the failure. Those flagged rows are not yielded.
     """
     if t_end < 0:
         raise UsageError(f"t_end must be nonnegative, got {t_end}")
@@ -311,21 +313,16 @@ def integrate(
             series=series,
             field=u0,
         )
-    u0hat = to_spectral(u0)
-    uhat = u0hat.data
+    uhat = to_spectral(u0).data
 
     def sample(uhat, force=False):
         if force or st.step % report_every == 0:
             if not series.reports or st.t > series.reports[-1].t:
                 u = _derived(grid, uhat)
                 series.append(report(u, st.t, p))
-                if observer is not None:
-                    observer(u.copy(), st.t, st.step)
+                yield u.copy(), series.reports[-1]
 
-    sample(uhat, force=True)
-    if t_end == 0:
-        # zero-length run: still report the initial state
-        return IntegrationResult(u0hat, series, st)
+    yield from sample(uhat, force=True)
     dt_next = cfg.dt
     while True:
         remaining = t_end - st.t
@@ -360,9 +357,29 @@ def integrate(
                 series=series,
                 field=u,
             )
-        sample(uhat)
-    sample(uhat, force=True)
+        yield from sample(uhat)
+    yield from sample(uhat, force=True)
     return IntegrationResult(_derived(grid, uhat), series, st)
+
+
+def integrate(
+    u0: Field,
+    t_end: float,
+    cfg: SchemeConfig,
+    p: EffectiveFieldParams = DEFAULT_PARAMS,
+    J: MollifierSymbol | None = None,
+    report_every: int = 10,
+    metadata: dict | None = None,
+    state: SchemeState | None = None,
+) -> IntegrationResult:
+    """Drain trajectory: the final field, the sampled time series and the
+    scheme state needed to continue the run bit-exactly."""
+    run = trajectory(u0, t_end, cfg, p, J, report_every, metadata, state)
+    while True:
+        try:
+            next(run)
+        except StopIteration as done:
+            return done.value
 
 
 @dataclass(frozen=True)

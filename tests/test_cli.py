@@ -318,6 +318,20 @@ class TestConverge:
         assert code == 2
         assert "check failed: sup-in-time H2 spread" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("study", ["eps_cauchy", "eps_limit"])
+    def test_eps_study_rejects_adaptive_before_any_leg(self, outdir, capsys, study):
+        code = run("converge", "--study", study, "--n", "16", "--t-end", "0.05",
+                   "--report-every", "1", "--adaptive", "--tol", "1e-7",
+                   "--outdir", outdir)
+        assert code == 1
+        assert "--adaptive" in capsys.readouterr().err
+
+    def test_eps_study_blow_up_names_the_leg(self, outdir, capsys):
+        code = run("converge", "--study", "eps_limit", "--n", "16", "--dt", "0.05",
+                   "--amplitude", "5", "--t-end", "1", "--outdir", outdir)
+        assert code == 3
+        assert "blow-up in eps=0.4: non-finite state" in capsys.readouterr().err
+
     def test_unknown_study_rejected(self, outdir):
         assert run("converge", "--study", "warp_drive", "--outdir", outdir) == 1
 

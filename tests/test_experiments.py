@@ -6,8 +6,10 @@ stepping (see the values inline); structural expectations (slope
 thresholds, flag logic, file layout) are asserted directly.
 """
 
+import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +28,9 @@ from llbar.experiments import (
     sup_t_difference,
 )
 from llbar.grid import Grid, constant_field, random_band_limited_field, to_spectral
-from llbar.integrator import SchemeConfig, integrate
+from llbar.integrator import SchemeConfig, integrate, trajectory
 from llbar.io import read_config
+from llbar.mollifier import make_mollifier, mollify
 from llbar.physics import EffectiveFieldParams, gn_ratios
 
 from conftest import CALIBRATION_FILE
@@ -101,6 +104,11 @@ class TestStudySpec:
         with pytest.raises(UsageError):
             StudySpec(kind="eps_cauchy", eps_list=(1.5, 0.2, 0.1))
 
+    @pytest.mark.parametrize("kind", ["eps_cauchy", "eps_limit"])
+    def test_eps_studies_reject_adaptive_stepping(self, kind):
+        with pytest.raises(UsageError, match="--adaptive"):
+            StudySpec(kind=kind, **{**SWEEP, "scheme": SchemeConfig(adaptive=True)})
+
     def test_runners_check_kind(self):
         spec = StudySpec(kind="uniqueness", scheme_b=SchemeConfig())
         for runner in (run_eps_cauchy, run_eps_limit, run_linear_growth, run_gn_calibration):
@@ -133,6 +141,61 @@ class TestSupTDifference:
         g = Grid(2, 16)
         u = to_spectral(random_band_limited_field(g, seed=1, amplitude=0.5, kmax=4))
         assert sup_t_difference({0.0: u, 0.1: u}, {0.0: u, 0.1: u}) == 0.0
+
+
+def legs_one_at_a_time(spec, against_limit):
+    """(pairs, h2_sups) of an eps study whose legs run alone, keep every
+    sample, and are compared afterwards."""
+    u0 = spec.initial_data()
+    eps_values = list(spec.eps_list) + ([None] if against_limit else [])
+    snaps, h2_sups = {}, []
+    for eps in eps_values:
+        J = make_mollifier(u0.grid, eps, spec.kernel) if eps else None
+        start = to_spectral(u0) if J is None else mollify(J, to_spectral(u0))
+        samples = list(
+            trajectory(start, spec.t_end, spec.scheme, spec.params, J,
+                       report_every=spec.report_every)
+        )
+        snaps[eps] = {r.t: u for u, r in samples}
+        h2_sups.append((eps, max(r.h2 for _, r in samples)))
+    if against_limit:
+        compared = [(eps, None) for eps in spec.eps_list]
+    else:
+        compared = list(itertools.combinations(spec.eps_list, 2))
+    pairs = [(a, b or 0.0, sup_t_difference(snaps[a], snaps[b])) for a, b in compared]
+    return tuple(pairs), tuple(h2_sups)
+
+
+class TestLockstepLegs:
+    """The eps studies step their legs together and keep only the current
+    states; their numbers are those of legs run one at a time."""
+
+    def test_cauchy_matches_legs_run_alone(self, cauchy_report):
+        spec = StudySpec(kind="eps_cauchy", **SWEEP)
+        assert (cauchy_report.pairs, cauchy_report.h2_sups) == legs_one_at_a_time(
+            spec, against_limit=False
+        )
+
+    def test_limit_matches_legs_run_alone(self, limit_report):
+        spec = StudySpec(kind="eps_limit", **SWEEP)
+        assert (limit_report.pairs, limit_report.h2_sups) == legs_one_at_a_time(
+            spec, against_limit=True
+        )
+
+    def test_memory_does_not_grow_with_t_end(self):
+        # tracemalloc peaks at T and 4T: 1.02 and 1.95 MB when the study
+        # kept every sample of every leg, 1.05 and 1.06 MB with lockstep legs
+        spec = {**SWEEP, "kind": "eps_limit"}
+        run_eps_limit(StudySpec(**{**spec, "t_end": 0.025}))  # warm the caches
+        peaks = []
+        for t_end in (0.025, 0.1):
+            tracemalloc.start()
+            try:
+                run_eps_limit(StudySpec(**{**spec, "t_end": t_end}))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestEpsCauchy:

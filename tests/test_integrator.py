@@ -33,6 +33,7 @@ from llbar.integrator import (
     integrate,
     measure_temporal_order,
     step,
+    trajectory,
 )
 from llbar.io import _full_spectrum
 from llbar.mollifier import make_mollifier
@@ -249,18 +250,6 @@ class TestIntegrate:
         # 25 steps: reports at steps 0, 10, 20, 25
         assert np.allclose(res.series.times, [0.0, 0.010, 0.020, 0.025])
 
-    def test_observer_called_at_cadence(self, grid16_2d):
-        u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
-        seen = []
-        integrate(
-            u0,
-            0.02,
-            SchemeConfig(dt=1e-3),
-            observer=lambda u, t, k: seen.append(k),
-            report_every=5,
-        )
-        assert seen == [0, 5, 10, 15, 20]
-
     def test_deterministic_rerun_bit_exact(self, grid32_2d):
         u0 = random_band_limited_field(grid32_2d, seed=3, amplitude=0.5, kmax=8)
         cfg = SchemeConfig(scheme="etd_rk2", dt=1e-3)
@@ -284,6 +273,67 @@ class TestIntegrate:
             u0, 0.01, SchemeConfig(dt=1e-3), metadata={"seed": "7", "scheme": "etd_rk2"}
         )
         assert res.series.metadata == {"seed": "7", "scheme": "etd_rk2"}
+
+
+def drain(run):
+    """(the yielded samples, the returned result) of a trajectory."""
+    samples = []
+    while True:
+        try:
+            samples.append(next(run))
+        except StopIteration as done:
+            return samples, done.value
+
+
+def same_run(a, b):
+    return (
+        np.array_equal(a.field.data, b.field.data)
+        and [r.row() for r in a.series.reports] == [r.row() for r in b.series.reports]
+        and (a.state.t, a.state.step) == (b.state.t, b.state.step)
+    )
+
+
+class TestTrajectory:
+    """The generator behind integrate: one (u, report) per sample, then
+    the run's result."""
+
+    def test_samples_at_cadence(self, grid16_2d):
+        u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
+        samples, res = drain(trajectory(u0, 0.02, SchemeConfig(dt=1e-3), report_every=5))
+        assert [round(r.t / 1e-3) for _, r in samples] == [0, 5, 10, 15, 20]
+        assert [r for _, r in samples] == res.series.reports
+        assert all(u.representation == "spectral" for u, _ in samples)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_integrate_drains_trajectory(self, grid16_2d, scheme):
+        u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
+        cfg = SchemeConfig(scheme=scheme, dt=1e-3)
+        J = make_mollifier(grid16_2d, 0.2)
+        _, drained = drain(trajectory(u0, 0.0105, cfg, J=J, report_every=3))
+        assert same_run(drained, integrate(u0, 0.0105, cfg, J=J, report_every=3))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_changing_yielded_fields_leaves_the_run_bit_identical(self, grid16_2d, scheme):
+        # a yielded field that aliased the state (which the next step
+        # starts from, and imex_bdf2 keeps as history) would feed the
+        # change back into the run
+        u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
+        cfg = SchemeConfig(scheme=scheme, dt=1e-3)
+        run = trajectory(u0, 0.02, cfg, report_every=1)
+        while True:
+            try:
+                u, _ = next(run)
+            except StopIteration as done:
+                res = done.value
+                break
+            u.data *= 2.0
+        assert same_run(res, integrate(u0, 0.02, cfg, report_every=1))
+
+    def test_zero_length_run_yields_the_initial_state(self, grid16_2d):
+        u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
+        samples, res = drain(trajectory(u0, 0.0, SchemeConfig()))
+        assert len(samples) == len(res.series) == 1
+        assert np.array_equal(samples[0][0].data, to_spectral(u0).data)
 
 
 def upper_mirror_gap(full, grid):
@@ -315,16 +365,16 @@ class TestHalfLattice:
             monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
         for name in ("nonlinear_rhs", "report"):
             monkeypatch.setattr(integrator, name, counting(name, getattr(integrator, name)))
-        seen = []
-        res = integrate(
-            u0,
-            0.02,
-            SchemeConfig(scheme="etd_rk2", dt=1e-3),
-            J=make_mollifier(grid, 0.2),
-            observer=lambda u, t, k: seen.append(u),
-            report_every=10,
+        samples, res = drain(
+            trajectory(
+                u0,
+                0.02,
+                SchemeConfig(scheme="etd_rk2", dt=1e-3),
+                J=make_mollifier(grid, 0.2),
+                report_every=10,
+            )
         )
-        return res, seen
+        return res, [u for u, _ in samples]
 
     def test_integrate_builds_no_full_spectrum(self, grid32_2d, monkeypatch):
         counts = {}
