@@ -292,7 +292,7 @@ def _initial_data(cfg, grid):
 def cmd_simulate(args) -> int:
     cfg = _resolve(args)
     grid = _grid(cfg)
-    J = make_mollifier(grid, cfg["eps"], cfg["kernel"]) if cfg["eps"] > 0 else None
+    J = make_mollifier(grid, cfg["eps"], cfg["kernel"]) if cfg["eps"] else None
     u0 = _initial_data(cfg, grid)
     series_path = os.path.join(cfg["outdir"], "series.csv")
     metadata = {
@@ -333,8 +333,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _resolve(args)
+    if cfg["seeds"] < 1:
+        raise UsageError(f"seeds must be at least 1, got {cfg['seeds']}")
     grid = _grid(cfg)
-    eps = cfg["eps"] if cfg["eps"] > 0 else 0.2
+    eps = cfg["eps"] or 0.2
     rows = identity_suite(
         grid,
         _params(cfg),
@@ -458,7 +460,7 @@ def cmd_converge(args) -> int:
 
 def cmd_mollifier_check(args) -> int:
     cfg = _resolve(args)
-    eps = cfg["eps"] if cfg["eps"] > 0 else 0.2
+    eps = cfg["eps"] or 0.2
     report = verify_mollifier_properties(make_mollifier(_grid(cfg), eps, cfg["kernel"]))
     text = report.to_text()
     print(text)

@@ -74,6 +74,8 @@ class StudySpec:
             grid = self.grid()
             for eps in self.eps_list:
                 make_mollifier(grid, eps, self.kernel)  # validates the range
+        if self.kind == "linear_growth" and any(k < 0 for k in self.mode_ksq):
+            raise UsageError(f"mode |m|^2 values must be nonnegative: {self.mode_ksq}")
 
     def grid(self) -> Grid:
         return Grid(self.dim, self.n, self.box_length)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Generator
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -25,7 +26,13 @@ from .diagnostics import EnergyReport, TimeSeries, report
 from .errors import BlowUpError, UsageError
 from .grid import SPECTRAL, Field, Grid, _derived, norm, to_physical, to_spectral
 from .mollifier import MollifierSymbol
-from .physics import DEFAULT_PARAMS, EffectiveFieldParams, linear_symbol, nonlinear_rhs
+from .physics import (
+    DEFAULT_PARAMS,
+    EffectiveFieldParams,
+    linear_symbol,
+    nonlinear_rhs,
+    nonlinear_symbols,
+)
 
 SCHEMES = ("etd1", "etd_rk2", "imex_bdf2")
 SCHEME_ORDER = {"etd1": 1, "etd_rk2": 2, "imex_bdf2": 2}
@@ -66,8 +73,6 @@ class SchemeConfig:
 class LinearPropagator:
     """Tabulated e^{dt sigma}, phi1(dt sigma), phi2(dt sigma)."""
 
-    grid: Grid
-    dt: float
     symbol: np.ndarray
     exp: np.ndarray
     phi1: np.ndarray
@@ -83,7 +88,7 @@ class LinearPropagator:
     ) -> "LinearPropagator":
         sigma = linear_symbol(grid, p, J)
         z = dt * sigma
-        return cls(grid, dt, sigma, np.exp(z), _phi1(z), _phi2(z))
+        return cls(sigma, np.exp(z), _phi1(z), _phi2(z))
 
 
 def _phi1(z):
@@ -136,8 +141,10 @@ class IntegrationResult:
 
 
 class Stepper:
-    """Stateful single-run driver; owns the propagator tables and, for the
-    two-step scheme, the history pair."""
+    """Stateful single-run driver and the run's spectral kernel: it builds
+    the symbols of N(u) once, keeps the propagator tables of the last two
+    step sizes (a step and, under step doubling, its half) and, for the
+    two-step scheme, holds the history pair."""
 
     def __init__(
         self,
@@ -147,26 +154,18 @@ class Stepper:
         J: MollifierSymbol | None = None,
         state: SchemeState | None = None,
     ):
-        if J is not None and not J.grid.compatible(grid):
-            raise UsageError("mollifier grid does not match the run grid")
         self.grid = grid
         self.cfg = cfg
         self.p = p
         self.J = J
         self.state = state if state is not None else SchemeState()
-        self._tables: dict[float, LinearPropagator] = {}
-
-    def _prop(self, dt: float) -> LinearPropagator:
-        if dt not in self._tables:
-            if len(self._tables) > 8:
-                self._tables.clear()
-            self._tables[dt] = LinearPropagator.build(self.grid, dt, self.p, self.J)
-        return self._tables[dt]
+        self._symbols = nonlinear_symbols(grid, p, J)  # checks J's grid
+        self._prop = lru_cache(maxsize=2)(partial(LinearPropagator.build, grid, p=p, J=J))
 
     def _nonlinear(self, uhat: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinear:
             return np.zeros_like(uhat)
-        return nonlinear_rhs(self.grid, uhat, self.p, self.J)
+        return nonlinear_rhs(self.grid, uhat, self._symbols)
 
     def _etd1(self, uhat: np.ndarray, dt: float) -> np.ndarray:
         lp = self._prop(dt)

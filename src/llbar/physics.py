@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 import numpy as np
 
@@ -172,14 +171,26 @@ def linear_symbol(
     return sigma * rho * rho
 
 
-def nonlinear_rhs(
+def nonlinear_symbols(
     grid: Grid,
-    uhat: np.ndarray,
     p: EffectiveFieldParams = DEFAULT_PARAMS,
     J: MollifierSymbol | None = None,
-) -> np.ndarray:
+) -> tuple:
+    """The symbols of nonlinear_rhs on the half lattice: rho mask, -|k|^2,
+    -(c + c_lap |k|^2) rho mask and gamma rho mask. A Stepper builds them
+    once per run."""
+    if J is not None:
+        _check_same_grid(J.grid, grid)
+    ksq = grid.ksq
+    smooth = _symbol(J) * grid.dealias_mask
+    cube = -(p.cubic_coeff + p.cubic_laplacian_coeff * ksq) * smooth
+    return smooth, -ksq, cube, p.gamma * smooth
+
+
+def nonlinear_rhs(grid: Grid, uhat: np.ndarray, symbols: tuple) -> np.ndarray:
     """F_eps(u) minus the linear_symbol part, from the half spectrum uhat
-    (3, ..., n//2+1) of u to the half spectrum of the result.
+    (3, ..., n//2+1) of u to the half spectrum of the result; symbols is
+    the tuple nonlinear_symbols built for the grid, constants and J.
 
     Only the genuinely nonlinear products are transformed, with real
     transforms: with v = mask rho u (the dealiased smoothed state),
@@ -190,10 +201,7 @@ def nonlinear_rhs(
     its linear_symbol part. Non-finite input gives a non-finite result,
     not an exception: inside a time step that marks the step a blow-up.
     """
-    if J is not None:
-        _check_same_grid(J.grid, grid)
-    smooth, lap, cube, cross = _nonlinear_symbols(grid, p, J)
-
+    smooth, lap, cube, cross = symbols
     vhat = smooth * uhat
     v = grid.irfftn(vhat)
     lap_v = grid.irfftn(lap * vhat)
@@ -202,17 +210,6 @@ def nonlinear_rhs(
     data = cube * cube_hat
     data -= cross * cross_hat
     return data
-
-
-@lru_cache(maxsize=8)
-def _nonlinear_symbols(grid: Grid, p: EffectiveFieldParams, J: MollifierSymbol | None):
-    """The symbols of nonlinear_rhs, built once per run (grid and J hash
-    by identity): rho mask, -|k|^2, -(c + c_lap |k|^2) rho mask and
-    gamma rho mask."""
-    ksq = grid.ksq
-    smooth = _symbol(J) * grid.dealias_mask
-    cube = -(p.cubic_coeff + p.cubic_laplacian_coeff * ksq) * smooth
-    return smooth, -ksq, cube, p.gamma * smooth
 
 
 def rhs_consistency_with_heff(

@@ -99,6 +99,22 @@ class TestUsageErrors:
         assert run("simulate", "--snapshot", snap, "--n", "64",
                    "--outdir", outdir) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--n", "16", "--t-end", "0.01", "--eps", "-0.3"),
+            ("verify", "--n", "16", "--seeds", "1", "--eps", "-1"),
+            ("mollifier-check", "--n", "16", "--eps", "-1"),
+            ("verify", "--n", "16", "--seeds", "0"),
+            ("converge", "--study", "linear_growth", "--n", "16", "--mode-ksq=-1"),
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(self, outdir, capsys, argv):
+        # a negative eps is not the limit flow, zero seeds check nothing,
+        # and no lattice mode has a negative |m|^2
+        assert run(*argv, "--outdir", outdir) == 1
+        assert "usage error:" in capsys.readouterr().err
+
 
 class TestDataErrors:
     def test_missing_snapshot_file(self, tmp_path, outdir):

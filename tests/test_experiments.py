@@ -182,6 +182,26 @@ class TestLockstepLegs:
             spec, against_limit=True
         )
 
+    def test_each_leg_builds_its_symbols_once(self, monkeypatch):
+        # one build per leg, also past eight legs
+        import llbar.integrator as integrator
+
+        builds = []
+        build = integrator.nonlinear_symbols
+
+        def counting(grid, p, J):
+            builds.append(J)
+            return build(grid, p, J)
+
+        monkeypatch.setattr(integrator, "nonlinear_symbols", counting)
+        eps_list = (0.4, 0.35, 0.3, 0.25, 0.2, 0.15, 0.1, 0.08, 0.06)
+        spec = StudySpec(**{**SWEEP, "kind": "eps_limit", "n": 16,
+                            "eps_list": eps_list, "t_end": 0.01})
+        report = run_eps_limit(spec)
+        assert len(report.pairs) == 9
+        assert len(builds) == 10
+        assert [J.eps for J in builds[:-1]] == list(eps_list) and builds[-1] is None
+
     def test_memory_does_not_grow_with_t_end(self):
         # tracemalloc peaks at T and 4T: 1.02 and 1.95 MB when the study
         # kept every sample of every leg, 1.05 and 1.06 MB with lockstep legs

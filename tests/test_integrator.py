@@ -572,6 +572,42 @@ class TestAdaptive:
         assert exc.value.field.data.shape == (3,) + grid32_2d.spectral_shape
 
 
+class TestRunKernel:
+    """A Stepper tabulates the propagator of a step size once and keeps
+    the tables of the last two sizes."""
+
+    def count_builds(self, monkeypatch):
+        dts = []
+        build = LinearPropagator.build
+
+        def counting(grid, dt, **kwargs):
+            dts.append(dt)
+            return build(grid, dt, **kwargs)
+
+        monkeypatch.setattr(LinearPropagator, "build", counting)
+        return dts
+
+    def test_fixed_step_run_builds_the_step_and_the_short_last_step(
+        self, grid16_2d, monkeypatch
+    ):
+        dts = self.count_builds(monkeypatch)
+        u0 = random_band_limited_field(grid16_2d, seed=0, amplitude=0.5, kmax=4)
+        res = integrate(u0, 0.0105, SchemeConfig(dt=1e-3))
+        assert res.state.step == 11
+        assert dts[0] == 1e-3 and dts[1] == pytest.approx(5e-4)
+        assert len(dts) == 2
+
+    def test_adaptive_run_keeps_the_step_and_half_step_tables(
+        self, grid16_2d, monkeypatch
+    ):
+        # a step and its half per accepted step: 8 steps, 16 builds
+        dts = self.count_builds(monkeypatch)
+        u0 = random_band_limited_field(grid16_2d, seed=0, decay_r=3.0, amplitude=0.5)
+        res = integrate(u0, 0.05, SchemeConfig(dt=1e-3, adaptive=True, tol=1e-6))
+        assert res.state.t == pytest.approx(0.05)
+        assert len(dts) <= 16
+
+
 class TestBlowUpEscalation:
     def test_unstable_run_raises_with_partial_series(self, grid32_2d):
         u0 = random_band_limited_field(

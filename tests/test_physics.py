@@ -45,6 +45,7 @@ from llbar.physics import (
     linear_symbol,
     lipschitz_probe,
     nonlinear_rhs,
+    nonlinear_symbols,
     rhs,
     rhs_consistency_with_heff,
 )
@@ -57,7 +58,8 @@ BOTH_PARAMS = [DEFAULT_PARAMS, GENERAL_PARAMS]
 def nonlinear_field(u, p=DEFAULT_PARAMS, J=None):
     """N(u) as a spectral Field: nonlinear_rhs maps spectrum arrays."""
     grid = u.grid
-    return Field(grid, nonlinear_rhs(grid, to_spectral(u).data, p, J), SPECTRAL)
+    symbols = nonlinear_symbols(grid, p, J)
+    return Field(grid, nonlinear_rhs(grid, to_spectral(u).data, symbols), SPECTRAL)
 
 
 def fd_rhs(u, p):
@@ -413,7 +415,7 @@ class TestMollifiedRhs:
         half = np.zeros((3, 16, 9), dtype=np.complex128)
         half[0, 1, 1] = complex("inf")
         with np.errstate(invalid="ignore", over="ignore"):
-            out = nonlinear_rhs(grid16_2d, half)
+            out = nonlinear_rhs(grid16_2d, half, nonlinear_symbols(grid16_2d))
         assert out.shape == half.shape
         assert not np.all(np.isfinite(out))
 
