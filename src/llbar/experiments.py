@@ -560,41 +560,25 @@ def run_gn_calibration(spec: StudySpec) -> CalibrationReport:
     return report
 
 
-def find_stable_dt(
-    grid: Grid,
-    scheme: SchemeConfig | None = None,
-    p: EffectiveFieldParams = DEFAULT_PARAMS,
-    seed: int = 0,
-    amplitude: float = 0.5,
-    kmax: int | None = None,
-    t_end: float = 0.5,
-    dt_max: float = 0.4,
-    refinements: int = 12,
-    min_steps: int = 25,
-) -> float:
+def find_stable_dt(grid: Grid, seed: int = 0) -> float:
     """Largest dt in a halving ladder whose probe run keeps the energy
     monotone and the gradient bounded; the audit-failure demonstrations
     use 10x this value.
 
-    The probe uses a rough band-limited field (kmax = n/4 by default) and
-    the first-order scheme, whose stability window is the narrowest, and
-    every rung integrates at least min_steps steps so a large dt cannot
-    pass on a one-step technicality.
+    The probe is the seeded rough band-limited field of amplitude 0.5 and
+    kmax = n/4 under the first-order scheme, whose stability window is the
+    narrowest. The ladder starts at dt = 0.4 and halves up to 12 times;
+    every rung integrates to max(0.5, 25 dt), so a large dt cannot pass on
+    a one-step technicality.
     """
-    if kmax is None:
-        kmax = grid.n // 4
-    u0 = random_band_limited_field(grid, seed=seed, amplitude=amplitude, kmax=kmax)
-    cfg = scheme or SchemeConfig(scheme="etd1")
-    dt = dt_max
-    for _ in range(refinements):
+    u0 = random_band_limited_field(grid, seed=seed, amplitude=0.5, kmax=grid.n // 4)
+    cfg = SchemeConfig(scheme="etd1")
+    dt = 0.4
+    for _ in range(12):
         try:
-            horizon = max(t_end, min_steps * dt)
+            horizon = max(0.5, 25 * dt)
             res = integrate(
-                u0,
-                horizon,
-                replace(cfg, dt=dt, dt_min=min(dt, cfg.dt_min)),
-                p,
-                report_every=1,
+                u0, horizon, replace(cfg, dt=dt, dt_min=min(dt, cfg.dt_min)), report_every=1
             )
             if monotonicity_audit(res.series).passed and blowup_monitor(res.series).healthy:
                 return dt

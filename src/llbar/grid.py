@@ -1,4 +1,4 @@
-"""Spectral core: periodic grids, R^3-valued fields, and Fourier-multiplier calculus.
+"""Spectral core: periodic grids, R^3-valued fields, spectral derivatives and norms.
 
 Conventions. The torus is [0, L)^dim sampled on n points per axis. Forward
 transforms are unnormalized and the inverse carries the 1/N factor (numpy's
@@ -317,64 +317,7 @@ def to_physical(f: Field) -> Field:
     return Field(f.grid, f.grid.irfftn(f.data), PHYSICAL)
 
 
-# -- multiplier operators -----------------------------------------------------
-
-
-@dataclass(eq=False)
-class MultiplierOp:
-    """Diagonal Fourier operator: componentwise multiplication by a real,
-    radially even symbol evaluated on the wavenumber lattice."""
-
-    grid: Grid
-    values: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        if self.values.shape != self.grid.spectral_shape:
-            raise DataError(
-                f"symbol shape {self.values.shape} != lattice shape "
-                f"{self.grid.spectral_shape}"
-            )
-        if not np.isrealobj(self.values):
-            raise DataError("multiplier symbols must be real")
-
-    def compose(self, other: "MultiplierOp") -> "MultiplierOp":
-        _check_same_grid(self.grid, other.grid)
-        return MultiplierOp(
-            self.grid, self.values * other.values, f"{self.name}*{other.name}"
-        )
-
-
-def multiplier(grid: Grid, symbol, name: str = "") -> MultiplierOp:
-    """Build a MultiplierOp from a scalar function of |xi|^2."""
-    values = np.asarray(symbol(grid.ksq), dtype=np.float64)
-    values = np.broadcast_to(values, grid.spectral_shape).copy()
-    return MultiplierOp(grid, values, name)
-
-
-def laplacian_op(grid: Grid) -> MultiplierOp:
-    return multiplier(grid, lambda k2: -k2, "laplacian")
-
-
-def bilaplacian_op(grid: Grid) -> MultiplierOp:
-    return multiplier(grid, lambda k2: k2**2, "bilaplacian")
-
-
-def bessel_op(grid: Grid, s: float) -> MultiplierOp:
-    return multiplier(grid, lambda k2: (1.0 + k2) ** (s / 2.0), f"bessel^{s}")
-
-
-def apply_multiplier(op: MultiplierOp, f: Field) -> Field:
-    """Apply a diagonal operator; preserves the input representation."""
-    _check_same_grid(op.grid, f)
-    out = _derived(f.grid, op.values[np.newaxis] * to_spectral(f).data)
-    return out if f.representation == SPECTRAL else to_physical(out)
-
-
-def dealias(f: Field) -> Field:
-    """Zero all modes outside the 2/3-rule band; preserves representation."""
-    out = _derived(f.grid, to_spectral(f).data * f.grid.dealias_mask[np.newaxis])
-    return out if f.representation == SPECTRAL else to_physical(out)
+# -- derivatives --------------------------------------------------------------
 
 
 def gradient(f: Field) -> tuple[Field, ...]:
@@ -388,6 +331,12 @@ def gradient(f: Field) -> tuple[Field, ...]:
         g = _derived(f.grid, (1j * ka)[np.newaxis] * fs.data)
         out.append(g if f.representation == SPECTRAL else to_physical(g))
     return tuple(out)
+
+
+def laplacian(f: Field) -> Field:
+    """Spectral Laplacian, the symbol -|xi|^2; in the input's representation."""
+    out = _derived(f.grid, -f.grid.ksq * to_spectral(f).data)
+    return out if f.representation == SPECTRAL else to_physical(out)
 
 
 # -- norms and inner products -------------------------------------------------

@@ -94,13 +94,11 @@ def _read_field_body(fh, path) -> Field:
     head = _read_header(fh, path)
     try:
         representation = head["representation"]
-        dim = int(head["dim"])
-        n = int(head["n"])
-        box_length = float(head["box_length"])
         dtype = _DTYPES[representation]
+        # an impossible grid (UsageError is a ValueError) is malformed data
+        grid = Grid(int(head["dim"]), int(head["n"]), float(head["box_length"]))
     except (KeyError, ValueError) as exc:
         raise SnapshotFormatError(f"bad snapshot header in {path}: {exc}") from exc
-    grid = Grid(dim, n, box_length)
     nbytes = 3 * grid.npoints * dtype.itemsize
     raw = _read_exact(fh, nbytes, path)
     data = np.frombuffer(raw, dtype=dtype).reshape((3,) + grid.shape)
@@ -220,8 +218,12 @@ def read_config(path) -> dict:
     keys are an error (silent override hides typos in run configs).
     """
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: not UTF-8 text: {exc}") from exc
+        for lineno, line in enumerate(lines, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue

@@ -24,12 +24,10 @@ from llbar.experiments import (
 )
 from llbar.grid import (
     Grid,
-    apply_multiplier,
-    bilaplacian_op,
     constant_field,
     gradient,
     inner_product,
-    laplacian_op,
+    laplacian,
     norm,
     random_band_limited_field,
     to_spectral,
@@ -296,11 +294,11 @@ def test_9_oracle_equivalence():
         pairs = [
             (gradient(smooth)[0].data, fd_diff(smooth.data, 1, grid.dx, p=6)),
             (
-                apply_multiplier(laplacian_op(grid), smooth).data,
+                laplacian(smooth).data,
                 fd_laplacian(smooth.data, axes, grid.dx, p=6),
             ),
             (
-                apply_multiplier(bilaplacian_op(grid), smooth).data,
+                laplacian(laplacian(smooth)).data,
                 fd_laplacian(
                     fd_laplacian(smooth.data, axes, grid.dx, p=6),
                     axes, grid.dx, p=6,

@@ -99,6 +99,12 @@ class TestUsageErrors:
         assert run("simulate", "--snapshot", snap, "--n", "64",
                    "--outdir", outdir) == 1
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path, outdir, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(bytes(range(256)))
+        assert run("simulate", "--config", str(cfg), "--outdir", outdir) == 1
+        assert f"usage error: {cfg}: not UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -125,6 +131,13 @@ class TestDataErrors:
         bad = tmp_path / "bad.snap"
         bad.write_bytes(b"garbage")
         assert run("simulate", "--snapshot", str(bad), "--outdir", outdir) == 4
+
+    def test_snapshot_with_impossible_grid(self, tmp_path, outdir, capsys):
+        bad = tmp_path / "bad.snap"
+        write_stationary_snapshot(bad, n=32)
+        bad.write_bytes(bad.read_bytes().replace(b"\nn=32\n", b"\nn=7\n", 1))
+        assert run("simulate", "--snapshot", str(bad), "--outdir", outdir) == 4
+        assert "bad snapshot header" in capsys.readouterr().err
 
     def test_snapshot_spectrum_without_mirror(self, tmp_path, outdir, capsys):
         # bump the last coefficient of the full-lattice body: its mirror in

@@ -18,20 +18,16 @@ from llbar.grid import (
     SPECTRAL,
     Field,
     Grid,
-    apply_multiplier,
-    bessel_op,
-    bilaplacian_op,
     constant_field,
-    dealias,
     gradient,
     inner_product,
-    laplacian_op,
-    multiplier,
+    laplacian,
     norm,
     random_band_limited_field,
     to_physical,
     to_spectral,
 )
+from llbar.mollifier import make_mollifier, mollify
 
 SPECTRAL_TOL = 1e-12
 FD_TOL = 1e-8
@@ -270,8 +266,7 @@ class TestDerivatives:
         g = grid16_2d
         f = random_band_limited_field(g, seed=8)
         h = random_band_limited_field(g, seed=9)
-        lap = apply_multiplier(laplacian_op(g), f)
-        lhs = inner_product(lap, h)
+        lhs = inner_product(laplacian(f), h)
         rhs = -sum(
             inner_product(df, dh) for df, dh in zip(gradient(f), gradient(h))
         )
@@ -294,49 +289,28 @@ class TestDerivatives:
 
 class TestMultipliers:
     def test_composition(self, grid16_2d):
-        """Applying lap twice equals applying lap^2 once."""
+        """Applying lap twice equals multiplying by |xi|^4 once."""
         g = grid16_2d
         f = random_band_limited_field(g, seed=12)
-        lap = laplacian_op(g)
-        twice = apply_multiplier(lap, apply_multiplier(lap, f))
-        once = apply_multiplier(bilaplacian_op(g), f)
+        twice = laplacian(laplacian(f))
+        once = to_physical(Field(g, g.ksq**2 * to_spectral(f).data, SPECTRAL))
         scale = max(np.max(np.abs(once.data)), 1e-300)
         assert np.max(np.abs(twice.data - once.data)) <= SPECTRAL_TOL * scale
 
-    def test_compose_method_matches_sequential(self, grid16_2d):
-        g = grid16_2d
-        f = random_band_limited_field(g, seed=13)
-        a = laplacian_op(g)
-        b = bessel_op(g, 1.0)
-        seq = apply_multiplier(a, apply_multiplier(b, f))
-        fused = apply_multiplier(a.compose(b), f)
-        scale = max(np.max(np.abs(seq.data)), 1e-300)
-        assert np.max(np.abs(seq.data - fused.data)) <= SPECTRAL_TOL * scale
-
     def test_representation_preserved(self, grid16_2d):
         f = random_band_limited_field(grid16_2d, seed=14)
-        assert apply_multiplier(laplacian_op(grid16_2d), f).representation == PHYSICAL
         fs = to_spectral(f)
-        assert apply_multiplier(laplacian_op(grid16_2d), fs).representation == SPECTRAL
-
-    def test_bessel_zero_order_is_identity(self, grid16_2d):
-        f = random_band_limited_field(grid16_2d, seed=15)
-        out = apply_multiplier(bessel_op(grid16_2d, 0.0), f)
-        assert np.max(np.abs(out.data - f.data)) <= SPECTRAL_TOL
+        J = make_mollifier(grid16_2d, 0.3)
+        for apply in (laplacian, lambda h: mollify(J, h)):
+            assert apply(f).representation == PHYSICAL
+            assert apply(fs).representation == SPECTRAL
 
     def test_symbol_shape_validated(self, grid16_2d, grid32_2d):
-        op = laplacian_op(grid32_2d)
+        """A mollifier symbol built on another grid is rejected."""
+        J = make_mollifier(grid32_2d, 0.3)
         f = constant_field(grid16_2d, (1.0, 0.0, 0.0))
         with pytest.raises(GridMismatchError):
-            apply_multiplier(op, f)
-
-    def test_dealias_idempotent_and_band_limited(self, grid16_2d):
-        g = grid16_2d
-        f = to_spectral(random_band_limited_field(g, seed=16, kmax=7))
-        d1 = dealias(f)
-        d2 = dealias(d1)
-        assert np.array_equal(d1.data, d2.data)
-        assert np.max(np.abs(d1.data[:, ~g.dealias_mask])) == 0.0
+            mollify(J, f)
 
 
 # -- seeded field generator --------------------------------------------------------
@@ -410,9 +384,8 @@ class TestProperties:
         grid = Grid(dim=1, n=16)
         f = random_band_limited_field(grid, seed=seed)
         h = random_band_limited_field(grid, seed=seed + 1)
-        op = bessel_op(grid, 2.0)
-        left = apply_multiplier(op, f + h * scale)
-        right = apply_multiplier(op, f) + apply_multiplier(op, h) * scale
+        left = laplacian(f + h * scale)
+        right = laplacian(f) + laplacian(h) * scale
         bound = 1e-12 * max(np.max(np.abs(right.data)), 1.0)
         assert np.max(np.abs(left.data - right.data)) <= bound
 

@@ -29,6 +29,20 @@ def sample_field(grid, seed=0):
     return random_band_limited_field(grid, seed=seed, amplitude=0.5, kmax=max(2, grid.n // 4))
 
 
+# header edits that name a grid no Grid accepts: odd n, dim 4, negative box
+IMPOSSIBLE_GRIDS = [
+    pytest.param(b"\nn=8\n", b"\nn=7\n", id="odd-n"),
+    pytest.param(b"\ndim=2\n", b"\ndim=4\n", id="dim-4"),
+    pytest.param(b"\nbox_length=", b"\nbox_length=-", id="negative-box"),
+]
+
+
+def rewrite_first(path, old, new):
+    blob = path.read_bytes()
+    assert old in blob
+    path.write_bytes(blob.replace(old, new, 1))
+
+
 def corrupt_upper_half(path):
     """Add 1 to the last coefficient of a spectral snapshot's body: last
     axis index n - 1, above n/2, whose mirror stays unchanged."""
@@ -129,6 +143,14 @@ class TestSnapshotErrors:
         blob = path.read_bytes().replace(b"n=8", b"n=abc")
         path.write_bytes(blob)
         with pytest.raises(SnapshotFormatError):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("old, new", IMPOSSIBLE_GRIDS)
+    def test_impossible_grid_header(self, tmp_path, old, new):
+        path = tmp_path / "state.snap"
+        save_snapshot(path, to_physical(sample_field(Grid(2, 8))))
+        rewrite_first(path, old, new)
+        with pytest.raises(SnapshotFormatError, match="bad snapshot header"):
             load_snapshot(path)
 
     def test_spectrum_without_mirror_rejected(self, tmp_path):
@@ -296,6 +318,16 @@ class TestCheckpoint:
         with pytest.raises(SnapshotFormatError, match="history"):
             load_checkpoint(path, expected_grid=Grid(2, 32))
 
+    @pytest.mark.parametrize("old, new", IMPOSSIBLE_GRIDS)
+    def test_impossible_grid_header(self, tmp_path, old, new):
+        path = tmp_path / "run.ckpt"
+        save_checkpoint(
+            path, to_spectral(sample_field(Grid(2, 8))), SchemeState(t=0.0, step=0), 1e-3
+        )
+        rewrite_first(path, old, new)
+        with pytest.raises(SnapshotFormatError, match="bad snapshot header"):
+            load_checkpoint(path)
+
     def test_snapshot_magic_rejected_for_checkpoint(self, tmp_path):
         path = tmp_path / "state.snap"
         save_snapshot(path, to_physical(sample_field(Grid(2, 8))))
@@ -358,6 +390,12 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("= 0.5\n")
         with pytest.raises(UsageError, match="empty key"):
+            read_config(path)
+
+    def test_non_utf8_file_is_usage_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"dt = 0.5\n\xff\xfe\x00binary\n")
+        with pytest.raises(UsageError, match="not UTF-8"):
             read_config(path)
 
     def test_value_may_contain_spaces(self, tmp_path):
