@@ -29,6 +29,9 @@ STUDY_KINDS = ("eps_cauchy", "eps_limit", "uniqueness", "linear_growth", "gn_cal
 # spectrum decay exponent of generated data (H^2 regularity)
 SMOOTHNESS_H2 = 3.0
 
+# shared times j*t_end/CHECKPOINTS at which the uniqueness legs are compared
+CHECKPOINTS = 10
+
 
 @dataclass(frozen=True)
 class StudySpec:
@@ -63,9 +66,10 @@ class StudySpec:
             raise UsageError(f"unknown study kind {self.kind!r}; choose from {STUDY_KINDS}")
         if self.t_end <= 0:
             raise UsageError(f"t_end must be positive, got {self.t_end}")
+        adaptive = self.scheme.adaptive or getattr(self.scheme_b, "adaptive", False)
+        if adaptive and self.kind in ("eps_cauchy", "eps_limit", "uniqueness"):
+            raise UsageError(f"{self.kind} compares legs stepped on fixed dt; drop --adaptive")
         if self.kind in ("eps_cauchy", "eps_limit"):
-            if self.scheme.adaptive:
-                raise UsageError(f"{self.kind} steps its legs on one fixed dt; drop --adaptive")
             need = 3 if self.kind == "eps_cauchy" else 2
             if len(self.eps_list) < need:
                 raise UsageError(f"{self.kind} needs at least {need} eps values")
@@ -289,39 +293,30 @@ class UniquenessReport:
         )
 
 
-def _segmented_trajectory(spec, u0, eps, cfg, kernel, n_checkpoints=10):
-    """States at the exact shared times j*t_end/n, j=0..n.
-
-    Legs with different dt cannot share a step-count cadence, so each leg
-    integrates segment by segment (resuming its own state), landing every
-    checkpoint exactly; comparisons are then at identical times.
-    """
-    J, u = _leg_start(u0, eps, kernel)
-    snapshots = {0.0: u.copy()}
-    state = None
-    for j in range(1, n_checkpoints + 1):
-        t_j = spec.t_end * j / n_checkpoints
-        result = integrate(
-            u, t_j, cfg, spec.params, J, report_every=10**9, state=state
-        )
-        u, state = result.field, result.state
-        snapshots[t_j] = u.copy()
-    return snapshots
-
-
-def _leg_with_estimate(spec, u0, eps, cfg, kernel, label):
-    """Run one leg at dt and dt/2; the dt/2 run is the leg's answer and
-    ||u_dt - u_{dt/2}|| / (2^p - 1) its self-estimated error."""
+def _leg_with_estimate(spec, u0, cfg, eps, kernel, label):
+    """Run one leg at dt and dt/2, each landing on the shared times (legs
+    with different dt share no step-count cadence); the dt/2 run is the
+    leg's answer and ||u_dt - u_{dt/2}|| / (2^p - 1) its self-estimated
+    error."""
+    J, start = _leg_start(u0, eps, kernel)
+    times = tuple(spec.t_end * j / CHECKPOINTS for j in range(1, CHECKPOINTS + 1))
+    runs = []
     try:
-        coarse = _segmented_trajectory(spec, u0, eps, cfg, kernel)
-        fine_cfg = replace(cfg, dt=cfg.dt / 2.0)
-        fine = _segmented_trajectory(spec, u0, eps, fine_cfg, kernel)
+        for run_cfg in (cfg, replace(cfg, dt=cfg.dt / 2.0)):
+            run = trajectory(
+                start, times[-1], run_cfg, spec.params, J, report_every=10**9, land_at=times
+            )
+            states = [u for u, _ in run]
+            if len(states) != CHECKPOINTS + 1:
+                raise UsageError(f"t_end={spec.t_end:g} leaves no step between checkpoints")
+            runs.append(dict(zip((0.0, *times), states)))
     except BlowUpError as exc:
         raise _attach_verdict(exc, label)
+    coarse, fine = runs
     return fine, sup_t_difference(coarse, fine) / (2.0**cfg.order - 1.0)
 
 
-def _coarsened(cfg, est, est_target, t_end, n_checkpoints=10):
+def _coarsened(cfg, est, est_target, t_end):
     """Raise cfg.dt so its self-estimate grows toward est_target.
 
     Capped at 16x per pass and at two steps per checkpoint segment, so a
@@ -330,7 +325,7 @@ def _coarsened(cfg, est, est_target, t_end, n_checkpoints=10):
     new_dt = min(
         cfg.dt * factor,
         16.0 * cfg.dt,
-        t_end / (2.0 * n_checkpoints),
+        t_end / (2.0 * CHECKPOINTS),
         cfg.dt_max,
     )
     return replace(cfg, dt=max(new_dt, cfg.dt))
@@ -344,26 +339,23 @@ def run_uniqueness(spec: StudySpec) -> UniquenessReport:
     if spec.scheme_b is None:
         raise UsageError("uniqueness study needs a second configuration (scheme_b)")
     u0 = spec.initial_data()
-    cfg_a, cfg_b = spec.scheme, spec.scheme_b
-    snaps_a, est_a = _leg_with_estimate(spec, u0, spec.eps_a, cfg_a, spec.kernel, "leg a")
-    snaps_b, est_b = _leg_with_estimate(spec, u0, spec.eps_b, cfg_b, spec.kernel_b, "leg b")
+    legs = [(spec.eps_a, spec.kernel, "leg a"), (spec.eps_b, spec.kernel_b, "leg b")]
+    cfgs = [spec.scheme, spec.scheme_b]
+    runs = [_leg_with_estimate(spec, u0, cfg, *leg) for cfg, leg in zip(cfgs, legs)]
+    ests = [est for _, est in runs]
     # One rescaling pass toward matched accuracy so "3x the finer estimate"
     # compares runs of commensurate quality.  Always coarsen the *more
-    # accurate* leg: refining the sloppier one can demand arbitrarily many
-    # steps (a first-order leg chasing a second-order one needs dt ~ est^1).
-    # Growth is capped so each checkpoint segment keeps several steps and a
-    # stable dt never jumps straight past the stability boundary.
-    if est_a > 0 and est_b > 0 and not (0.1 <= est_b / est_a <= 10.0):
-        if est_b < est_a:
-            cfg_b = _coarsened(cfg_b, est_b, est_a, spec.t_end)
-            snaps_b, est_b = _leg_with_estimate(
-                spec, u0, spec.eps_b, cfg_b, spec.kernel_b, "leg b (rescaled)"
-            )
-        else:
-            cfg_a = _coarsened(cfg_a, est_a, est_b, spec.t_end)
-            snaps_a, est_a = _leg_with_estimate(
-                spec, u0, spec.eps_a, cfg_a, spec.kernel, "leg a (rescaled)"
-            )
+    # accurate* leg, within _coarsened's caps: refining the sloppier one can
+    # demand arbitrarily many steps (a first-order leg chasing a second-order
+    # one needs dt ~ est^1).  A leg already at a cap keeps its run.
+    if all(est > 0 for est in ests) and not (0.1 <= ests[1] / ests[0] <= 10.0):
+        i = int(ests[1] < ests[0])  # the more accurate leg
+        cfg = _coarsened(cfgs[i], ests[i], ests[1 - i], spec.t_end)
+        if cfg.dt != cfgs[i].dt:
+            eps, kernel, label = legs[i]
+            cfgs[i] = cfg
+            runs[i] = _leg_with_estimate(spec, u0, cfg, eps, kernel, f"{label} (rescaled)")
+    (snaps_a, est_a), (snaps_b, est_b) = runs
     last = max(snaps_a)
     same_flow = (spec.eps_a == spec.eps_b) and (
         spec.eps_a == 0 or spec.kernel == spec.kernel_b
@@ -374,8 +366,8 @@ def run_uniqueness(spec: StudySpec) -> UniquenessReport:
         sup_diff_h2=sup_t_difference(snaps_a, snaps_b, "hs", s=2),
         est_a=est_a,
         est_b=est_b,
-        dt_a=cfg_a.dt,
-        dt_b=cfg_b.dt,
+        dt_a=cfgs[0].dt,
+        dt_b=cfgs[1].dt,
         same_flow=same_flow,
     )
     rows = [

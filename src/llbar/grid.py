@@ -52,8 +52,8 @@ class Grid:
             raise UsageError(f"dim must be 1, 2, or 3, got {self.dim!r}")
         if not isinstance(self.n, int) or self.n < 8 or self.n % 2:
             raise UsageError(f"n must be an even integer >= 8, got {self.n!r}")
-        if not (isinstance(self.box_length, (int, float)) and self.box_length > 0):
-            raise UsageError(f"box_length must be positive, got {self.box_length!r}")
+        if not (isinstance(self.box_length, (int, float)) and 0 < self.box_length < math.inf):
+            raise UsageError(f"box_length must be positive and finite, got {self.box_length!r}")
 
     # -- geometry -----------------------------------------------------------
 

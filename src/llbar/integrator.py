@@ -282,11 +282,14 @@ def trajectory(
     report_every: int = 10,
     metadata: dict | None = None,
     state: SchemeState | None = None,
+    land_at: tuple = (),
 ) -> Generator[tuple[Field, EnergyReport], None, IntegrationResult]:
     """Advance u0 to t_end, yielding (u, report) at each sample (first
-    step, every report_every-th, last): u is a new spectral Field the
-    integrator keeps no reference to, report the EnergyReport just
-    appended to the series. Returns the IntegrationResult of integrate.
+    step, every report_every-th, each of the increasing times land_at,
+    last): u is a new spectral Field the integrator keeps no reference
+    to, report the EnergyReport just appended to the series. Returns the
+    IntegrationResult of integrate. The run lands on land_at as on t_end,
+    shortening only the step that would pass one of them.
 
     A non-finite state, or an adaptive step size collapsing below
     dt_min, raises the blow-up signal carrying the partial series and the
@@ -303,6 +306,8 @@ def trajectory(
     series = TimeSeries(metadata=dict(metadata or {}))
     stepper = Stepper(grid, cfg, p, J, state=state)
     st = stepper.state
+    if any(b <= a for a, b in zip((st.t, *land_at), land_at)) or max((t_end, *land_at)) > t_end:
+        raise UsageError(f"landing times must increase from t={st.t:g} to t_end, got {land_at}")
     if not np.all(np.isfinite(u0.data)):
         series.append(report(u0, st.t, p))
         raise BlowUpError(
@@ -323,41 +328,42 @@ def trajectory(
 
     yield from sample(uhat, force=True)
     dt_next = cfg.dt
-    while True:
-        remaining = t_end - st.t
-        if remaining <= max(1e-9 * dt_next, 1e-12 * max(1.0, abs(t_end))):
-            break  # landed on t_end up to roundoff
-        # Snap to the nominal step when remaining matches it to roundoff, so
-        # runs split at a checkpoint take the identical dt sequence; a
-        # genuinely partial remainder becomes one short final step.
-        dt = dt_next if remaining >= dt_next * (1.0 - 1e-9) else remaining
-        if not cfg.adaptive:
-            uhat = stepper.advance(uhat, dt)
-            taken = dt
-        else:
-            try:
-                uhat, taken, dt_next = stepper.advance_adaptive(uhat, dt)
-            except BlowUpError as exc:
-                exc.field = _derived(grid, uhat)
-                if st.t > series.reports[-1].t:
-                    series.append(report(exc.field, st.t, p))
-                series.reports[-1] = replace(series.reports[-1], flags="dt_collapse")
-                exc.series = series
-                raise
-        st.t += taken
-        st.step += 1
-        if not np.all(np.isfinite(uhat)):
-            u = _derived(grid, uhat)
-            series.append(report(u, st.t, p))
-            raise BlowUpError(
-                f"non-finite state at t={st.t:.6g} (step {st.step})",
-                t=st.t,
-                step=st.step,
-                series=series,
-                field=u,
-            )
-        yield from sample(uhat)
-    yield from sample(uhat, force=True)
+    for target in (*land_at, t_end):
+        while True:
+            remaining = target - st.t
+            if remaining <= max(1e-9 * dt_next, 1e-12 * max(1.0, abs(target))):
+                break  # landed on target up to roundoff
+            # Snap to the nominal step when remaining matches it to roundoff,
+            # so runs split at a checkpoint take the identical dt sequence; a
+            # genuinely partial remainder becomes one short step.
+            dt = dt_next if remaining >= dt_next * (1.0 - 1e-9) else remaining
+            if not cfg.adaptive:
+                uhat = stepper.advance(uhat, dt)
+                taken = dt
+            else:
+                try:
+                    uhat, taken, dt_next = stepper.advance_adaptive(uhat, dt)
+                except BlowUpError as exc:
+                    exc.field = _derived(grid, uhat)
+                    if st.t > series.reports[-1].t:
+                        series.append(report(exc.field, st.t, p))
+                    series.reports[-1] = replace(series.reports[-1], flags="dt_collapse")
+                    exc.series = series
+                    raise
+            st.t += taken
+            st.step += 1
+            if not np.all(np.isfinite(uhat)):
+                u = _derived(grid, uhat)
+                series.append(report(u, st.t, p))
+                raise BlowUpError(
+                    f"non-finite state at t={st.t:.6g} (step {st.step})",
+                    t=st.t,
+                    step=st.step,
+                    series=series,
+                    field=u,
+                )
+            yield from sample(uhat)
+        yield from sample(uhat, force=True)
     return IntegrationResult(_derived(grid, uhat), series, st)
 
 

@@ -55,12 +55,12 @@ def _read_header(fh, path):
 
 
 def _read_exact(fh, nbytes, path):
-    buf = fh.read(nbytes)
-    if len(buf) != nbytes:
-        raise SnapshotFormatError(
-            f"truncated data in {path}: wanted {nbytes} bytes, got {len(buf)}"
-        )
-    return buf
+    # a header can claim more bytes than the file holds; check before
+    # read(), which would allocate the claimed size up front
+    have = os.fstat(fh.fileno()).st_size - fh.tell()
+    if have < nbytes:
+        raise SnapshotFormatError(f"truncated data in {path}: wanted {nbytes} bytes, got {have}")
+    return fh.read(nbytes)
 
 
 def _full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:

@@ -113,11 +113,13 @@ class TestUsageErrors:
             ("mollifier-check", "--n", "16", "--eps", "-1"),
             ("verify", "--n", "16", "--seeds", "0"),
             ("converge", "--study", "linear_growth", "--n", "16", "--mode-ksq=-1"),
+            ("simulate", "--box-length", "inf", "--n", "16", "--t-end", "0.01"),
         ],
     )
     def test_out_of_range_value_is_usage_error(self, outdir, capsys, argv):
         # a negative eps is not the limit flow, zero seeds check nothing,
-        # and no lattice mode has a negative |m|^2
+        # no lattice mode has a negative |m|^2, and an infinite box has no
+        # lattice at all
         assert run(*argv, "--outdir", outdir) == 1
         assert "usage error:" in capsys.readouterr().err
 
@@ -138,6 +140,23 @@ class TestDataErrors:
         bad.write_bytes(bad.read_bytes().replace(b"\nn=32\n", b"\nn=7\n", 1))
         assert run("simulate", "--snapshot", str(bad), "--outdir", outdir) == 4
         assert "bad snapshot header" in capsys.readouterr().err
+
+    def test_snapshot_with_infinite_box(self, tmp_path, outdir, capsys):
+        bad = tmp_path / "bad.snap"
+        write_stationary_snapshot(bad, n=32)
+        box = b"\nbox_length=6.283185307179586\n"
+        bad.write_bytes(bad.read_bytes().replace(box, b"\nbox_length=inf\n", 1))
+        assert run("simulate", "--snapshot", str(bad), "--outdir", outdir) == 4
+        assert "bad snapshot header" in capsys.readouterr().err
+
+    def test_snapshot_header_claiming_more_than_the_file_holds(self, tmp_path, outdir, capsys):
+        # 3 x 4096^3 doubles (1.6 TB) claimed by a 400-byte file: rejected
+        # from the file size, before any buffer of the claimed size exists
+        bad = tmp_path / "bad.snap"
+        head = b"LLBAR1\nversion=1\nrepresentation=physical\ndim=3\nn=4096\nbox_length=1.0\n\n"
+        bad.write_bytes(head + bytes(400 - len(head)))
+        assert run("simulate", "--snapshot", str(bad), "--outdir", outdir) == 4
+        assert "truncated data" in capsys.readouterr().err
 
     def test_snapshot_spectrum_without_mirror(self, tmp_path, outdir, capsys):
         # bump the last coefficient of the full-lattice body: its mirror in
@@ -352,6 +371,12 @@ class TestConverge:
         code = run("converge", "--study", study, "--n", "16", "--t-end", "0.05",
                    "--report-every", "1", "--adaptive", "--tol", "1e-7",
                    "--outdir", outdir)
+        assert code == 1
+        assert "--adaptive" in capsys.readouterr().err
+
+    def test_uniqueness_rejects_adaptive_before_any_leg(self, outdir, capsys):
+        code = run("converge", "--study", "uniqueness", "--n", "16", "--t-end", "0.1",
+                   "--adaptive", "--outdir", outdir)
         assert code == 1
         assert "--adaptive" in capsys.readouterr().err
 

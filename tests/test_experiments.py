@@ -28,7 +28,7 @@ from llbar.experiments import (
     sup_t_difference,
 )
 from llbar.grid import Grid, constant_field, random_band_limited_field, to_spectral
-from llbar.integrator import SchemeConfig, integrate, trajectory
+from llbar.integrator import LinearPropagator, SchemeConfig, integrate, trajectory
 from llbar.io import read_config
 from llbar.mollifier import make_mollifier, mollify
 from llbar.physics import EffectiveFieldParams, gn_ratios
@@ -108,6 +108,13 @@ class TestStudySpec:
     def test_eps_studies_reject_adaptive_stepping(self, kind):
         with pytest.raises(UsageError, match="--adaptive"):
             StudySpec(kind=kind, **{**SWEEP, "scheme": SchemeConfig(adaptive=True)})
+
+    @pytest.mark.parametrize("leg", ["scheme", "scheme_b"])
+    def test_uniqueness_rejects_an_adaptive_leg(self, leg):
+        legs = {"scheme": SchemeConfig(), "scheme_b": SchemeConfig()}
+        legs[leg] = SchemeConfig(adaptive=True)
+        with pytest.raises(UsageError, match="--adaptive"):
+            StudySpec(kind="uniqueness", **legs)
 
     def test_runners_check_kind(self):
         spec = StudySpec(kind="uniqueness", scheme_b=SchemeConfig())
@@ -303,6 +310,19 @@ class TestEpsLimit:
         assert all(diff == 0.0 for _, _, diff in rep.pairs)
 
 
+def count_propagator_builds(monkeypatch):
+    """The step sizes of every LinearPropagator.build from here on."""
+    dts = []
+    build = LinearPropagator.build
+
+    def counting(grid, dt, **kwargs):
+        dts.append(dt)
+        return build(grid, dt, **kwargs)
+
+    monkeypatch.setattr(LinearPropagator, "build", counting)
+    return dts
+
+
 def uniqueness_spec(**overrides):
     base = dict(
         kind="uniqueness",
@@ -406,6 +426,25 @@ class TestUniqueness:
         assert sups[0] > sups[1] > sups[2]
         # measured 6.7e-2 / 1.8e-2 / 4.5e-3: consistent with O(eps^2)
         assert sups[2] < sups[0] / 10
+
+    def test_each_leg_run_builds_its_propagator_once(self, monkeypatch):
+        # one trajectory per leg run, landing on the ten shared times: legs
+        # a and b each run at dt and dt/2, and each run tabulates once
+        dts = count_propagator_builds(monkeypatch)
+        run_uniqueness(uniqueness_spec(t_end=0.1))
+        assert dts == [1e-3, 5e-4, 1e-3, 5e-4]
+
+    def test_leg_at_the_coarsening_cap_is_not_rerun(self, monkeypatch):
+        # leg a is the more accurate one, but t_end / 20 = 1e-3 is already
+        # its dt: coarsening cannot change it, so no third run of leg a
+        dts = count_propagator_builds(monkeypatch)
+        rep = run_uniqueness(
+            uniqueness_spec(n=16, seed=0, t_end=0.02,
+                            scheme_b=SchemeConfig(scheme="imex_bdf2", dt=5e-4))
+        )
+        assert rep.est_a < rep.est_b / 10
+        assert (rep.dt_a, rep.dt_b) == (1e-3, 5e-4)
+        assert dts == [1e-3, 5e-4, 5e-4, 2.5e-4]
 
     def test_output_files(self, tmp_path):
         run_uniqueness(uniqueness_spec(t_end=0.1, outdir=str(tmp_path)))

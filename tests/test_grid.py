@@ -7,6 +7,8 @@ run on 16-point-per-axis grids at 1e-12, the finite-difference check on a
 64-point axis at 1e-8.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,8 @@ class TestGrid:
             dict(dim=2, n=15),
             dict(dim=2, n=6),
             dict(dim=2, n=16, box_length=-1.0),
+            dict(dim=2, n=16, box_length=math.inf),
+            dict(dim=2, n=16, box_length=math.nan),
         ],
     )
     def test_invalid_grid_rejected(self, kwargs):

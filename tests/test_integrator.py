@@ -335,6 +335,42 @@ class TestTrajectory:
         assert len(samples) == len(res.series) == 1
         assert np.array_equal(samples[0][0].data, to_spectral(u0).data)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_landing_times_match_integrate_chained_segment_by_segment(
+        self, grid16_2d, scheme
+    ):
+        # dt = 3e-3 does not divide the segment length 0.01: each segment
+        # ends in a short step, after which imex_bdf2 drops its history
+        u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
+        cfg = SchemeConfig(scheme=scheme, dt=3e-3)
+        times = tuple(0.1 * j / 10 for j in range(1, 11))
+        samples, res = drain(trajectory(u0, 0.1, cfg, report_every=10**9, land_at=times))
+        u, state, chained = to_spectral(u0), None, [to_spectral(u0).data]
+        for t in times:
+            seg = integrate(u, t, cfg, report_every=10**9, state=state)
+            u, state = seg.field, seg.state
+            chained.append(u.data)
+        assert len(samples) == len(chained) == 11
+        assert all(np.array_equal(v.data, w) for (v, _), w in zip(samples, chained))
+        assert (res.state.t, res.state.step) == (state.t, state.step)
+
+    def test_landing_times_join_the_report_cadence(self, grid16_2d):
+        u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
+        cfg = SchemeConfig(dt=1e-3)
+        samples, res = drain(trajectory(u0, 0.02, cfg, report_every=5, land_at=(0.0075, 0.02)))
+        # the cadence counts steps, so after the short step to 0.0075 every
+        # fifth step lands half a step off the grid and t_end takes one more
+        expected = [0, 5e-3, 7.5e-3, 9.5e-3, 1.45e-2, 1.95e-2, 2e-2]
+        assert [r.t for _, r in samples] == pytest.approx(expected)
+        assert [r for _, r in samples] == res.series.reports
+        assert res.state.step == 21
+
+    @pytest.mark.parametrize("land_at", [(0.02, 0.01), (0.01, 0.01), (0.0,), (0.04,)])
+    def test_landing_times_must_increase_within_the_run(self, grid16_2d, land_at):
+        u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
+        with pytest.raises(UsageError, match="landing times"):
+            next(trajectory(u0, 0.03, SchemeConfig(), land_at=land_at))
+
 
 def upper_mirror_gap(full, grid):
     """max |u_hat(m) - conj u_hat(-m)| over the last-axis indices above n/2

@@ -29,11 +29,13 @@ def sample_field(grid, seed=0):
     return random_band_limited_field(grid, seed=seed, amplitude=0.5, kmax=max(2, grid.n // 4))
 
 
-# header edits that name a grid no Grid accepts: odd n, dim 4, negative box
+# header edits that name a grid no Grid accepts: odd n, dim 4, negative
+# or infinite box
 IMPOSSIBLE_GRIDS = [
     pytest.param(b"\nn=8\n", b"\nn=7\n", id="odd-n"),
     pytest.param(b"\ndim=2\n", b"\ndim=4\n", id="dim-4"),
     pytest.param(b"\nbox_length=", b"\nbox_length=-", id="negative-box"),
+    pytest.param(b"\nbox_length=6.283185307179586\n", b"\nbox_length=inf\n", id="infinite-box"),
 ]
 
 
