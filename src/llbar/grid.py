@@ -16,6 +16,12 @@ wavenumbers, symbols and dealiasing mask live on that lattice, and Parseval
 sums weight each mode by how often it occurs in the full lattice. Spectral
 data entering from outside is checked at Field construction: only the
 self-mirrored planes (last-axis index 0 and n/2) can violate the symmetry.
+
+One buffer per transform. A forward transform writes its real pass and
+each complex pass into one output array; an inverse makes its leading
+complex passes in place in one copy of its input, in the library's axis
+order, and ends with the real pass. Both give numpy's rfftn/irfftn bits
+exactly. The out= argument of numpy.fft they rely on needs numpy >= 2.0.
 """
 
 from __future__ import annotations
@@ -169,10 +175,19 @@ class Grid:
     # -- real transforms over the trailing dim axes ---------------------------
 
     def rfftn(self, a: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(a, axes=tuple(range(-self.dim, 0)))
+        """np.fft.rfftn over the trailing dim axes, every pass written into
+        one output array."""
+        out = np.empty(a.shape[: a.ndim - self.dim] + self.spectral_shape, np.complex128)
+        return np.fft.rfftn(a, axes=tuple(range(-self.dim, 0)), out=out)
 
     def irfftn(self, a: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(a, s=self.shape, axes=tuple(range(-self.dim, 0)))
+        """np.fft.irfftn(a, s=shape) over the trailing dim axes, with the
+        leading complex passes made in place in one copy of a, in the
+        library's axis order; a itself is never modified."""
+        buf = np.array(a, dtype=np.complex128)
+        for axis in range(-self.dim, -1):
+            np.fft.ifft(buf, axis=axis, out=buf)
+        return np.fft.irfftn(buf, s=(self.n,), axes=(-1,))
 
     def compatible(self, other: "Grid") -> bool:
         return (
@@ -445,7 +460,7 @@ def random_band_limited_field(
             key < key_flip, a, np.where(key > key_flip, a_mirror, self_conj)
         )
 
-    phys = np.fft.ifftn(data, axes=tuple(range(1, grid.dim + 1))).real
+    phys = np.fft.ifftn(data, axes=tuple(range(1, grid.dim + 1)), out=data).real
     peak = float(np.sqrt(np.max(np.sum(phys**2, axis=0))))
     if peak == 0.0:
         raise DataError("generated field is identically zero")

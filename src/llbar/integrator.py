@@ -71,12 +71,15 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class LinearPropagator:
-    """Tabulated e^{dt sigma}, phi1(dt sigma), phi2(dt sigma)."""
+    """Tabulated e^{dt sigma}, phi1(dt sigma), phi2(dt sigma), and the
+    products dt phi1 and dt phi2 that the exponential schemes apply."""
 
     symbol: np.ndarray
     exp: np.ndarray
     phi1: np.ndarray
     phi2: np.ndarray
+    dt_phi1: np.ndarray
+    dt_phi2: np.ndarray
 
     @classmethod
     def build(
@@ -88,7 +91,8 @@ class LinearPropagator:
     ) -> "LinearPropagator":
         sigma = linear_symbol(grid, p, J)
         z = dt * sigma
-        return cls(sigma, np.exp(z), _phi1(z), _phi2(z))
+        phi1, phi2 = _phi1(z), _phi2(z)
+        return cls(sigma, np.exp(z), phi1, phi2, dt * phi1, dt * phi2)
 
 
 def _phi1(z):
@@ -167,18 +171,33 @@ class Stepper:
             return np.zeros_like(uhat)
         return nonlinear_rhs(self.grid, uhat, self._symbols)
 
+    # The updates below are built in place in arrays the step owns (the
+    # fresh N(u) and the stage), never in uhat or a held N(u). Each
+    # in-place operation is the original product or sum with its operands
+    # commuted, so the bits are those of the textbook formulas.
+
     def _etd1(self, uhat: np.ndarray, dt: float) -> np.ndarray:
+        """exp uhat + dt phi1 N(uhat)."""
         lp = self._prop(dt)
-        return lp.exp * uhat + dt * lp.phi1 * self._nonlinear(uhat)
+        new = self._nonlinear(uhat)
+        new *= lp.dt_phi1
+        new += lp.exp * uhat
+        return new
 
     def _etd_rk2(
         self, uhat: np.ndarray, dt: float, nhat: np.ndarray | None = None
     ) -> np.ndarray:
+        """With a = exp uhat + dt phi1 N(uhat): a + dt phi2 (N(a) - N(uhat))."""
         lp = self._prop(dt)
         if nhat is None:
             nhat = self._nonlinear(uhat)
-        a = lp.exp * uhat + dt * lp.phi1 * nhat
-        return a + dt * lp.phi2 * (self._nonlinear(a) - nhat)
+        a = lp.exp * uhat
+        a += lp.dt_phi1 * nhat
+        new = self._nonlinear(a)
+        new -= nhat
+        new *= lp.dt_phi2
+        new += a
+        return new
 
     def _bdf2(self, uhat: np.ndarray, dt: float, key: HistoryKey) -> np.ndarray:
         st = self.state

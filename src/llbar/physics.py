@@ -203,11 +203,12 @@ def nonlinear_rhs(grid: Grid, uhat: np.ndarray, symbols: tuple) -> np.ndarray:
     smooth, lap, cube, cross = symbols
     vhat = smooth * uhat
     v = grid.irfftn(vhat)
-    lap_v = grid.irfftn(lap * vhat)
-    cube_hat = grid.rfftn(np.sum(v**2, axis=0) * v)
+    lap_v = grid.irfftn(np.multiply(lap, vhat, out=vhat))
     cross_hat = grid.rfftn(_cross(v, lap_v))
-    data = cube * cube_hat
-    data -= cross * cross_hat
+    # v is read by the cross product above before |v|^2 v overwrites it
+    cube_hat = grid.rfftn(np.multiply(np.sum(v**2, axis=0), v, out=v))
+    data = np.multiply(cube, cube_hat, out=cube_hat)
+    data -= np.multiply(cross, cross_hat, out=cross_hat)
     return data
 
 

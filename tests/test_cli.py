@@ -347,6 +347,25 @@ class TestConverge:
                    "--amplitude", "1e-8", "--t-end", "0.5",
                    "--outdir", outdir) == 0
 
+    def test_linear_growth_defaults_to_the_linear_regime(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run("converge", "--study", "linear_growth", "--n", "32",
+                   "--t-end", "0.5", "--outdir", str(first)) == 0
+        echo = first / "effective-config.txt"
+        assert read_config(str(echo))["amplitude"] == "1e-08"
+        assert run("converge", "--config", str(echo), "--outdir", str(second)) == 0
+        csv = "linear_growth.csv"
+        assert (second / csv).read_bytes() == (first / csv).read_bytes()
+
+    def test_linear_growth_keeps_a_given_amplitude(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run("converge", "--study", "linear_growth", "--n", "32",
+                   "--amplitude", "0.5", "--t-end", "0.5",
+                   "--outdir", str(first)) == 2
+        echo = first / "effective-config.txt"
+        assert read_config(str(echo))["amplitude"] == "0.5"
+        assert run("converge", "--config", str(echo), "--outdir", str(second)) == 2
+
     def test_linear_growth_contamination_fails_check(self, outdir, capsys):
         code = run("converge", "--study", "linear_growth", "--n", "32",
                    "--amplitude", "1e-2", "--t-end", "0.5", "--outdir", outdir)

@@ -37,7 +37,13 @@ from llbar.integrator import (
 )
 from llbar.io import _full_spectrum
 from llbar.mollifier import make_mollifier
-from llbar.physics import DEFAULT_PARAMS, EffectiveFieldParams, linear_symbol
+from llbar.physics import (
+    DEFAULT_PARAMS,
+    EffectiveFieldParams,
+    linear_symbol,
+    nonlinear_rhs,
+    nonlinear_symbols,
+)
 
 SCHEMES = ("etd1", "etd_rk2", "imex_bdf2")
 
@@ -642,6 +648,66 @@ class TestRunKernel:
         res = integrate(u0, 0.05, SchemeConfig(dt=1e-3, adaptive=True, tol=1e-6))
         assert res.state.t == pytest.approx(0.05)
         assert len(dts) <= 16
+
+
+class TestInPlaceUpdates:
+    """The steps build their updates in place, in arrays they own: the
+    caller's spectrum, the held imex_bdf2 history and the N(u) symbols keep
+    their bits, and the results equal the textbook formulas bit for bit."""
+
+    @pytest.fixture()
+    def setup(self, grid32_2d):
+        J = make_mollifier(grid32_2d, 0.2)
+        u0 = random_band_limited_field(grid32_2d, seed=3, amplitude=0.5, kmax=8)
+        return grid32_2d, J, to_spectral(u0).data
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_advance_leaves_every_held_state_unchanged(self, setup, scheme):
+        grid, J, uhat = setup
+        stepper = Stepper(grid, SchemeConfig(scheme=scheme, dt=1e-3), J=J)
+        symbols = nonlinear_symbols(grid, J=J)
+        states, copies = [uhat], [uhat.copy()]
+        for _ in range(3):  # the later imex_bdf2 steps read the history pair
+            states.append(stepper.advance(states[-1], 1e-3))
+            copies.append(states[-1].copy())
+            assert all(np.array_equal(a, b) for a, b in zip(states, copies))
+            if scheme == "imex_bdf2":
+                st = stepper.state
+                assert st.prev_field is states[-2]
+                assert np.array_equal(
+                    st.prev_nonlinear, nonlinear_rhs(grid, st.prev_field, symbols)
+                )
+
+    @pytest.mark.parametrize("scheme", ("etd1", "etd_rk2"))
+    def test_advance_adaptive_leaves_its_input_unchanged(self, setup, scheme):
+        grid, J, uhat = setup
+        before = uhat.copy()
+        cfg = SchemeConfig(scheme=scheme, dt=1e-2, adaptive=True, tol=1e-8)
+        new, taken, _ = Stepper(grid, cfg, J=J).advance_adaptive(uhat, 1e-2)
+        assert taken < 1e-2  # at least one rejection retried from uhat
+        assert np.array_equal(uhat, before)
+        assert not np.array_equal(new, uhat)
+
+    def test_nonlinear_rhs_leaves_state_and_symbols_unchanged(self, setup):
+        grid, J, uhat = setup
+        symbols = nonlinear_symbols(grid, J=J)
+        before = [uhat.copy()] + [s.copy() for s in symbols]
+        first = nonlinear_rhs(grid, uhat, symbols)
+        again = nonlinear_rhs(grid, uhat, symbols)
+        assert all(np.array_equal(a, b) for a, b in zip([uhat, *symbols], before))
+        assert np.array_equal(first, again) and first is not again
+
+    def test_exponential_steps_equal_the_textbook_formulas(self, setup):
+        grid, J, uhat = setup
+        dt = 1e-3
+        lp = LinearPropagator.build(grid, dt, J=J)
+        symbols = nonlinear_symbols(grid, J=J)
+        nhat = nonlinear_rhs(grid, uhat, symbols)
+        etd1 = a = lp.exp * uhat + dt * lp.phi1 * nhat
+        etd_rk2 = a + dt * lp.phi2 * (nonlinear_rhs(grid, a, symbols) - nhat)
+        for scheme, expect in (("etd1", etd1), ("etd_rk2", etd_rk2)):
+            stepper = Stepper(grid, SchemeConfig(scheme=scheme, dt=dt), J=J)
+            assert np.array_equal(stepper.advance(uhat, dt), expect)
 
 
 class TestBlowUpEscalation:
