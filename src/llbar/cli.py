@@ -23,6 +23,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .errors import BlowUpError, DataError, UsageError
 from .experiments import (
@@ -153,7 +154,8 @@ def _build_parser() -> _Parser:
     g.add_argument("--decay-r", dest="decay_r", type=float,
                    help="initial-data spectral decay exponent")
     g.add_argument("--kmax", type=_int_or_none, help="initial-data band limit")
-    g.add_argument("--snapshot", help="start from this snapshot instead of generated data")
+    g.add_argument("--snapshot", type=_str_or_none,
+                   help="start from this snapshot instead of generated data")
 
     parser = _Parser(prog="llbar", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -490,15 +492,15 @@ def cmd_mollifier_check(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg = _resolve(args)
-    spec = _study_spec(cfg, "gn_calibration")
+    # the study writes no file here: constants.txt also carries the stable dt
+    spec = replace(_study_spec(cfg, "gn_calibration"), outdir=None)
     report = run_gn_calibration(spec)
     print(report.summary())
 
     path = os.path.join(cfg["outdir"], "constants.txt")
-    constants = read_config(path)
     dt_stable = find_stable_dt(_grid(cfg))
     key = f"dt_stable_{cfg['dim']}d_n{cfg['n']}"
-    constants[key] = repr(dt_stable)
+    constants = {**report.constants, key: repr(dt_stable)}
     print(f"{key} = {dt_stable}")
     write_config(
         path,

@@ -22,7 +22,7 @@ class DataError(LLBarError, ValueError):
 
 
 class SnapshotFormatError(DataError):
-    """Snapshot or checkpoint file is malformed."""
+    """Snapshot file is malformed."""
 
 
 class BlowUpError(LLBarError, RuntimeError):

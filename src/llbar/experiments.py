@@ -29,8 +29,8 @@ STUDY_KINDS = ("eps_cauchy", "eps_limit", "uniqueness", "linear_growth", "gn_cal
 # spectrum decay exponent of generated data (H^2 regularity)
 SMOOTHNESS_H2 = 3.0
 
-# shared times j*t_end/CHECKPOINTS at which the uniqueness legs are compared
-CHECKPOINTS = 10
+# the uniqueness legs are compared at the shared times j*t_end/SHARED_TIMES
+SHARED_TIMES = 10
 
 
 @dataclass(frozen=True)
@@ -299,7 +299,7 @@ def _leg_with_estimate(spec, u0, cfg, eps, kernel, label):
     leg's answer and ||u_dt - u_{dt/2}|| / (2^p - 1) its self-estimated
     error."""
     J, start = _leg_start(u0, eps, kernel)
-    times = tuple(spec.t_end * j / CHECKPOINTS for j in range(1, CHECKPOINTS + 1))
+    times = tuple(spec.t_end * j / SHARED_TIMES for j in range(1, SHARED_TIMES + 1))
     runs = []
     try:
         for run_cfg in (cfg, replace(cfg, dt=cfg.dt / 2.0)):
@@ -307,8 +307,8 @@ def _leg_with_estimate(spec, u0, cfg, eps, kernel, label):
                 start, times[-1], run_cfg, spec.params, J, report_every=10**9, land_at=times
             )
             states = [u for u, _ in run]
-            if len(states) != CHECKPOINTS + 1:
-                raise UsageError(f"t_end={spec.t_end:g} leaves no step between checkpoints")
+            if len(states) != SHARED_TIMES + 1:
+                raise UsageError(f"t_end={spec.t_end:g} leaves no step between shared times")
             runs.append(dict(zip((0.0, *times), states)))
     except BlowUpError as exc:
         raise _attach_verdict(exc, label)
@@ -319,13 +319,13 @@ def _leg_with_estimate(spec, u0, cfg, eps, kernel, label):
 def _coarsened(cfg, est, est_target, t_end):
     """Raise cfg.dt so its self-estimate grows toward est_target.
 
-    Capped at 16x per pass and at two steps per checkpoint segment, so a
+    Capped at 16x per pass and at two steps between shared times, so a
     rescale can never jump straight past the stability boundary."""
     factor = (est_target / est) ** (1.0 / cfg.order)
     new_dt = min(
         cfg.dt * factor,
         16.0 * cfg.dt,
-        t_end / (2.0 * CHECKPOINTS),
+        t_end / (2.0 * SHARED_TIMES),
         cfg.dt_max,
     )
     return replace(cfg, dt=max(new_dt, cfg.dt))

@@ -3,8 +3,10 @@
 The linear part sigma(xi) (defaults: -|xi|^4 + |xi|^2 + 2) is integrated
 by its exponential; the remaining nonlinearity is advanced by exponential
 Euler (etd1), the two-stage exponential Runge-Kutta scheme (etd_rk2), or
-the semi-implicit two-step backward differentiation formula (imex_bdf2,
-bootstrapped by one etd_rk2 step).
+the semi-implicit two-step backward differentiation formula (imex_bdf2).
+The imex_bdf2 history (dt, u_{n-1}, N(u_{n-1})) is private to the run's
+Stepper; the first step, and any step of another dt than the history's
+(a shortened landing step), bootstraps with one etd_rk2 step.
 
 trajectory is the one stepping loop: a generator of the samples that
 returns the run's result. integrate drains it.
@@ -113,28 +115,12 @@ def _phi2(z):
     return np.where(small, series, direct)
 
 
-@dataclass(frozen=True)
-class HistoryKey:
-    """What the imex_bdf2 history pair depends on besides the state: the
-    step, the constants, the smoothing symbol (J's kind and eps) and
-    whether the nonlinearity is on."""
-
-    dt: float
-    params: EffectiveFieldParams
-    kernel: str = "none"  # the limit flow
-    eps: float = 0.0
-    nonlinear: bool = True
-
-
 @dataclass
 class SchemeState:
-    """Everything beyond the field needed to continue a run bit-exactly."""
+    """The run's time and step count."""
 
     t: float = 0.0
     step: int = 0
-    prev_field: np.ndarray | None = None  # u_{n-1}, spectral (imex_bdf2)
-    prev_nonlinear: np.ndarray | None = None  # N(u_{n-1}), spectral
-    history_key: HistoryKey | None = None  # what the history pair was built under
 
 
 @dataclass
@@ -148,7 +134,7 @@ class Stepper:
     """Stateful single-run driver and the run's spectral kernel: it builds
     the symbols of N(u) once, keeps the propagator tables of the last two
     step sizes (a step and, under step doubling, its half) and, for the
-    two-step scheme, holds the history pair."""
+    two-step scheme, holds the history (dt, u_{n-1}, N(u_{n-1}))."""
 
     def __init__(
         self,
@@ -156,13 +142,11 @@ class Stepper:
         cfg: SchemeConfig,
         p: EffectiveFieldParams = DEFAULT_PARAMS,
         J: MollifierSymbol | None = None,
-        state: SchemeState | None = None,
     ):
         self.grid = grid
         self.cfg = cfg
-        self.p = p
-        self.J = J
-        self.state = state if state is not None else SchemeState()
+        self.state = SchemeState()
+        self._history = None
         self._symbols = nonlinear_symbols(grid, p, J)  # checks J's grid
         self._prop = lru_cache(maxsize=2)(partial(LinearPropagator.build, grid, p=p, J=J))
 
@@ -199,22 +183,16 @@ class Stepper:
         new += a
         return new
 
-    def _bdf2(self, uhat: np.ndarray, dt: float, key: HistoryKey) -> np.ndarray:
-        st = self.state
-        lp = self._prop(dt)
+    def _bdf2(self, uhat: np.ndarray, dt: float) -> np.ndarray:
+        # a history of another dt is stale: bootstrap as a fresh run does
         nhat = self._nonlinear(uhat)
-        if st.prev_field is None:
+        if self._history is None or self._history[0] != dt:
             new = self._etd_rk2(uhat, dt, nhat)
         else:
-            num = (
-                4.0 * uhat
-                - st.prev_field
-                + 2.0 * dt * (2.0 * nhat - st.prev_nonlinear)
-            )
-            new = num / (3.0 - 2.0 * dt * lp.symbol)
-        st.prev_field = uhat
-        st.prev_nonlinear = nhat
-        st.history_key = key
+            _, prev_field, prev_nonlinear = self._history
+            num = 4.0 * uhat - prev_field + 2.0 * dt * (2.0 * nhat - prev_nonlinear)
+            new = num / (3.0 - 2.0 * dt * self._prop(dt).symbol)
+        self._history = (dt, uhat, nhat)
         return new
 
     def advance(self, uhat: np.ndarray, dt: float) -> np.ndarray:
@@ -228,17 +206,7 @@ class Stepper:
                 return self._etd1(uhat, dt)
             if self.cfg.scheme == "etd_rk2":
                 return self._etd_rk2(uhat, dt)
-            # the two-step formula needs the history's dt, constants, J and
-            # nonlinearity switch: a step under any other key (the shortened
-            # final step, a resume at a new dt or eps or with the
-            # nonlinearity on) drops the history and bootstraps like a
-            # fresh state
-            kernel = () if self.J is None else (self.J.kind, self.J.eps)
-            key = HistoryKey(dt, self.p, *kernel, nonlinear=self.cfg.nonlinear)
-            if key != self.state.history_key:
-                self.state.prev_field = None
-                self.state.prev_nonlinear = None
-            return self._bdf2(uhat, dt, key)
+            return self._bdf2(uhat, dt)
 
     def advance_adaptive(self, uhat: np.ndarray, dt: float):
         """Step-doubling control: one dt step against two dt/2 steps.
@@ -300,7 +268,6 @@ def trajectory(
     J: MollifierSymbol | None = None,
     report_every: int = 10,
     metadata: dict | None = None,
-    state: SchemeState | None = None,
     land_at: tuple = (),
 ) -> Generator[tuple[Field, EnergyReport], None, IntegrationResult]:
     """Advance u0 to t_end, yielding (u, report) at each sample (first
@@ -323,10 +290,10 @@ def trajectory(
         raise UsageError(f"report_every must be at least 1, got {report_every}")
     grid = u0.grid
     series = TimeSeries(metadata=dict(metadata or {}))
-    stepper = Stepper(grid, cfg, p, J, state=state)
+    stepper = Stepper(grid, cfg, p, J)
     st = stepper.state
-    if any(b <= a for a, b in zip((st.t, *land_at), land_at)) or max((t_end, *land_at)) > t_end:
-        raise UsageError(f"landing times must increase from t={st.t:g} to t_end, got {land_at}")
+    if any(b <= a for a, b in zip((0.0, *land_at), land_at)) or max((t_end, *land_at)) > t_end:
+        raise UsageError(f"landing times must increase from t=0 to t_end, got {land_at}")
     if not np.all(np.isfinite(u0.data)):
         series.append(report(u0, st.t, p))
         raise BlowUpError(
@@ -352,9 +319,10 @@ def trajectory(
             remaining = target - st.t
             if remaining <= max(1e-9 * dt_next, 1e-12 * max(1.0, abs(target))):
                 break  # landed on target up to roundoff
-            # Snap to the nominal step when remaining matches it to roundoff,
-            # so runs split at a checkpoint take the identical dt sequence; a
-            # genuinely partial remainder becomes one short step.
+            # A remainder that matches the nominal step to roundoff takes the
+            # nominal step, so landing on a time the steps divide leaves the
+            # dt sequence (and the imex_bdf2 history) as in a run without
+            # it; a genuinely partial remainder becomes one short step.
             dt = dt_next if remaining >= dt_next * (1.0 - 1e-9) else remaining
             if not cfg.adaptive:
                 uhat = stepper.advance(uhat, dt)
@@ -394,11 +362,10 @@ def integrate(
     J: MollifierSymbol | None = None,
     report_every: int = 10,
     metadata: dict | None = None,
-    state: SchemeState | None = None,
 ) -> IntegrationResult:
     """Drain trajectory: the final field, the sampled time series and the
-    scheme state needed to continue the run bit-exactly."""
-    run = trajectory(u0, t_end, cfg, p, J, report_every, metadata, state)
+    run's time and step count."""
+    run = trajectory(u0, t_end, cfg, p, J, report_every, metadata)
     while True:
         try:
             next(run)

@@ -15,7 +15,7 @@ import pytest
 from llbar.cli import _KEYS, _build_parser, main
 from llbar.diagnostics import TimeSeries
 from llbar.grid import Grid, constant_field, random_band_limited_field, to_spectral
-from llbar.io import load_snapshot, read_config, save_snapshot
+from llbar.io import load_snapshot, read_config, save_snapshot, write_config
 
 
 def run(*args):
@@ -292,6 +292,17 @@ class TestConfigResolution:
         series = "series.csv"
         assert (second / series).read_bytes() == (first / series).read_bytes()
 
+    def test_snapshot_none_as_flag_or_file_value_means_generated_data(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("snapshot = none\n")
+        flag, filed = tmp_path / "flag", tmp_path / "file"
+        assert run("simulate", "--snapshot", "none", "--n", "16", "--t-end", "0.05",
+                   "--outdir", str(flag)) == 0
+        assert run("simulate", "--config", str(cfg), "--n", "16", "--t-end", "0.05",
+                   "--outdir", str(filed)) == 0
+        series = "series.csv"
+        assert (flag / series).read_bytes() == (filed / series).read_bytes()
+
     def test_snapshot_with_generator_value_in_config_still_conflicts(
         self, tmp_path, outdir, capsys
     ):
@@ -432,6 +443,18 @@ class TestCalibrate:
         assert float(constants["dt_stable_2d_n32"]) > 0
         assert float(constants["gn_linf_h1_h2_max"]) > 0
         assert float(constants["lipschitz_h2_eps0.2_max"]) > 0
+
+    def test_constants_written_once(self, outdir, monkeypatch):
+        written = []
+
+        def recording(path, *args, **kwargs):
+            written.append(os.path.basename(path))
+            write_config(path, *args, **kwargs)
+
+        for module in ("llbar.cli", "llbar.experiments"):
+            monkeypatch.setattr(f"{module}.write_config", recording)
+        assert run("calibrate", "--n", "32", "--family-size", "100", "--outdir", outdir) == 0
+        assert written.count("constants.txt") == 1
 
 
 class TestConsoleEntryPoint:

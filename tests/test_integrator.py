@@ -1,5 +1,6 @@
 """Time integration: exact linear propagation, scheme orders, adaptive
-control, blow-up escalation, and bit-exact resumability.
+control, blow-up escalation, landing on given times, and the two-step
+scheme's history.
 
 Oracles: scalar exponentials for single modes, scipy's DOP853 at tight
 tolerance for the constant-field ODE, and self-convergence for orders.
@@ -27,7 +28,6 @@ from llbar.integrator import (
     LinearPropagator,
     OrderReport,
     SchemeConfig,
-    SchemeState,
     Stepper,
     fit_order,
     integrate,
@@ -351,14 +351,21 @@ class TestTrajectory:
         cfg = SchemeConfig(scheme=scheme, dt=3e-3)
         times = tuple(0.1 * j / 10 for j in range(1, 11))
         samples, res = drain(trajectory(u0, 0.1, cfg, report_every=10**9, land_at=times))
-        u, state, chained = to_spectral(u0), None, [to_spectral(u0).data]
-        for t in times:
-            seg = integrate(u, t, cfg, report_every=10**9, state=state)
-            u, state = seg.field, seg.state
-            chained.append(u.data)
+        # the oracle: one Stepper driven by hand through three steps of dt
+        # and one short step per segment
+        stepper = Stepper(grid16_2d, cfg)
+        uhat, t, steps = to_spectral(u0).data, 0.0, 0
+        chained = [uhat]
+        for target in times:
+            for _ in range(3):
+                uhat = stepper.advance(uhat, cfg.dt)
+                t += cfg.dt
+            uhat = stepper.advance(uhat, target - t)
+            t, steps = t + (target - t), steps + 4
+            chained.append(uhat)
         assert len(samples) == len(chained) == 11
         assert all(np.array_equal(v.data, w) for (v, _), w in zip(samples, chained))
-        assert (res.state.t, res.state.step) == (state.t, state.step)
+        assert (res.state.t, res.state.step) == (t, steps)
 
     def test_landing_times_join_the_report_cadence(self, grid16_2d):
         u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
@@ -543,28 +550,54 @@ class TestTemporalOrder:
 
 
 class TestCheckpointResume:
+    """A run split at a time its steps divide continues from the split as
+    if it had never stopped: the run carries its Stepper across the split,
+    so the state there and at the end match unsplit runs bit for bit."""
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_split_run_bit_exact(self, grid32_2d, scheme):
+        # the clock reaches 0.05 only to roundoff: the remainder still takes
+        # the nominal step, so imex_bdf2 keeps its history across the split
         u0 = random_band_limited_field(grid32_2d, seed=7, amplitude=0.5, kmax=10)
         cfg = SchemeConfig(scheme=scheme, dt=1e-3)
         full = integrate(u0, 0.1, cfg)
         half = integrate(u0, 0.05, cfg)
-        resumed = integrate(half.field, 0.1, cfg, state=half.state)
+        samples, resumed = drain(trajectory(u0, 0.1, cfg, land_at=(0.05,)))
+        at_split = [u for u, r in samples if r.t == half.state.t]
+        assert len(at_split) == 1
+        assert np.array_equal(at_split[0].data, half.field.data)
         assert np.array_equal(full.field.data, resumed.field.data)
         assert resumed.state.step == full.state.step
         assert resumed.state.t == full.state.t
 
-    def test_bdf2_history_required_for_exact_resume(self, grid32_2d):
-        # dropping the two-step history falls back to a bootstrap step:
-        # still accurate, but no longer the identical float sequence
+
+class TestTwoStepHistory:
+    """imex_bdf2 keeps (dt, u_{n-1}, N(u_{n-1})) inside its Stepper and
+    uses it only for a step of the same dt."""
+
+    def test_step_after_another_dt_is_a_fresh_etd_rk2_step(self, grid32_2d):
+        # a history built at dt=1e-2 must not be reused at dt=2.5e-3: the
+        # step bootstraps exactly as a fresh run does
+        J = make_mollifier(grid32_2d, 0.2)
+        uhat = to_spectral(random_band_limited_field(grid32_2d, seed=0, amplitude=0.5)).data
+        bdf2 = Stepper(grid32_2d, SchemeConfig(scheme="imex_bdf2", dt=1e-2), J=J)
+        mid = bdf2.advance(bdf2.advance(uhat, 1e-2), 1e-2)
+        after = bdf2.advance(mid, 2.5e-3)
+        rk2 = Stepper(grid32_2d, SchemeConfig(scheme="etd_rk2", dt=2.5e-3), J=J)
+        assert np.array_equal(after, rk2.advance(mid, 2.5e-3))
+        assert bdf2._history[0] == 2.5e-3 and bdf2._history[1] is mid
+
+    def test_history_required_for_the_uninterrupted_run(self, grid32_2d):
+        # restarting the second half on a fresh Stepper falls back to a
+        # bootstrap step: still accurate, but no longer the identical
+        # float sequence
         u0 = random_band_limited_field(grid32_2d, seed=7, amplitude=0.5, kmax=10)
         cfg = SchemeConfig(scheme="imex_bdf2", dt=1e-3)
         full = integrate(u0, 0.1, cfg)
         half = integrate(u0, 0.05, cfg)
-        fresh = SchemeState(t=half.state.t, step=half.state.step)
-        resumed = integrate(half.field, 0.1, cfg, state=fresh)
-        assert not np.array_equal(full.field.data, resumed.field.data)
-        assert norm(full.field - resumed.field, "l2") <= 1e-6
+        restarted = integrate(half.field, 0.05, cfg)
+        assert not np.array_equal(full.field.data, restarted.field.data)
+        assert norm(full.field - restarted.field, "l2") <= 1e-6
 
 
 class TestAdaptive:
@@ -672,10 +705,10 @@ class TestInPlaceUpdates:
             copies.append(states[-1].copy())
             assert all(np.array_equal(a, b) for a, b in zip(states, copies))
             if scheme == "imex_bdf2":
-                st = stepper.state
-                assert st.prev_field is states[-2]
+                dt, prev_field, prev_nonlinear = stepper._history
+                assert dt == 1e-3 and prev_field is states[-2]
                 assert np.array_equal(
-                    st.prev_nonlinear, nonlinear_rhs(grid, st.prev_field, symbols)
+                    prev_nonlinear, nonlinear_rhs(grid, prev_field, symbols)
                 )
 
     @pytest.mark.parametrize("scheme", ("etd1", "etd_rk2"))

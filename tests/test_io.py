@@ -1,8 +1,7 @@
-"""File formats: snapshots, checkpoints, and run configuration.
+"""File formats: snapshots and run configuration.
 
-The binary formats carry raw IEEE-754 bytes, so every round trip below is
-asserted bit-exact, and resuming a run from a checkpoint file must replay
-the identical float sequence the uninterrupted run produces.
+The binary format carries raw IEEE-754 bytes, so every round trip below
+is asserted bit-exact.
 """
 
 import numpy as np
@@ -10,19 +9,14 @@ import pytest
 
 from llbar.errors import DataError, GridMismatchError, SnapshotFormatError, UsageError
 from llbar.grid import Grid, random_band_limited_field, to_physical, to_spectral
-from llbar.integrator import SchemeConfig, SchemeState, integrate
 from llbar.io import (
-    CHECKPOINT_MAGIC,
     SNAPSHOT_MAGIC,
     ensure_outdir,
-    load_checkpoint,
     load_snapshot,
     read_config,
-    save_checkpoint,
     save_snapshot,
     write_config,
 )
-from llbar.mollifier import make_mollifier
 
 
 def sample_field(grid, seed=0):
@@ -162,188 +156,6 @@ class TestSnapshotErrors:
         corrupt_upper_half(path)
         with pytest.raises(DataError, match="conjugate symmetry"):
             load_snapshot(path)
-
-    def test_checkpoint_magic_rejected_for_snapshot(self, tmp_path):
-        path = tmp_path / "state.ckpt"
-        field = to_spectral(sample_field(Grid(2, 8)))
-        save_checkpoint(path, field, SchemeState(t=0.5, step=10), 1e-3)
-        with pytest.raises(SnapshotFormatError, match="magic"):
-            load_snapshot(path)
-
-
-class TestCheckpoint:
-    def test_round_trip_without_history(self, tmp_path):
-        field = to_spectral(sample_field(Grid(2, 16)))
-        state = SchemeState(t=0.25, step=250)
-        path = tmp_path / "run.ckpt"
-        save_checkpoint(path, field, state, 1e-3)
-        back_field, back_state, back_dt = load_checkpoint(path)
-        assert np.array_equal(back_field.data, field.data)
-        assert back_state.t == state.t
-        assert back_state.step == state.step
-        assert back_state.prev_field is None
-        assert back_state.prev_nonlinear is None
-        assert back_dt == 1e-3
-
-    def test_round_trip_with_history(self, tmp_path):
-        u0 = sample_field(Grid(2, 16))
-        cfg = SchemeConfig(scheme="imex_bdf2", dt=1e-3)
-        result = integrate(u0, 0.01, cfg)
-        state = result.state
-        assert state.prev_field is not None  # multistep history must exist
-        path = tmp_path / "run.ckpt"
-        save_checkpoint(path, result.field, state, cfg.dt)
-        back_field, back_state, _ = load_checkpoint(path)
-        assert np.array_equal(back_field.data, result.field.data)
-        assert back_state.t == state.t
-        assert back_state.step == state.step
-        assert np.array_equal(back_state.prev_field, state.prev_field)
-        assert np.array_equal(back_state.prev_nonlinear, state.prev_nonlinear)
-        assert back_state.history_key == state.history_key
-        assert state.history_key.dt == cfg.dt
-
-    def test_run_dt_survives_a_short_final_step(self, tmp_path):
-        # 0.105 = 10 steps of 0.01 and one short step of 0.005: the history
-        # is keyed to the short step, the run itself to the nominal dt
-        cfg = SchemeConfig(scheme="imex_bdf2", dt=1e-2)
-        result = integrate(sample_field(Grid(2, 16)), 0.105, cfg)
-        assert result.state.history_key.dt == pytest.approx(5e-3)
-        path = tmp_path / "run.ckpt"
-        save_checkpoint(path, result.field, result.state, cfg.dt)
-        _, back_state, back_dt = load_checkpoint(path)
-        assert back_dt == cfg.dt
-        assert back_state.history_key == result.state.history_key
-
-    @pytest.mark.parametrize("scheme", ["etd1", "etd_rk2", "imex_bdf2"])
-    def test_resume_through_file_is_bit_exact(self, tmp_path, scheme):
-        u0 = sample_field(Grid(2, 16), seed=2)
-        cfg = SchemeConfig(scheme=scheme, dt=1e-3)
-        straight = integrate(u0, 0.1, cfg)
-
-        first = integrate(u0, 0.05, cfg)
-        path = tmp_path / "run.ckpt"
-        save_checkpoint(path, first.field, first.state, cfg.dt)
-        field, state, dt = load_checkpoint(path, expected_grid=u0.grid)
-        resumed = integrate(field, 0.1, SchemeConfig(scheme=scheme, dt=dt), state=state)
-
-        assert resumed.state.step == straight.state.step
-        assert np.array_equal(resumed.field.data, straight.field.data)
-
-    def test_resume_at_new_dt_drops_stale_history(self, tmp_path):
-        # an imex_bdf2 history built at dt=1e-2 must not be reused at
-        # dt=2.5e-3: the resume bootstraps exactly as a fresh state does
-        grid = Grid(2, 32)
-        u0 = random_band_limited_field(grid, seed=0, amplitude=0.5)
-        first = integrate(u0, 0.1, SchemeConfig(scheme="imex_bdf2", dt=1e-2))
-        path = tmp_path / "run.ckpt"
-        save_checkpoint(path, first.field, first.state, 1e-2)
-        field, state, _ = load_checkpoint(path, expected_grid=grid)
-        assert state.prev_field is not None and state.history_key.dt == 1e-2
-
-        fine = SchemeConfig(scheme="imex_bdf2", dt=2.5e-3)
-        fresh = SchemeState(t=state.t, step=state.step)
-        reference = integrate(field, 0.2, fine, state=fresh)
-        resumed = integrate(field, 0.2, fine, state=state)
-        assert np.array_equal(resumed.field.data, reference.field.data)
-        assert resumed.state.history_key.dt == 2.5e-3
-
-    def test_resume_under_other_eps_drops_stale_history(self, tmp_path):
-        # an imex_bdf2 history built under J at eps=0.3 holds N(u) of that
-        # J: a resume under eps=0.1 bootstraps exactly as a fresh state does
-        grid = Grid(2, 16)
-        u0 = random_band_limited_field(grid, seed=0, amplitude=0.5)
-        cfg = SchemeConfig(scheme="imex_bdf2", dt=1e-3)
-        first = integrate(u0, 0.1, cfg, J=make_mollifier(grid, 0.3))
-        path = tmp_path / "run.ckpt"
-        save_checkpoint(path, first.field, first.state, cfg.dt)
-        field, state, _ = load_checkpoint(path, expected_grid=grid)
-        assert state.history_key == first.state.history_key
-        assert (state.history_key.kernel, state.history_key.eps) == ("gaussian", 0.3)
-
-        J = make_mollifier(grid, 0.1)
-        fresh = SchemeState(t=state.t, step=state.step)
-        reference = integrate(field, 0.2, cfg, J=J, state=fresh)
-        resumed = integrate(field, 0.2, cfg, J=J, state=state)
-        assert np.array_equal(resumed.field.data, reference.field.data)
-        assert resumed.state.history_key.eps == 0.1
-
-    def test_resume_with_nonlinearity_on_drops_linear_history(self, tmp_path):
-        # a history built with the nonlinearity off holds N(u) = 0: a
-        # resume with it on bootstraps exactly as a fresh state does
-        grid = Grid(2, 16)
-        u0 = random_band_limited_field(grid, seed=0, amplitude=0.5)
-        linear = SchemeConfig(scheme="imex_bdf2", dt=1e-3, nonlinear=False)
-        first = integrate(u0, 0.05, linear)
-        path = tmp_path / "run.ckpt"
-        save_checkpoint(path, first.field, first.state, linear.dt)
-        field, state, _ = load_checkpoint(path, expected_grid=grid)
-        assert state.history_key == first.state.history_key
-        assert state.history_key.nonlinear is False
-
-        cfg = SchemeConfig(scheme="imex_bdf2", dt=1e-3)
-        fresh = SchemeState(t=state.t, step=state.step)
-        reference = integrate(field, 0.1, cfg, state=fresh)
-        resumed = integrate(field, 0.1, cfg, state=state)
-        assert np.array_equal(resumed.field.data, reference.field.data)
-        assert resumed.state.history_key.nonlinear is True
-
-    def test_grid_mismatch(self, tmp_path):
-        field = to_spectral(sample_field(Grid(2, 16)))
-        path = tmp_path / "run.ckpt"
-        save_checkpoint(path, field, SchemeState(t=0.0, step=0), 1e-3)
-        with pytest.raises(GridMismatchError):
-            load_checkpoint(path, expected_grid=Grid(2, 32))
-
-    @pytest.mark.parametrize(
-        "history_n,to_repr",
-        [(16, to_spectral), (32, to_physical)],
-        ids=["other-grid", "other-representation"],
-    )
-    def test_history_must_match_state(self, tmp_path, history_n, to_repr):
-        # save_checkpoint writes only consistent histories, so the file is
-        # assembled from snapshot bodies: state, scheme header, history pair
-        def body(field):
-            snap = tmp_path / "part.snap"
-            save_snapshot(snap, field)
-            return snap.read_bytes()[len(SNAPSHOT_MAGIC):]
-
-        state_field = to_spectral(sample_field(Grid(2, 32)))
-        history = to_repr(sample_field(Grid(2, history_n), seed=1))
-        header = (
-            b"t=0.1\ndt=0.01\nstep=10\nhistory=1\n"
-            b"history_key=0.01,0.25,1.0,1.0,1.0,0.0,none,1\n\n"
-        )
-        path = tmp_path / "run.ckpt"
-        path.write_bytes(
-            CHECKPOINT_MAGIC + body(state_field) + header + 2 * body(history)
-        )
-        with pytest.raises(SnapshotFormatError, match="history"):
-            load_checkpoint(path, expected_grid=Grid(2, 32))
-
-    @pytest.mark.parametrize("old, new", IMPOSSIBLE_GRIDS)
-    def test_impossible_grid_header(self, tmp_path, old, new):
-        path = tmp_path / "run.ckpt"
-        save_checkpoint(
-            path, to_spectral(sample_field(Grid(2, 8))), SchemeState(t=0.0, step=0), 1e-3
-        )
-        rewrite_first(path, old, new)
-        with pytest.raises(SnapshotFormatError, match="bad snapshot header"):
-            load_checkpoint(path)
-
-    def test_snapshot_magic_rejected_for_checkpoint(self, tmp_path):
-        path = tmp_path / "state.snap"
-        save_snapshot(path, to_physical(sample_field(Grid(2, 8))))
-        with pytest.raises(SnapshotFormatError, match="magic"):
-            load_checkpoint(path)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        save_checkpoint(
-            path, to_spectral(sample_field(Grid(2, 8))), SchemeState(t=0.0, step=0), 1e-3
-        )
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(SnapshotFormatError, match="trailing"):
-            load_checkpoint(path)
 
 
 class TestConfigFile:
