@@ -346,15 +346,9 @@ def cmd_verify(args) -> int:
     cfg = _resolve(args)
     if cfg["seeds"] < 1:
         raise UsageError(f"seeds must be at least 1, got {cfg['seeds']}")
-    grid = _grid(cfg)
     eps = cfg["eps"] or 0.2
-    rows = identity_suite(
-        grid,
-        _params(cfg),
-        eps=eps,
-        kind=cfg["kernel"],
-        seeds=range(cfg["seed"], cfg["seed"] + cfg["seeds"]),
-    )
+    J = make_mollifier(_grid(cfg), eps, cfg["kernel"])
+    rows = identity_suite(J, _params(cfg), seeds=range(cfg["seed"], cfg["seed"] + cfg["seeds"]))
 
     # aggregate each identity over its seeds: worst residual decides
     table = []
@@ -364,7 +358,7 @@ def cmd_verify(args) -> int:
         tol = mine[0]["tolerance"]
         table.append((name, worst, tol, all(r["passed"] for r in mine)))
 
-    report = verify_mollifier_properties(make_mollifier(grid, eps, cfg["kernel"]))
+    report = verify_mollifier_properties(J)
     for check in report.checks:
         if not check.informational:
             table.append((check.name, check.measured, check.bound, check.passed))

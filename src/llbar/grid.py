@@ -340,12 +340,15 @@ def gradient(f: Field) -> tuple[Field, ...]:
 
     Returns one R^3-valued Field per axis, in the input's representation.
     """
+    return tuple(_partials(f))
+
+
+def _partials(f: Field):
+    """The fields of gradient(f), made one at a time."""
     fs = to_spectral(f)
-    out = []
     for ka in f.grid.k_odd:
         g = _derived(f.grid, (1j * ka)[np.newaxis] * fs.data)
-        out.append(g if f.representation == SPECTRAL else to_physical(g))
-    return tuple(out)
+        yield g if f.representation == SPECTRAL else to_physical(g)
 
 
 def laplacian(f: Field) -> Field:
@@ -429,6 +432,8 @@ def random_band_limited_field(
         kmax = grid.n // 3
     if not 0 <= kmax <= grid.n // 2 - 1:
         raise UsageError(f"kmax must lie in [0, n/2 - 1], got {kmax}")
+    if seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
 
     m1 = np.rint(np.fft.fftfreq(grid.n, d=1.0 / grid.n)).astype(int)

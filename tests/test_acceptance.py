@@ -70,7 +70,7 @@ def test_1_integral_identities_at_scale():
     worst = 0.0
     for grid, seeds in ((Grid(2, 64), range(50)), (Grid(3, 32), range(3))):
         rows = [
-            r for r in identity_suite(grid, seeds=seeds)
+            r for r in identity_suite(make_mollifier(grid, 0.2), seeds=seeds)
             if r["check"] in IDENTITY_CHECKS
         ]
         assert len(rows) == len(seeds) * len(IDENTITY_CHECKS)

@@ -114,12 +114,15 @@ class TestUsageErrors:
             ("verify", "--n", "16", "--seeds", "0"),
             ("converge", "--study", "linear_growth", "--n", "16", "--mode-ksq=-1"),
             ("simulate", "--box-length", "inf", "--n", "16", "--t-end", "0.01"),
+            ("verify", "--n", "16", "--seeds", "1", "--seed", "-1"),
+            ("simulate", "--n", "16", "--t-end", "0.01", "--seed", "-1"),
+            ("converge", "--study", "eps_limit", "--n", "16", "--t-end", "0.01", "--seed", "-3"),
         ],
     )
     def test_out_of_range_value_is_usage_error(self, outdir, capsys, argv):
         # a negative eps is not the limit flow, zero seeds check nothing,
-        # no lattice mode has a negative |m|^2, and an infinite box has no
-        # lattice at all
+        # no lattice mode has a negative |m|^2, an infinite box has no
+        # lattice at all, and the seeded generator takes no negative seed
         assert run(*argv, "--outdir", outdir) == 1
         assert "usage error:" in capsys.readouterr().err
 

@@ -39,6 +39,7 @@ from llbar.physics import (
     identity_cubic_expansion,
     identity_h1,
     identity_l2,
+    identity_suite,
     rhs,
 )
 
@@ -232,6 +233,17 @@ class TestTransformBudget:
         assert step_calls and set(step_calls) <= {"rfftn", "irfftn"}
         assert fft_calls and set(fft_calls) <= {"rfftn", "irfftn"}
         assert len(fft_calls) <= 3
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 12)])
+    def test_identity_seed_evaluates_shared_terms_once(self, fft_calls, dim, n):
+        """One seed of the suite, its generated field included: every check
+        reads one u_hat, one rhs per dealiasing choice, one smoothed state
+        and one effective field (67 transforms when each check built its
+        own)."""
+        J = make_mollifier(Grid(dim, n), 0.2, "bump")
+        fft_calls.clear()
+        identity_suite(J, seeds=[0])
+        assert len(fft_calls) <= 30
 
     @pytest.mark.parametrize("dim,n", [(2, 16), (3, 12)])
     def test_library_makes_no_complex_transform(self, fft_calls, monkeypatch, dim, n):

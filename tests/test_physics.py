@@ -46,6 +46,7 @@ from llbar.physics import (
     rhs,
     rhs_consistency_with_heff,
 )
+from llbar.physics import _SeedTerms
 from oracles import direct_dft, fd_laplacian
 
 GENERAL_PARAMS = EffectiveFieldParams(chi=0.4, lambda_r=0.7, lambda_e=1.3, gamma=2.0)
@@ -522,7 +523,7 @@ class TestParams:
 
 class TestIdentitySuite:
     def test_all_rows_pass(self, grid32_2d):
-        rows = identity_suite(grid32_2d, seeds=range(3))
+        rows = identity_suite(make_mollifier(grid32_2d, 0.2), seeds=range(3))
         assert len(rows) == 18  # 6 checks x 3 seeds
         assert all(r["passed"] for r in rows)
         assert {r["check"] for r in rows} == {
@@ -534,8 +535,33 @@ class TestIdentitySuite:
             "energy_chain_rule",
         }
 
+    @pytest.mark.parametrize(
+        "dim,n,kind,p",
+        [(2, 32, "gaussian", DEFAULT_PARAMS), (3, 16, "bump", GENERAL_PARAMS)],
+        ids=["2d-gaussian-default", "3d-bump-general"],
+    )
+    def test_rows_equal_standalone_checks_bit_for_bit(self, dim, n, kind, p):
+        """The suite evaluates each seed's shared terms once; every row
+        must still be exactly the standalone check's value."""
+        grid = Grid(dim, n)
+        J = make_mollifier(grid, 0.2, kind)
+        rows = {(r["check"], r["seed"]): r["residual"] for r in identity_suite(J, p, range(2))}
+        for seed in range(2):
+            u = random_band_limited_field(grid, seed=seed, kmax=n // 6)
+            h1 = identity_h1(u, J, p)
+            assert rows["identity_l2", seed] == identity_l2(u, J, p).residual
+            assert rows["identity_h1", seed] == h1.residual
+            assert rows["orthogonality", seed] == h1.extras["orthogonality"]
+            cubic = identity_cubic_expansion(u, J).residual
+            assert rows["identity_cubic_expansion", seed] == cubic
+            consistency = rhs_consistency_with_heff(u, p)
+            assert rows["rhs_consistency_with_heff", seed] == consistency
+            assert rows["energy_chain_rule", seed] == energy_chain_rule_gap(u, p)
+            # the chain-rule check takes grad H from the spectrum of H
+            assert _SeedTerms(u, None, p).dissipation == dissipation(u, p)
+
     def test_row_shape(self, grid16_2d):
-        row = identity_suite(grid16_2d, seeds=[0])[0]
+        row = identity_suite(make_mollifier(grid16_2d, 0.2), seeds=[0])[0]
         assert set(row) == {
             "check",
             "grid",
