@@ -7,11 +7,14 @@ Subcommands
     mollifier-check report the smoothing-family properties of one kernel
     calibrate       measure inequality constants and the stable step
 
-Configuration is resolved as: command-line flag, else `--config` file value
-(flat `key = value` lines), else the built-in default. The effective
-configuration is echoed to the output directory, so outputs are a pure
-function of that echo plus the seed. Nothing is written outside the output
-directory; the directory itself defaults to $LLBAR_OUTDIR or ./out.
+Each subcommand takes only the configuration keys it reads (`llbar <cmd>
+--help` lists them), as flags and as `--config` file keys; any other key is
+a usage error. A key resolves as: command-line flag, else `--config` file
+value (flat `key = value` lines), else the built-in default. The effective
+configuration, the running subcommand's keys only, is echoed to the output
+directory, so outputs are a pure function of that echo plus the seed.
+Nothing is written outside the output directory; the directory itself
+defaults to $LLBAR_OUTDIR or ./out.
 
 Exit codes: 0 all checks passed, 1 usage error, 2 a check failed,
 3 blow-up, 4 malformed data or other I/O failure.
@@ -23,7 +26,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from collections import namedtuple
 
 from .errors import BlowUpError, DataError, UsageError
 from .experiments import (
@@ -69,45 +72,59 @@ def _int_list(text):
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-# every configuration key: (converter for config-file values, built-in
-# default); flags convert through argparse `type=` with the same functions.
-# outdir falls back to $LLBAR_OUTDIR or ./out, and subcommand is the running
-# one, which a config file may only repeat.
+# the subcommands, and the groups of them that read the same keys
+_ALL = ("simulate", "verify", "converge", "mollifier-check", "calibrate")
+_FLOWS = ("simulate", "verify", "converge", "calibrate")  # couplings and seeded data
+_STEPPED = ("simulate", "converge")  # step generated data in time
+_CONVERGE = ("converge",)
+_KERNELS = tuple(sorted(KINDS))
+
+# every configuration key: converter (for config-file values, and argparse
+# `type=` of its flag), built-in default, the subcommands that read it, help
+# text, and the values it may take. A subcommand takes exactly the keys it
+# reads, as --key-with-dashes flags and as config-file keys. outdir falls
+# back to $LLBAR_OUTDIR or ./out. The echo also names the running
+# subcommand, which a config file may only repeat.
+_Key = namedtuple("_Key", "convert default reads help choices", defaults=(None,))
 _KEYS = {
-    "outdir": (str, None),
-    "subcommand": (str, None),
-    "dim": (int, 2),
-    "n": (int, 64),
-    "box_length": (float, 2 * math.pi),
-    "chi": (float, 0.25),
-    "lambda_r": (float, 1.0),
-    "lambda_e": (float, 1.0),
-    "gamma": (float, 1.0),
-    "scheme": (str, "etd_rk2"),
-    "dt": (float, 1e-3),
-    "adaptive": (_bool, False),
-    "tol": (float, 1e-6),
-    "t_end": (float, 1.0),
-    "report_every": (int, 10),
-    "eps": (float, 0.0),
-    "kernel": (str, "gaussian"),
-    "seed": (int, 0),
-    "amplitude": (float, 0.5),
-    "decay_r": (float, 3.0),
-    "kmax": (_int_or_none, None),
-    "snapshot": (_str_or_none, None),
-    "seeds": (int, 3),
-    "study": (str, "eps_cauchy"),
-    "eps_list": (_float_list, (0.4, 0.2, 0.1, 0.05)),
-    "drop_largest": (_bool, False),
-    "scheme_b": (str, "imex_bdf2"),
-    "dt_b": (float, 5e-4),
-    "kernel_b": (str, "gaussian"),
-    "eps_a": (float, 0.0),
-    "eps_b": (float, 0.0),
-    "mode_ksq": (_int_list, (0, 1, 2, 4, 9)),
-    "family_size": (int, 100),
-    "write_calibration": (_bool, False),
+    "outdir": _Key(str, None, _ALL, "output directory (default: $LLBAR_OUTDIR or ./out)"),
+    "dim": _Key(int, 2, _ALL, "spatial dimension (1, 2, or 3)"),
+    "n": _Key(int, 64, _ALL, "grid points per axis (even, >= 8)"),
+    "box_length": _Key(float, 2 * math.pi, _ALL, "torus edge length"),
+    "chi": _Key(float, 0.25, _FLOWS, "susceptibility"),
+    "lambda_r": _Key(float, 1.0, _FLOWS, "relaxation coupling"),
+    "lambda_e": _Key(float, 1.0, _FLOWS, "exchange coupling"),
+    "gamma": _Key(float, 1.0, _FLOWS, "precession coupling"),
+    "scheme": _Key(str, "etd_rk2", _STEPPED, "time integrator", SCHEMES),
+    "dt": _Key(float, 1e-3, _STEPPED, "time step"),
+    "adaptive": _Key(_bool, False, _STEPPED, "step-doubling adaptive dt (single-step schemes)"),
+    "tol": _Key(float, 1e-6, _STEPPED, "adaptive local-error target"),
+    "t_end": _Key(float, 1.0, _STEPPED, "final time"),
+    "report_every": _Key(int, 10, _STEPPED, "steps between diagnostic rows"),
+    "eps": _Key(float, 0.0, ("simulate", "verify", "mollifier-check"),
+                "smoothing length; 0 = limit flow"),
+    "kernel": _Key(str, "gaussian", _ALL, "smoothing kernel kind", _KERNELS),
+    "seed": _Key(int, 0, _FLOWS, "seed for generated initial data"),
+    "amplitude": _Key(float, 0.5, _STEPPED, "initial-data amplitude"),
+    "decay_r": _Key(float, 3.0, _STEPPED, "initial-data spectral decay exponent"),
+    "kmax": _Key(_int_or_none, None, _STEPPED, "initial-data band limit"),
+    "snapshot": _Key(_str_or_none, None, ("simulate",),
+                     "start from this snapshot instead of generated data"),
+    "seeds": _Key(int, 3, ("verify",), "number of seeded fields per identity"),
+    "study": _Key(str, "eps_cauchy", _CONVERGE, "scripted study", CONVERGE_STUDIES),
+    "eps_list": _Key(_float_list, (0.4, 0.2, 0.1, 0.05), _CONVERGE,
+                     "comma-separated, strictly decreasing"),
+    "drop_largest": _Key(_bool, False, _CONVERGE, "drop the largest eps from the rate fit"),
+    "scheme_b": _Key(str, "imex_bdf2", _CONVERGE, "second leg scheme (uniqueness)", SCHEMES),
+    "dt_b": _Key(float, 5e-4, _CONVERGE, "second leg dt (uniqueness)"),
+    "kernel_b": _Key(str, "gaussian", _CONVERGE, "second leg kernel (uniqueness)", _KERNELS),
+    "eps_a": _Key(float, 0.0, _CONVERGE, "first leg eps (uniqueness)"),
+    "eps_b": _Key(float, 0.0, _CONVERGE, "second leg eps (uniqueness)"),
+    "mode_ksq": _Key(_int_list, (0, 1, 2, 4, 9), _CONVERGE,
+                     "squared mode magnitudes (linear_growth)"),
+    "family_size": _Key(int, 100, ("calibrate",), "seeded fields in the calibration family"),
+    "write_calibration": _Key(_bool, False, ("mollifier-check",),
+                              "also write the measured property constants"),
 }
 
 # the random initial-data shape knobs; giving any of them together with a
@@ -119,6 +136,10 @@ _GENERATOR_KEYS = ("amplitude", "decay_r", "kmax")
 # check, so the study defaults to a tiny amplitude instead
 LINEAR_GROWTH_AMPLITUDE = 1e-8
 
+# verify and mollifier-check check a smoothing symbol, which the limit flow
+# (eps = 0) does not have, so they default to this smoothing length
+CHECK_EPS = 0.2
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse reports usage problems via our exception, not exit(2)."""
@@ -128,112 +149,72 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    g = common.add_argument_group("configuration")
-    g.add_argument("--config", help="flat key = value file; flags override it")
-    g.add_argument("--outdir", help="output directory (default: $LLBAR_OUTDIR or ./out)")
-    g.add_argument("--dim", type=int, help="spatial dimension (1, 2, or 3)")
-    g.add_argument("--n", type=int, help="grid points per axis (even, >= 8)")
-    g.add_argument("--box-length", dest="box_length", type=float, help="torus edge length")
-    g.add_argument("--chi", type=float, help="susceptibility")
-    g.add_argument("--lambda-r", dest="lambda_r", type=float, help="relaxation coupling")
-    g.add_argument("--lambda-e", dest="lambda_e", type=float, help="exchange coupling")
-    g.add_argument("--gamma", type=float, help="precession coupling")
-    g.add_argument("--scheme", choices=sorted(SCHEMES), help="time integrator")
-    g.add_argument("--dt", type=float, help="time step")
-    g.add_argument("--adaptive", action=argparse.BooleanOptionalAction, default=None,
-                   help="step-doubling adaptive dt (single-step schemes)")
-    g.add_argument("--tol", type=float, help="adaptive local-error target")
-    g.add_argument("--t-end", dest="t_end", type=float, help="final time")
-    g.add_argument("--report-every", dest="report_every", type=int,
-                   help="steps between diagnostic rows")
-    g.add_argument("--eps", type=float, help="smoothing length; 0 = limit flow")
-    g.add_argument("--kernel", choices=sorted(KINDS), help="smoothing kernel kind")
-    g.add_argument("--seed", type=int, help="seed for generated initial data")
-    g.add_argument("--amplitude", type=float, help="initial-data amplitude")
-    g.add_argument("--decay-r", dest="decay_r", type=float,
-                   help="initial-data spectral decay exponent")
-    g.add_argument("--kmax", type=_int_or_none, help="initial-data band limit")
-    g.add_argument("--snapshot", type=_str_or_none,
-                   help="start from this snapshot instead of generated data")
-
     parser = _Parser(prog="llbar", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("simulate", parents=[common],
-                       help="integrate one trajectory and write its series")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="integral identities + smoothing properties")
-    p.add_argument("--seeds", type=int, help="number of seeded fields per identity")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("converge", parents=[common], help="run a scripted study")
-    p.add_argument("--study", choices=CONVERGE_STUDIES)
-    p.add_argument("--eps-list", dest="eps_list", type=_float_list,
-                   help="comma-separated, strictly decreasing")
-    p.add_argument("--drop-largest", dest="drop_largest",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="drop the largest eps from the rate fit")
-    p.add_argument("--scheme-b", dest="scheme_b", choices=sorted(SCHEMES),
-                   help="second leg scheme (uniqueness)")
-    p.add_argument("--dt-b", dest="dt_b", type=float, help="second leg dt (uniqueness)")
-    p.add_argument("--kernel-b", dest="kernel_b", choices=sorted(KINDS),
-                   help="second leg kernel (uniqueness)")
-    p.add_argument("--eps-a", dest="eps_a", type=float, help="first leg eps (uniqueness)")
-    p.add_argument("--eps-b", dest="eps_b", type=float, help="second leg eps (uniqueness)")
-    p.add_argument("--mode-ksq", dest="mode_ksq", type=_int_list,
-                   help="squared mode magnitudes (linear_growth)")
-    p.set_defaults(func=cmd_converge)
-
-    p = sub.add_parser("mollifier-check", parents=[common],
-                       help="smoothing-property report for one kernel")
-    p.add_argument("--write-calibration", dest="write_calibration",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="also write the measured property constants")
-    p.set_defaults(func=cmd_mollifier_check)
-
-    p = sub.add_parser("calibrate", parents=[common],
-                       help="measure inequality constants and the stable dt")
-    p.add_argument("--family-size", dest="family_size", type=int)
-    p.set_defaults(func=cmd_calibrate)
-
+    for name, func, text in (
+        ("simulate", cmd_simulate, "integrate one trajectory and write its series"),
+        ("verify", cmd_verify, "integral identities + smoothing properties"),
+        ("converge", cmd_converge, "run a scripted study"),
+        ("mollifier-check", cmd_mollifier_check, "smoothing-property report for one kernel"),
+        ("calibrate", cmd_calibrate, "measure inequality constants and the stable dt"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="flat key = value file; flags override it")
+        for key, k in _KEYS.items():
+            if name not in k.reads:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if k.convert is _bool:
+                p.add_argument(flag, action=argparse.BooleanOptionalAction, help=k.help)
+            else:
+                p.add_argument(flag, type=k.convert, choices=k.choices, help=k.help)
     return parser
 
 
 def _resolve(args) -> dict:
-    """Flag > config-file > default, tracking which keys the user set (a
-    file value counts only when it differs from the default, so an echo
-    replays); the result is echoed to <outdir>/effective-config.txt."""
+    """Flag > config-file > default over the running subcommand's keys,
+    tracking which keys the user set (a file value counts only when it
+    differs from the default, so an echo replays); the result is echoed to
+    <outdir>/effective-config.txt."""
+    cmd = args.subcommand
+    keys = {key: k for key, k in _KEYS.items() if cmd in k.reads}
     file_vals = {}
-    if getattr(args, "config", None):
-        for raw_key, raw_val in read_config(args.config).items():
+    if args.config:
+        raw = read_config(args.config)
+        other = raw.pop("subcommand", cmd)
+        if other != cmd:
+            raise UsageError(
+                f"{args.config}: configuration of subcommand {other!r}, not {cmd!r}"
+            )
+        for raw_key, raw_val in raw.items():
             key = raw_key.replace("-", "_")
-            if key not in _KEYS:
-                raise UsageError(f"{args.config}: unknown configuration key {raw_key!r}")
+            k = keys.get(key)
+            if k is None:
+                raise UsageError(f"{args.config}: {cmd} reads no configuration key {raw_key!r}")
             try:
-                file_vals[key] = _KEYS[key][0](raw_val)
+                value = k.convert(raw_val)
+                if k.choices and value not in k.choices:
+                    raise ValueError(f"{value!r} is not one of {', '.join(k.choices)}")
             except ValueError as exc:
                 raise UsageError(f"{args.config}: bad value for {raw_key!r}: {exc}") from exc
-        if file_vals.get("subcommand", args.subcommand) != args.subcommand:
-            raise UsageError(
-                f"{args.config}: configuration of subcommand "
-                f"{file_vals['subcommand']!r}, not {args.subcommand!r}"
-            )
+            file_vals[key] = value
 
-    defaults = {key: default for key, (_, default) in _KEYS.items()}
-    study = getattr(args, "study", None) or file_vals.get("study", defaults["study"])
-    if args.subcommand == "converge" and study == "linear_growth":
+    defaults = {key: k.default for key, k in keys.items()}
+    if cmd in ("verify", "mollifier-check"):
+        defaults["eps"] = CHECK_EPS
+    if cmd == "converge" and (
+        args.study or file_vals.get("study", defaults["study"])
+    ) == "linear_growth":
         defaults["amplitude"] = LINEAR_GROWTH_AMPLITUDE
-    cfg, given = {}, set()
+    cfg, given = {"subcommand": cmd}, set()
     for key, default in defaults.items():
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None or file_vals.get(key, default) != default:
             given.add(key)
         cfg[key] = flag if flag is not None else file_vals.get(key, default)
 
-    if cfg["snapshot"]:
+    if cfg.get("snapshot"):
         conflicts = sorted(set(_GENERATOR_KEYS) & given)
         if conflicts:
             raise UsageError(
@@ -346,7 +327,7 @@ def cmd_verify(args) -> int:
     cfg = _resolve(args)
     if cfg["seeds"] < 1:
         raise UsageError(f"seeds must be at least 1, got {cfg['seeds']}")
-    eps = cfg["eps"] or 0.2
+    eps = cfg["eps"]
     J = make_mollifier(_grid(cfg), eps, cfg["kernel"])
     rows = identity_suite(J, _params(cfg), seeds=range(cfg["seed"], cfg["seed"] + cfg["seeds"]))
 
@@ -384,8 +365,8 @@ def cmd_verify(args) -> int:
     return 2 if failed else 0
 
 
-def _study_spec(cfg, kind) -> StudySpec:
-    extras = {}
+def _study_spec(cfg) -> StudySpec:
+    kind = cfg["study"]
     if kind in ("eps_cauchy", "eps_limit"):
         extras = {"eps_list": cfg["eps_list"], "drop_largest_eps": cfg["drop_largest"]}
     elif kind == "uniqueness":
@@ -395,10 +376,8 @@ def _study_spec(cfg, kind) -> StudySpec:
             "eps_a": cfg["eps_a"],
             "eps_b": cfg["eps_b"],
         }
-    elif kind == "linear_growth":
+    else:
         extras = {"mode_ksq": cfg["mode_ksq"]}
-    elif kind == "gn_calibration":
-        extras = {"family_size": cfg["family_size"]}
     return StudySpec(
         kind=kind,
         dim=cfg["dim"],
@@ -421,7 +400,7 @@ def _study_spec(cfg, kind) -> StudySpec:
 def cmd_converge(args) -> int:
     cfg = _resolve(args)
     kind = cfg["study"]
-    spec = _study_spec(cfg, kind)
+    spec = _study_spec(cfg)
     if kind == "eps_cauchy":
         report = run_eps_cauchy(spec)
     elif kind == "eps_limit":
@@ -465,7 +444,7 @@ def cmd_converge(args) -> int:
 
 def cmd_mollifier_check(args) -> int:
     cfg = _resolve(args)
-    eps = cfg["eps"] or 0.2
+    eps = cfg["eps"]
     report = verify_mollifier_properties(make_mollifier(_grid(cfg), eps, cfg["kernel"]))
     text = report.to_text()
     print(text)
@@ -486,8 +465,17 @@ def cmd_mollifier_check(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg = _resolve(args)
-    # the study writes no file here: constants.txt also carries the stable dt
-    spec = replace(_study_spec(cfg, "gn_calibration"), outdir=None)
+    # the study gets no outdir: constants.txt also carries the stable dt
+    spec = StudySpec(
+        kind="gn_calibration",
+        dim=cfg["dim"],
+        n=cfg["n"],
+        box_length=cfg["box_length"],
+        seed=cfg["seed"],
+        kernel=cfg["kernel"],
+        params=_params(cfg),
+        family_size=cfg["family_size"],
+    )
     report = run_gn_calibration(spec)
     print(report.summary())
 

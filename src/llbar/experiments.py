@@ -569,9 +569,7 @@ def find_stable_dt(grid: Grid, seed: int = 0) -> float:
     for _ in range(12):
         try:
             horizon = max(0.5, 25 * dt)
-            res = integrate(
-                u0, horizon, replace(cfg, dt=dt, dt_min=min(dt, cfg.dt_min)), report_every=1
-            )
+            res = integrate(u0, horizon, replace(cfg, dt=dt), report_every=1)
             if monotonicity_audit(res.series).passed and blowup_monitor(res.series).healthy:
                 return dt
         except BlowUpError:

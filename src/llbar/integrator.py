@@ -39,6 +39,10 @@ from .physics import (
 SCHEMES = ("etd1", "etd_rk2", "imex_bdf2")
 SCHEME_ORDER = {"etd1": 1, "etd_rk2": 2, "imex_bdf2": 2}
 
+# adaptive stepping aims the next step at this fraction of the dt that the
+# error estimate says would just meet tol
+SAFETY = 0.9
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -47,7 +51,6 @@ class SchemeConfig:
     adaptive: bool = False
     dt_min: float = 1e-10
     dt_max: float = 1.0
-    safety: float = 0.9
     tol: float = 1e-6
     nonlinear: bool = True
 
@@ -59,8 +62,6 @@ class SchemeConfig:
                 f"need 0 < dt_min <= dt <= dt_max, got "
                 f"({self.dt_min}, {self.dt}, {self.dt_max})"
             )
-        if not (0 < self.safety <= 1):
-            raise UsageError(f"safety must lie in (0, 1], got {self.safety}")
         if self.tol <= 0:
             raise UsageError(f"tol must be positive, got {self.tol}")
         if self.adaptive and self.scheme == "imex_bdf2":
@@ -228,7 +229,7 @@ class Stepper:
                 if est == 0.0:
                     factor = 5.0
                 else:
-                    factor = cfg.safety * (cfg.tol * scale / est) ** (1.0 / (p_ord + 1))
+                    factor = SAFETY * (cfg.tol * scale / est) ** (1.0 / (p_ord + 1))
                 next_dt = min(max(factor, 0.2), 5.0) * dt
                 return half, dt, min(max(next_dt, cfg.dt_min), cfg.dt_max)
             dt = dt / 2.0

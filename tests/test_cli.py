@@ -27,6 +27,38 @@ def outdir(tmp_path):
     return str(tmp_path / "out")
 
 
+# the keys each subcommand reads, found in its cmd_* function
+READS = {
+    "simulate": {"outdir", "dim", "n", "box_length", "chi", "lambda_r", "lambda_e", "gamma",
+                 "scheme", "dt", "adaptive", "tol", "t_end", "report_every", "eps", "kernel",
+                 "seed", "amplitude", "decay_r", "kmax", "snapshot"},
+    "verify": {"outdir", "dim", "n", "box_length", "chi", "lambda_r", "lambda_e", "gamma",
+               "eps", "kernel", "seed", "seeds"},
+    "converge": {"outdir", "dim", "n", "box_length", "chi", "lambda_r", "lambda_e", "gamma",
+                 "scheme", "dt", "adaptive", "tol", "t_end", "report_every", "kernel", "seed",
+                 "amplitude", "decay_r", "kmax", "study", "eps_list", "drop_largest",
+                 "scheme_b", "dt_b", "kernel_b", "eps_a", "eps_b", "mode_ksq"},
+    "mollifier-check": {"outdir", "dim", "n", "box_length", "eps", "kernel",
+                        "write_calibration"},
+    "calibrate": {"outdir", "dim", "n", "box_length", "chi", "lambda_r", "lambda_e", "gamma",
+                  "kernel", "seed", "family_size"},
+}
+
+# a valid value of every key other than outdir, as a config file spells it;
+# "true" marks the on/off keys, whose flag takes no value
+VALUES = {
+    "dim": "2", "n": "16", "box_length": "6.0", "chi": "0.3", "lambda_r": "1.5",
+    "lambda_e": "1.5", "gamma": "0.5", "scheme": "etd1", "dt": "0.002", "adaptive": "true",
+    "tol": "1e-5", "t_end": "0.02", "report_every": "1", "eps": "0.3", "kernel": "bump",
+    "seed": "1", "amplitude": "0.4", "decay_r": "4.0", "kmax": "4", "snapshot": "u.snap",
+    "seeds": "1", "study": "eps_limit", "eps_list": "0.4,0.2", "drop_largest": "true",
+    "scheme_b": "etd1", "dt_b": "0.001", "kernel_b": "bump", "eps_a": "0.1", "eps_b": "0.1",
+    "mode_ksq": "0,1", "family_size": "100", "write_calibration": "true",
+}
+
+UNREAD = [(cmd, key) for cmd, keys in READS.items() for key in VALUES if key not in keys]
+
+
 def write_stationary_snapshot(path, n=32):
     """u = (0, 0, 1): unit length everywhere, an equilibrium of the flow."""
     grid = Grid(2, n)
@@ -105,12 +137,47 @@ class TestUsageErrors:
         assert run("simulate", "--config", str(cfg), "--outdir", outdir) == 1
         assert f"usage error: {cfg}: not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, key", UNREAD)
+    def test_unread_key_rejected_as_flag(self, outdir, capsys, cmd, key):
+        flag = "--" + key.replace("_", "-")
+        value = [] if VALUES[key] == "true" else [VALUES[key]]
+        assert run(cmd, flag, *value, "--outdir", outdir) == 1
+        assert "usage error:" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("cmd, key", UNREAD)
+    def test_unread_key_rejected_in_config(self, tmp_path, outdir, capsys, cmd, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {VALUES[key]}\n")
+        assert run(cmd, "--config", str(cfg), "--outdir", outdir) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {cfg}: {cmd} reads no configuration key {key!r}" in err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize(
+        "cmd, key, value",
+        [
+            ("simulate", "kernel", "foo"),
+            ("simulate", "scheme", "rk9"),
+            ("converge", "study", "gn_calibration"),
+            ("converge", "scheme_b", "rk9"),
+            ("converge", "kernel_b", "foo"),
+        ],
+    )
+    def test_config_value_outside_choices_named(self, tmp_path, outdir, capsys, cmd, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 16\nt_end = 0.01\n{key} = {value}\n")
+        assert run(cmd, "--config", str(cfg), "--outdir", outdir) == 1
+        assert f"usage error: {cfg}: bad value for {key!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
             ("simulate", "--n", "16", "--t-end", "0.01", "--eps", "-0.3"),
             ("verify", "--n", "16", "--seeds", "1", "--eps", "-1"),
+            ("verify", "--n", "16", "--seeds", "1", "--eps", "0"),
             ("mollifier-check", "--n", "16", "--eps", "-1"),
+            ("mollifier-check", "--n", "16", "--eps", "0"),
             ("verify", "--n", "16", "--seeds", "0"),
             ("converge", "--study", "linear_growth", "--n", "16", "--mode-ksq=-1"),
             ("simulate", "--box-length", "inf", "--n", "16", "--t-end", "0.01"),
@@ -120,7 +187,8 @@ class TestUsageErrors:
         ],
     )
     def test_out_of_range_value_is_usage_error(self, outdir, capsys, argv):
-        # a negative eps is not the limit flow, zero seeds check nothing,
+        # a negative eps is not the limit flow, the limit flow has no
+        # smoothing symbol to check, zero seeds check nothing,
         # no lattice mode has a negative |m|^2, an infinite box has no
         # lattice at all, and the seeded generator takes no negative seed
         assert run(*argv, "--outdir", outdir) == 1
@@ -323,16 +391,45 @@ class TestConfigResolution:
         assert "verify" in capsys.readouterr().err
 
     def test_flags_and_config_keys_agree(self):
-        """Every subcommand flag resolves through the one key table, and
-        every key of the table is some subcommand's flag."""
+        """Each subcommand's flags are exactly the keys it reads, which are
+        exactly the keys the one key table gives it; every key of the table
+        is some subcommand's flag."""
         parser = _build_parser()
         subparsers = parser._subparsers._group_actions[0].choices
-        dests = set()
+        assert set(subparsers) == set(READS)
         for name, sub in subparsers.items():
             mine = {a.dest for a in sub._actions} - {"help", "config"}
-            assert mine <= set(_KEYS), (name, sorted(mine - set(_KEYS)))
-            dests |= mine
-        assert set(_KEYS) - dests <= {"outdir", "subcommand"}
+            assert mine == READS[name], (name, sorted(mine ^ READS[name]))
+            assert mine == {key for key, k in _KEYS.items() if name in k.reads}, name
+        assert set(_KEYS) == set().union(*READS.values())
+
+    @pytest.mark.parametrize(
+        "argv, output",
+        [
+            (("verify", "--n", "16", "--seeds", "1", "--kernel", "bump"), "verify.txt"),
+            (("mollifier-check", "--n", "16", "--kernel", "bump", "--write-calibration"),
+             "mollifier-report.txt"),
+            (("calibrate", "--n", "16"), "constants.txt"),
+            (("converge", "--study", "uniqueness", "--n", "16", "--t-end", "0.1"),
+             "uniqueness.csv"),
+        ],
+        ids=["verify", "mollifier-check", "calibrate", "converge"],
+    )
+    def test_every_subcommand_echo_replays(self, tmp_path, argv, output):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(*argv, "--outdir", str(first)) == 0
+        echo = first / "effective-config.txt"
+        assert set(read_config(str(echo))) == READS[argv[0]] | {"subcommand"}
+        assert run(argv[0], "--config", str(echo), "--outdir", str(second)) == 0
+        assert (second / output).read_bytes() == (first / output).read_bytes()
+
+    @pytest.mark.parametrize("cmd, report", [("verify", "verify.txt"),
+                                             ("mollifier-check", "mollifier-report.txt")])
+    def test_check_subcommands_echo_the_eps_they_use(self, outdir, cmd, report):
+        argv = (cmd, "--n", "16") + (("--seeds", "1") if cmd == "verify" else ())
+        assert run(*argv, "--outdir", outdir) == 0
+        assert read_config(os.path.join(outdir, "effective-config.txt"))["eps"] == "0.2"
+        assert "eps=0.2" in open(os.path.join(outdir, report)).read()
 
     def test_nothing_written_outside_outdir(self, tmp_path, monkeypatch, outdir):
         workdir = tmp_path / "cwd"

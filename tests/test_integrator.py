@@ -81,10 +81,6 @@ class TestSchemeConfig:
             SchemeConfig(dt=-1e-3)
 
     def test_rejects_bad_safety_and_tol(self):
-        with pytest.raises(UsageError, match="safety"):
-            SchemeConfig(safety=0.0)
-        with pytest.raises(UsageError, match="safety"):
-            SchemeConfig(safety=1.5)
         with pytest.raises(UsageError, match="tol"):
             SchemeConfig(tol=0.0)
 
