@@ -7,14 +7,16 @@ Subcommands
     mollifier-check report the smoothing-family properties of one kernel
     calibrate       measure inequality constants and the stable step
 
-Each subcommand takes only the configuration keys it reads (`llbar <cmd>
---help` lists them), as flags and as `--config` file keys; any other key is
-a usage error. A key resolves as: command-line flag, else `--config` file
-value (flat `key = value` lines), else the built-in default. The effective
-configuration, the running subcommand's keys only, is echoed to the output
-directory, so outputs are a pure function of that echo plus the seed.
-Nothing is written outside the output directory; the directory itself
-defaults to $LLBAR_OUTDIR or ./out.
+Each run takes only the configuration keys its reader reads, as flags and
+as `--config` file keys; the reader is the subcommand, or for `converge`
+its `--study`. Any other key is a usage error. `llbar <cmd> --help` lists
+the subcommand's flags (for `converge`, those of all its studies). A key
+resolves as: command-line flag, else `--config` file value (flat `key =
+value` lines), else the built-in default. The effective configuration, the
+reader's keys only, is echoed to the output directory unless the run ends
+in a usage error, so outputs are a pure function of that echo plus the
+seed. Nothing is written outside the output directory; the directory
+itself defaults to $LLBAR_OUTDIR or ./out.
 
 Exit codes: 0 all checks passed, 1 usage error, 2 a check failed,
 3 blow-up, 4 malformed data or other I/O failure.
@@ -30,7 +32,6 @@ from collections import namedtuple
 
 from .errors import BlowUpError, DataError, UsageError
 from .experiments import (
-    StudySpec,
     find_stable_dt,
     run_eps_cauchy,
     run_eps_limit,
@@ -72,16 +73,19 @@ def _int_list(text):
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-# the subcommands, and the groups of them that read the same keys
-_ALL = ("simulate", "verify", "converge", "mollifier-check", "calibrate")
-_FLOWS = ("simulate", "verify", "converge", "calibrate")  # couplings and seeded data
-_STEPPED = ("simulate", "converge")  # step generated data in time
-_CONVERGE = ("converge",)
+# the readers of configuration keys: each subcommand other than converge,
+# and each converge study; then the groups of them that read the same keys
+_SUBCOMMANDS = ("simulate", "verify", "mollifier-check", "calibrate")
+_ALL = _SUBCOMMANDS + CONVERGE_STUDIES
+_FLOWS = ("simulate", "verify", "calibrate") + CONVERGE_STUDIES  # couplings
+_STEPPED = ("simulate",) + CONVERGE_STUDIES  # step in time
+_EPS_STUDIES = ("eps_cauchy", "eps_limit")
+_SEEDED_STUDIES = _EPS_STUDIES + ("uniqueness",)  # step seeded data, maybe smoothed
 _KERNELS = tuple(sorted(KINDS))
 
 # every configuration key: converter (for config-file values, and argparse
-# `type=` of its flag), built-in default, the subcommands that read it, help
-# text, and the values it may take. A subcommand takes exactly the keys it
+# `type=` of its flag), built-in default, the readers that read it, help
+# text, and the values it may take. A run takes exactly the keys its reader
 # reads, as --key-with-dashes flags and as config-file keys. outdir falls
 # back to $LLBAR_OUTDIR or ./out. The echo also names the running
 # subcommand, which a config file may only repeat.
@@ -97,30 +101,35 @@ _KEYS = {
     "gamma": _Key(float, 1.0, _FLOWS, "precession coupling"),
     "scheme": _Key(str, "etd_rk2", _STEPPED, "time integrator", SCHEMES),
     "dt": _Key(float, 1e-3, _STEPPED, "time step"),
-    "adaptive": _Key(_bool, False, _STEPPED, "step-doubling adaptive dt (single-step schemes)"),
-    "tol": _Key(float, 1e-6, _STEPPED, "adaptive local-error target"),
+    "adaptive": _Key(_bool, False, ("simulate", "linear_growth"),
+                     "step-doubling adaptive dt (single-step schemes)"),
+    "tol": _Key(float, 1e-6, ("simulate", "linear_growth"), "adaptive local-error target"),
     "t_end": _Key(float, 1.0, _STEPPED, "final time"),
-    "report_every": _Key(int, 10, _STEPPED, "steps between diagnostic rows"),
+    "report_every": _Key(int, 10, ("simulate", "linear_growth") + _EPS_STUDIES,
+                         "steps between diagnostic rows"),
     "eps": _Key(float, 0.0, ("simulate", "verify", "mollifier-check"),
                 "smoothing length; 0 = limit flow"),
-    "kernel": _Key(str, "gaussian", _ALL, "smoothing kernel kind", _KERNELS),
-    "seed": _Key(int, 0, _FLOWS, "seed for generated initial data"),
+    "kernel": _Key(str, "gaussian", _SUBCOMMANDS + _SEEDED_STUDIES, "smoothing kernel kind",
+                   _KERNELS),
+    "seed": _Key(int, 0, ("simulate", "verify", "calibrate") + _SEEDED_STUDIES,
+                 "seed for generated initial data"),
     "amplitude": _Key(float, 0.5, _STEPPED, "initial-data amplitude"),
-    "decay_r": _Key(float, 3.0, _STEPPED, "initial-data spectral decay exponent"),
-    "kmax": _Key(_int_or_none, None, _STEPPED, "initial-data band limit"),
+    "decay_r": _Key(float, 3.0, ("simulate",) + _SEEDED_STUDIES,
+                    "initial-data spectral decay exponent"),
+    "kmax": _Key(_int_or_none, None, ("simulate",) + _SEEDED_STUDIES, "initial-data band limit"),
     "snapshot": _Key(_str_or_none, None, ("simulate",),
                      "start from this snapshot instead of generated data"),
     "seeds": _Key(int, 3, ("verify",), "number of seeded fields per identity"),
-    "study": _Key(str, "eps_cauchy", _CONVERGE, "scripted study", CONVERGE_STUDIES),
-    "eps_list": _Key(_float_list, (0.4, 0.2, 0.1, 0.05), _CONVERGE,
+    "study": _Key(str, "eps_cauchy", CONVERGE_STUDIES, "scripted study", CONVERGE_STUDIES),
+    "eps_list": _Key(_float_list, (0.4, 0.2, 0.1, 0.05), _EPS_STUDIES,
                      "comma-separated, strictly decreasing"),
-    "drop_largest": _Key(_bool, False, _CONVERGE, "drop the largest eps from the rate fit"),
-    "scheme_b": _Key(str, "imex_bdf2", _CONVERGE, "second leg scheme (uniqueness)", SCHEMES),
-    "dt_b": _Key(float, 5e-4, _CONVERGE, "second leg dt (uniqueness)"),
-    "kernel_b": _Key(str, "gaussian", _CONVERGE, "second leg kernel (uniqueness)", _KERNELS),
-    "eps_a": _Key(float, 0.0, _CONVERGE, "first leg eps (uniqueness)"),
-    "eps_b": _Key(float, 0.0, _CONVERGE, "second leg eps (uniqueness)"),
-    "mode_ksq": _Key(_int_list, (0, 1, 2, 4, 9), _CONVERGE,
+    "drop_largest": _Key(_bool, False, _EPS_STUDIES, "drop the largest eps from the rate fit"),
+    "scheme_b": _Key(str, "imex_bdf2", ("uniqueness",), "second leg scheme (uniqueness)", SCHEMES),
+    "dt_b": _Key(float, 5e-4, ("uniqueness",), "second leg dt (uniqueness)"),
+    "kernel_b": _Key(str, "gaussian", ("uniqueness",), "second leg kernel (uniqueness)", _KERNELS),
+    "eps_a": _Key(float, 0.0, ("uniqueness",), "first leg eps (uniqueness)"),
+    "eps_b": _Key(float, 0.0, ("uniqueness",), "second leg eps (uniqueness)"),
+    "mode_ksq": _Key(_int_list, (0, 1, 2, 4, 9), ("linear_growth",),
                      "squared mode magnitudes (linear_growth)"),
     "family_size": _Key(int, 100, ("calibrate",), "seeded fields in the calibration family"),
     "write_calibration": _Key(_bool, False, ("mollifier-check",),
@@ -131,14 +140,16 @@ _KEYS = {
 # snapshot path is a conflict (exactly one initial-data source)
 _GENERATOR_KEYS = ("amplitude", "decay_r", "kmax")
 
-# converge --study linear_growth measures the linear regime: at the shared
-# amplitude default the cubic terms shift its rates past the contamination
-# check, so the study defaults to a tiny amplitude instead
-LINEAR_GROWTH_AMPLITUDE = 1e-8
-
-# verify and mollifier-check check a smoothing symbol, which the limit flow
-# (eps = 0) does not have, so they default to this smoothing length
-CHECK_EPS = 0.2
+# defaults that differ by reader, as {(reader, key): default}. verify and
+# mollifier-check check a smoothing symbol, which the limit flow (eps = 0)
+# does not have. The linear_growth study measures the linear regime: at the
+# shared amplitude default the cubic terms shift its rates past the
+# contamination check.
+_READER_DEFAULTS = {
+    ("verify", "eps"): 0.2,
+    ("mollifier-check", "eps"): 0.2,
+    ("linear_growth", "amplitude"): 1e-8,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,11 +169,11 @@ def _build_parser() -> _Parser:
         ("mollifier-check", cmd_mollifier_check, "smoothing-property report for one kernel"),
         ("calibrate", cmd_calibrate, "measure inequality constants and the stable dt"),
     ):
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.set_defaults(func=func)
         p.add_argument("--config", help="flat key = value file; flags override it")
         for key, k in _KEYS.items():
-            if name not in k.reads:
+            if not any(reader in k.reads for reader in _readers(name)):
                 continue
             flag = "--" + key.replace("_", "-")
             if k.convert is _bool:
@@ -172,13 +183,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _readers(cmd) -> tuple:
+    """The readers a subcommand's run may have: converge's studies, or cmd."""
+    return CONVERGE_STUDIES if cmd == "converge" else (cmd,)
+
+
 def _resolve(args) -> dict:
-    """Flag > config-file > default over the running subcommand's keys,
-    tracking which keys the user set (a file value counts only when it
-    differs from the default, so an echo replays); the result is echoed to
-    <outdir>/effective-config.txt."""
+    """Flag > config-file > default over the keys of the run's reader (the
+    subcommand, or converge's study), tracking which keys the user set (a
+    file value counts only when it differs from the default, so an echo
+    replays). Writes nothing but the output directory."""
     cmd = args.subcommand
-    keys = {key: k for key, k in _KEYS.items() if cmd in k.reads}
+    offered = {key: k for key, k in _KEYS.items() if any(r in k.reads for r in _readers(cmd))}
     file_vals = {}
     if args.config:
         raw = read_config(args.config)
@@ -189,7 +205,7 @@ def _resolve(args) -> dict:
             )
         for raw_key, raw_val in raw.items():
             key = raw_key.replace("-", "_")
-            k = keys.get(key)
+            k = offered.get(key)
             if k is None:
                 raise UsageError(f"{args.config}: {cmd} reads no configuration key {raw_key!r}")
             try:
@@ -200,19 +216,24 @@ def _resolve(args) -> dict:
                 raise UsageError(f"{args.config}: bad value for {raw_key!r}: {exc}") from exc
             file_vals[key] = value
 
-    defaults = {key: k.default for key, k in keys.items()}
-    if cmd in ("verify", "mollifier-check"):
-        defaults["eps"] = CHECK_EPS
-    if cmd == "converge" and (
-        args.study or file_vals.get("study", defaults["study"])
-    ) == "linear_growth":
-        defaults["amplitude"] = LINEAR_GROWTH_AMPLITUDE
+    reader, label = cmd, cmd
+    if cmd == "converge":
+        reader = args.study or file_vals.get("study", _KEYS["study"].default)
+        label = f"converge --study {reader}"
     cfg, given = {"subcommand": cmd}, set()
-    for key, default in defaults.items():
+    for key, k in offered.items():
         flag = getattr(args, key)
-        if flag is not None or file_vals.get(key, default) != default:
+        if reader not in k.reads:
+            if flag is not None:
+                raise UsageError(f"{label} reads no --{key.replace('_', '-')}")
+            if key in file_vals:
+                raise UsageError(f"{args.config}: {label} reads no configuration key {key!r}")
+            continue
+        default = _READER_DEFAULTS.get((reader, key), k.default)
+        value = file_vals.get(key, default)
+        if flag is not None or value != default:
             given.add(key)
-        cfg[key] = flag if flag is not None else file_vals.get(key, default)
+        cfg[key] = flag if flag is not None else value
 
     if cfg.get("snapshot"):
         conflicts = sorted(set(_GENERATOR_KEYS) & given)
@@ -224,7 +245,6 @@ def _resolve(args) -> dict:
     cfg["outdir"] = ensure_outdir(
         cfg["outdir"] or os.environ.get("LLBAR_OUTDIR") or "out"
     )
-    _echo_config(cfg)
     return cfg
 
 
@@ -267,7 +287,7 @@ def _scheme(cfg) -> SchemeConfig:
 
 
 def _initial_data(cfg, grid):
-    if cfg["snapshot"]:
+    if cfg.get("snapshot"):
         return load_snapshot(cfg["snapshot"], expected_grid=grid)
     return random_band_limited_field(
         grid,
@@ -281,8 +301,7 @@ def _initial_data(cfg, grid):
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve(args)
+def cmd_simulate(cfg) -> int:
     grid = _grid(cfg)
     J = make_mollifier(grid, cfg["eps"], cfg["kernel"]) if cfg["eps"] else None
     u0 = _initial_data(cfg, grid)
@@ -323,8 +342,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = _resolve(args)
+def cmd_verify(cfg) -> int:
     if cfg["seeds"] < 1:
         raise UsageError(f"seeds must be at least 1, got {cfg['seeds']}")
     eps = cfg["eps"]
@@ -365,85 +383,37 @@ def cmd_verify(args) -> int:
     return 2 if failed else 0
 
 
-def _study_spec(cfg) -> StudySpec:
-    kind = cfg["study"]
-    if kind in ("eps_cauchy", "eps_limit"):
-        extras = {"eps_list": cfg["eps_list"], "drop_largest_eps": cfg["drop_largest"]}
-    elif kind == "uniqueness":
-        extras = {
-            "scheme_b": SchemeConfig(scheme=cfg["scheme_b"], dt=cfg["dt_b"]),
-            "kernel_b": cfg["kernel_b"],
-            "eps_a": cfg["eps_a"],
-            "eps_b": cfg["eps_b"],
-        }
-    else:
-        extras = {"mode_ksq": cfg["mode_ksq"]}
-    return StudySpec(
-        kind=kind,
-        dim=cfg["dim"],
-        n=cfg["n"],
-        box_length=cfg["box_length"],
-        seed=cfg["seed"],
-        decay_r=cfg["decay_r"],
-        amplitude=cfg["amplitude"],
-        kmax=cfg["kmax"],
-        t_end=cfg["t_end"],
-        scheme=_scheme(cfg),
-        kernel=cfg["kernel"],
-        report_every=cfg["report_every"],
-        params=_params(cfg),
-        outdir=cfg["outdir"],
-        **extras,
-    )
-
-
-def cmd_converge(args) -> int:
-    cfg = _resolve(args)
-    kind = cfg["study"]
-    spec = _study_spec(cfg)
-    if kind == "eps_cauchy":
-        report = run_eps_cauchy(spec)
-    elif kind == "eps_limit":
-        report = run_eps_limit(spec)
-    elif kind == "uniqueness":
-        report = run_uniqueness(spec)
-    else:
-        report = run_linear_growth(spec)
-    print(report.summary())
-
-    if kind in ("eps_cauchy", "eps_limit"):
-        if report.stationary:
-            return 0
-        failed = []
-        if report.slope < 0.9:
-            failed.append(f"rate slope {report.slope:.4f} below 0.9")
-        if report.h2_spread > 0.10:
-            failed.append(f"sup-in-time H2 spread {report.h2_spread:.2%} above 10%")
-        for reason in failed:
-            print(f"check failed: {reason}", file=sys.stderr)
-        return 2 if failed else 0
-    if kind == "uniqueness":
-        if report.passed:
-            return 0
-        print(
-            "check failed: discretizations disagree beyond 3x the finer "
-            "self-estimate (or the two legs define different flows)",
-            file=sys.stderr,
+def cmd_converge(cfg) -> int:
+    study = cfg["study"]
+    grid = _grid(cfg)
+    common = {"t_end": cfg["t_end"], "params": _params(cfg), "outdir": cfg["outdir"]}
+    if study == "linear_growth":
+        report = run_linear_growth(
+            grid, amplitude=cfg["amplitude"], mode_ksq=cfg["mode_ksq"], scheme=_scheme(cfg),
+            report_every=cfg["report_every"], **common,
         )
-        return 2
-    if report.stationary or (not report.contaminated and report.max_rel_error <= 1e-6):
-        return 0
-    reason = (
-        "cubic contamination detected; lower --amplitude"
-        if report.contaminated
-        else f"max relative rate error {report.max_rel_error:.3e} above 1e-6"
-    )
-    print(f"check failed: {reason}", file=sys.stderr)
-    return 2
+    else:
+        u0 = _initial_data(cfg, grid)
+        common.update(scheme=cfg["scheme"], dt=cfg["dt"], kernel=cfg["kernel"])
+        if study == "uniqueness":
+            report = run_uniqueness(
+                u0, scheme_b=cfg["scheme_b"], dt_b=cfg["dt_b"], kernel_b=cfg["kernel_b"],
+                eps_a=cfg["eps_a"], eps_b=cfg["eps_b"], **common,
+            )
+        else:
+            run = run_eps_cauchy if study == "eps_cauchy" else run_eps_limit
+            report = run(
+                u0, cfg["eps_list"], report_every=cfg["report_every"],
+                drop_largest=cfg["drop_largest"], **common,
+            )
+    print(report.summary())
+    failures = report.failures()
+    for reason in failures:
+        print(f"check failed: {reason}", file=sys.stderr)
+    return 2 if failures else 0
 
 
-def cmd_mollifier_check(args) -> int:
-    cfg = _resolve(args)
+def cmd_mollifier_check(cfg) -> int:
     eps = cfg["eps"]
     report = verify_mollifier_properties(make_mollifier(_grid(cfg), eps, cfg["kernel"]))
     text = report.to_text()
@@ -463,24 +433,16 @@ def cmd_mollifier_check(args) -> int:
     return 0 if report.all_passed else 2
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _resolve(args)
-    # the study gets no outdir: constants.txt also carries the stable dt
-    spec = StudySpec(
-        kind="gn_calibration",
-        dim=cfg["dim"],
-        n=cfg["n"],
-        box_length=cfg["box_length"],
-        seed=cfg["seed"],
-        kernel=cfg["kernel"],
-        params=_params(cfg),
+def cmd_calibrate(cfg) -> int:
+    grid = _grid(cfg)
+    report = run_gn_calibration(
+        grid, seed=cfg["seed"], kernel=cfg["kernel"], params=_params(cfg),
         family_size=cfg["family_size"],
     )
-    report = run_gn_calibration(spec)
     print(report.summary())
 
     path = os.path.join(cfg["outdir"], "constants.txt")
-    dt_stable = find_stable_dt(_grid(cfg))
+    dt_stable = find_stable_dt(grid)
     key = f"dt_stable_{cfg['dim']}d_n{cfg['n']}"
     constants = {**report.constants, key: repr(dt_stable)}
     print(f"{key} = {dt_stable}")
@@ -520,11 +482,27 @@ def _keep_freed_memory() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+def _run(args) -> int:
+    """Run the subcommand on its resolved configuration, then echo that to
+    the output directory, also after a blow-up or a data error. A run
+    refused as a usage error writes no echo, so it keeps one already
+    there."""
+    cfg = _resolve(args)
+    refused = False
+    try:
+        return args.func(cfg)
+    except UsageError:
+        refused = True
+        raise
+    finally:
+        if not refused:
+            _echo_config(cfg)
+
+
 def main(argv=None) -> int:
     _keep_freed_memory()
     try:
-        args = _build_parser().parse_args(argv)
-        return args.func(args)
+        return _run(_build_parser().parse_args(argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

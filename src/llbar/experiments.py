@@ -2,9 +2,11 @@
 cross-checks, linear growth-rate validation, and inequality-constant
 calibration.
 
-Every study is a pure function of its StudySpec (seeded data, fixed
-cadence), so re-runs are bit-identical. "sup in t" always means the max
-over the shared report cadence of the compared runs.
+Each runner takes the values its study reads and is a pure function of
+them (seeded data, fixed cadence), so re-runs are bit-identical; the ε and
+uniqueness runners step on one fixed dt per leg. Each report states its own
+gate: `failures()` lists the checks it failed. "sup in t" always means the
+max over the shared report cadence of the compared runs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,116 +22,32 @@ from .diagnostics import blowup_monitor, monotonicity_audit
 from .errors import BlowUpError, UsageError
 from .grid import Field, Grid, norm, random_band_limited_field, to_spectral
 from .integrator import SchemeConfig, integrate, trajectory
-from .io import write_config
 from .mollifier import make_mollifier, mollify
-from .physics import DEFAULT_PARAMS, EffectiveFieldParams, gn_ratios, lipschitz_probe
-
-STUDY_KINDS = ("eps_cauchy", "eps_limit", "uniqueness", "linear_growth", "gn_calibration")
-
-# spectrum decay exponent of generated data (H^2 regularity)
-SMOOTHNESS_H2 = 3.0
+from .physics import DEFAULT_PARAMS, gn_ratios, lipschitz_probe
 
 # the uniqueness legs are compared at the shared times j*t_end/SHARED_TIMES
 SHARED_TIMES = 10
 
 
-@dataclass(frozen=True)
-class StudySpec:
-    kind: str
-    dim: int = 2
-    n: int = 64
-    box_length: float = 2 * math.pi
-    seed: int = 0
-    decay_r: float = SMOOTHNESS_H2
-    amplitude: float = 0.5
-    kmax: int | None = None
-    eps_list: tuple = ()
-    t_end: float = 0.5
-    scheme: SchemeConfig = dc_field(default_factory=SchemeConfig)
-    kernel: str = "gaussian"
-    report_every: int = 10
-    params: EffectiveFieldParams = DEFAULT_PARAMS
-    outdir: str | None = None
-    drop_largest_eps: bool = False
-    # uniqueness studies compare (scheme, eps, kernel) against a second leg
-    scheme_b: SchemeConfig | None = None
-    kernel_b: str = "gaussian"
-    eps_a: float = 0.0
-    eps_b: float = 0.0
-    # linear_growth: targeted squared mode magnitudes
-    mode_ksq: tuple = (0, 1, 2, 4, 9)
-    # gn_calibration family size
-    family_size: int = 100
-
-    def __post_init__(self):
-        if self.kind not in STUDY_KINDS:
-            raise UsageError(f"unknown study kind {self.kind!r}; choose from {STUDY_KINDS}")
-        if self.t_end <= 0:
-            raise UsageError(f"t_end must be positive, got {self.t_end}")
-        adaptive = self.scheme.adaptive or getattr(self.scheme_b, "adaptive", False)
-        if adaptive and self.kind in ("eps_cauchy", "eps_limit", "uniqueness"):
-            raise UsageError(f"{self.kind} compares legs stepped on fixed dt; drop --adaptive")
-        if self.kind in ("eps_cauchy", "eps_limit"):
-            need = 3 if self.kind == "eps_cauchy" else 2
-            if len(self.eps_list) < need:
-                raise UsageError(f"{self.kind} needs at least {need} eps values")
-            if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
-                raise UsageError(f"eps list must be strictly decreasing: {self.eps_list}")
-            grid = self.grid()
-            for eps in self.eps_list:
-                make_mollifier(grid, eps, self.kernel)  # validates the range
-        if self.kind == "linear_growth" and any(k < 0 for k in self.mode_ksq):
-            raise UsageError(f"mode |m|^2 values must be nonnegative: {self.mode_ksq}")
-
-    def grid(self) -> Grid:
-        return Grid(self.dim, self.n, self.box_length)
-
-    def initial_data(self) -> Field:
-        return random_band_limited_field(
-            self.grid(),
-            seed=self.seed,
-            decay_r=self.decay_r,
-            amplitude=self.amplitude,
-            kmax=self.kmax,
-        )
+def _check_t_end(t_end):
+    if t_end <= 0:
+        raise UsageError(f"t_end must be positive, got {t_end}")
 
 
-def _study_metadata(spec: StudySpec, eps) -> dict:
-    return {
-        "kind": spec.kind,
-        "grid": f"{spec.dim}d-n{spec.n}",
-        "eps": "limit" if eps is None else repr(float(eps)),
-        "scheme": spec.scheme.scheme,
-        "seed": str(spec.seed),
-    }
+def _leg_start(u0, J):
+    """The start of one leg: u0 for the limit flow (J None), else J u0."""
+    return to_spectral(u0) if J is None else mollify(J, to_spectral(u0))
 
 
-def _leg_start(u0, eps, kernel):
-    """(J, start) of one leg: eps = 0 or None -> the limit flow (no
-    mollifier) from u0; otherwise J_eps and the smoothed start J_eps u0."""
-    if not eps:
-        return None, to_spectral(u0)
-    J = make_mollifier(u0.grid, eps, kernel)
-    return J, mollify(J, to_spectral(u0))
-
-
-def _leg(spec, u0, eps):
-    """The samples of one leg of spec's scheme and kernel from _leg_start;
-    a blow-up carries the leg's label and verdict."""
-    J, start = _leg_start(u0, eps, spec.kernel)
+def _leg(u0, J, label, t_end, cfg, params, report_every):
+    """The samples of one leg from _leg_start; a blow-up carries label."""
     try:
         yield from trajectory(
-            start, spec.t_end, spec.scheme, spec.params, J,
-            report_every=spec.report_every, metadata=_study_metadata(spec, eps),
+            _leg_start(u0, J), t_end, cfg, params, J, report_every=report_every
         )
     except BlowUpError as exc:
-        raise _attach_verdict(exc, f"eps={eps}")
-
-
-def _attach_verdict(exc: BlowUpError, label: str) -> BlowUpError:
-    exc.verdict = blowup_monitor(exc.series) if exc.series is not None else None
-    exc.study_label = label
-    return exc
+        exc.study_label = label
+        raise
 
 
 def sup_t_difference(snaps_a: dict, snaps_b: dict, kind: str = "l2", s=None) -> float:
@@ -181,23 +99,54 @@ class RateReport:
             lines.append("stationary data: differences at roundoff, slope not meaningful")
         return "\n".join(lines)
 
+    def failures(self) -> list[str]:
+        """A first-order rate (slope >= 0.9) and sup-in-t H2 norms within
+        10% of each other; stationary data passes."""
+        if self.stationary:
+            return []
+        failed = []
+        if self.slope < 0.9:
+            failed.append(f"rate slope {self.slope:.4f} below 0.9")
+        if self.h2_spread > 0.10:
+            failed.append(f"sup-in-time H2 spread {self.h2_spread:.2%} above 10%")
+        return failed
 
-def _eps_study(spec: StudySpec, against_limit: bool) -> RateReport:
-    """Steps the legs in lockstep, one sample at a time in eps order, and
+
+def _eps_study(
+    kind, u0, eps_list, against_limit, *, t_end, scheme="etd_rk2", dt=1e-3,
+    kernel="gaussian", report_every=10, params=DEFAULT_PARAMS, drop_largest=False,
+    outdir=None,
+) -> RateReport:
+    """The eps study `kind` from u0: every leg steps with scheme at dt, the
+    eps legs smooth with kernel, drop_largest leaves the largest eps out of
+    the rate fit, and an outdir receives <kind>.csv and <kind>.txt.
+
+    Steps the legs in lockstep, one sample at a time in eps order, and
     holds only their current states: each pair's sup-in-t L2 difference
     and each leg's sup-in-t H2 are running maxima. A blow-up names the
     first leg to blow up, to within one report interval; legs that blow
     up in the same interval go in eps order."""
-    u0 = spec.initial_data()
-    eps_values = list(spec.eps_list) + ([None] if against_limit else [])
-    m = len(spec.eps_list)
+    _check_t_end(t_end)
+    need = 3 if kind == "eps_cauchy" else 2
+    if len(eps_list) < need:
+        raise UsageError(f"{kind} needs at least {need} eps values")
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise UsageError(f"eps list must be strictly decreasing: {eps_list}")
+    cfg = SchemeConfig(scheme=scheme, dt=dt)
+    eps_values = list(eps_list) + ([None] if against_limit else [])
+    legs = [  # each mollifier is built here, so an eps out of range fails before any step
+        _leg(u0, None if eps is None else make_mollifier(u0.grid, eps, kernel),
+             f"eps={eps}", t_end, cfg, params, report_every)
+        for eps in eps_values
+    ]
+    m = len(eps_list)
     if against_limit:
         pair_index = [(i, m) for i in range(m)]
     else:
         pair_index = list(itertools.combinations(range(m), 2))
     ys = [0.0] * len(pair_index)
     h2 = [-math.inf] * len(eps_values)
-    for samples in zip(*(_leg(spec, u0, eps) for eps in eps_values), strict=True):
+    for samples in zip(*legs, strict=True):
         if len({r.t for _, r in samples}) > 1:
             raise UsageError("compared runs must share their report cadence")
         ys = [
@@ -212,7 +161,7 @@ def _eps_study(spec: StudySpec, against_limit: bool) -> RateReport:
         slope, intercept = float("nan"), float("nan")
         dropped = False
     else:
-        dropped = spec.drop_largest_eps
+        dropped = drop_largest
         if dropped:
             biggest = max(xs)
             keep = [i for i, x in enumerate(xs) if x < biggest]
@@ -223,7 +172,7 @@ def _eps_study(spec: StudySpec, against_limit: bool) -> RateReport:
         slope, intercept = fit_loglog(xs, ys)
 
     report = RateReport(
-        kind=spec.kind,
+        kind=kind,
         pairs=tuple(pairs),
         slope=slope,
         intercept=intercept,
@@ -231,7 +180,7 @@ def _eps_study(spec: StudySpec, against_limit: bool) -> RateReport:
         h2_sups=tuple(zip(eps_values, h2)),
         stationary=stationary,
     )
-    _write_study_outputs(spec, report, _rate_rows(report))
+    _write_study_outputs(outdir, kind, report, _rate_rows(report))
     return report
 
 
@@ -241,20 +190,19 @@ def _rate_rows(report: RateReport):
     return rows
 
 
-def run_eps_cauchy(spec: StudySpec) -> RateReport:
-    """Pairwise sup-in-t L2 differences across the eps sweep; the slope of
-    log(diff) vs log(max eps) estimates the first-order-in-eps rate."""
-    if spec.kind != "eps_cauchy":
-        raise UsageError(f"spec kind {spec.kind!r} is not eps_cauchy")
-    return _eps_study(spec, against_limit=False)
+def run_eps_cauchy(u0: Field, eps_list, **study) -> RateReport:
+    """Pairwise sup-in-t L2 differences across the eps sweep (at least three
+    values, strictly decreasing) from u0; the slope of log(diff) vs
+    log(max eps) estimates the first-order-in-eps rate. `study` is the
+    keyword arguments of _eps_study."""
+    return _eps_study("eps_cauchy", u0, eps_list, False, **study)
 
 
-def run_eps_limit(spec: StudySpec) -> RateReport:
-    """Differences against the unregularized run; also records the sup-t H2
-    norms whose spread measures uniform boundedness across eps."""
-    if spec.kind != "eps_limit":
-        raise UsageError(f"spec kind {spec.kind!r} is not eps_limit")
-    return _eps_study(spec, against_limit=True)
+def run_eps_limit(u0: Field, eps_list, **study) -> RateReport:
+    """Differences against the unregularized run (at least two eps values);
+    also records the sup-t H2 norms whose spread measures uniform
+    boundedness across eps."""
+    return _eps_study("eps_limit", u0, eps_list, True, **study)
 
 
 @dataclass(frozen=True)
@@ -292,26 +240,36 @@ class UniquenessReport:
             ]
         )
 
+    def failures(self) -> list[str]:
+        if self.passed:
+            return []
+        return [
+            "discretizations disagree beyond 3x the finer self-estimate "
+            "(or the two legs define different flows)"
+        ]
 
-def _leg_with_estimate(spec, u0, cfg, eps, kernel, label):
+
+def _leg_with_estimate(u0, cfg, eps, kernel, label, t_end, params):
     """Run one leg at dt and dt/2, each landing on the shared times (legs
     with different dt share no step-count cadence); the dt/2 run is the
     leg's answer and ||u_dt - u_{dt/2}|| / (2^p - 1) its self-estimated
-    error."""
-    J, start = _leg_start(u0, eps, kernel)
-    times = tuple(spec.t_end * j / SHARED_TIMES for j in range(1, SHARED_TIMES + 1))
+    error. eps = 0 is the limit flow."""
+    J = make_mollifier(u0.grid, eps, kernel) if eps else None
+    start = _leg_start(u0, J)
+    times = tuple(t_end * j / SHARED_TIMES for j in range(1, SHARED_TIMES + 1))
     runs = []
     try:
         for run_cfg in (cfg, replace(cfg, dt=cfg.dt / 2.0)):
             run = trajectory(
-                start, times[-1], run_cfg, spec.params, J, report_every=10**9, land_at=times
+                start, times[-1], run_cfg, params, J, report_every=10**9, land_at=times
             )
             states = [u for u, _ in run]
             if len(states) != SHARED_TIMES + 1:
-                raise UsageError(f"t_end={spec.t_end:g} leaves no step between shared times")
+                raise UsageError(f"t_end={t_end:g} leaves no step between shared times")
             runs.append(dict(zip((0.0, *times), states)))
     except BlowUpError as exc:
-        raise _attach_verdict(exc, label)
+        exc.study_label = label
+        raise
     coarse, fine = runs
     return fine, sup_t_difference(coarse, fine) / (2.0**cfg.order - 1.0)
 
@@ -331,17 +289,19 @@ def _coarsened(cfg, est, est_target, t_end):
     return replace(cfg, dt=max(new_dt, cfg.dt))
 
 
-def run_uniqueness(spec: StudySpec) -> UniquenessReport:
-    """Two discretizations of the same initial data; when they discretize
-    the same flow, their answers must agree within the finer error bar."""
-    if spec.kind != "uniqueness":
-        raise UsageError(f"spec kind {spec.kind!r} is not uniqueness")
-    if spec.scheme_b is None:
-        raise UsageError("uniqueness study needs a second configuration (scheme_b)")
-    u0 = spec.initial_data()
-    legs = [(spec.eps_a, spec.kernel, "leg a"), (spec.eps_b, spec.kernel_b, "leg b")]
-    cfgs = [spec.scheme, spec.scheme_b]
-    runs = [_leg_with_estimate(spec, u0, cfg, *leg) for cfg, leg in zip(cfgs, legs)]
+def run_uniqueness(
+    u0: Field, *, t_end, scheme_b, dt_b, scheme="etd_rk2", dt=1e-3, kernel="gaussian",
+    kernel_b="gaussian", eps_a=0.0, eps_b=0.0, params=DEFAULT_PARAMS, outdir=None,
+) -> UniquenessReport:
+    """Two discretizations of u0, leg a (scheme, dt, kernel, eps_a) and leg
+    b (scheme_b, dt_b, kernel_b, eps_b); when they discretize the same
+    flow, their answers must agree within the finer error bar."""
+    _check_t_end(t_end)
+    legs = [(eps_a, kernel, "leg a"), (eps_b, kernel_b, "leg b")]
+    cfgs = [SchemeConfig(scheme=scheme, dt=dt), SchemeConfig(scheme=scheme_b, dt=dt_b)]
+    runs = [
+        _leg_with_estimate(u0, cfg, *leg, t_end, params) for cfg, leg in zip(cfgs, legs)
+    ]
     ests = [est for _, est in runs]
     # One rescaling pass toward matched accuracy so "3x the finer estimate"
     # compares runs of commensurate quality.  Always coarsen the *more
@@ -350,16 +310,16 @@ def run_uniqueness(spec: StudySpec) -> UniquenessReport:
     # one needs dt ~ est^1).  A leg already at a cap keeps its run.
     if all(est > 0 for est in ests) and not (0.1 <= ests[1] / ests[0] <= 10.0):
         i = int(ests[1] < ests[0])  # the more accurate leg
-        cfg = _coarsened(cfgs[i], ests[i], ests[1 - i], spec.t_end)
+        cfg = _coarsened(cfgs[i], ests[i], ests[1 - i], t_end)
         if cfg.dt != cfgs[i].dt:
-            eps, kernel, label = legs[i]
+            eps, leg_kernel, label = legs[i]
             cfgs[i] = cfg
-            runs[i] = _leg_with_estimate(spec, u0, cfg, eps, kernel, f"{label} (rescaled)")
+            runs[i] = _leg_with_estimate(
+                u0, cfg, eps, leg_kernel, f"{label} (rescaled)", t_end, params
+            )
     (snaps_a, est_a), (snaps_b, est_b) = runs
     last = max(snaps_a)
-    same_flow = (spec.eps_a == spec.eps_b) and (
-        spec.eps_a == 0 or spec.kernel == spec.kernel_b
-    )
+    same_flow = (eps_a == eps_b) and (eps_a == 0 or kernel == kernel_b)
     report = UniquenessReport(
         final_diff_l2=norm(snaps_a[last] - snaps_b[last], "l2"),
         sup_diff_l2=sup_t_difference(snaps_a, snaps_b),
@@ -378,7 +338,7 @@ def run_uniqueness(spec: StudySpec) -> UniquenessReport:
         f"est_a,{report.est_a:.17g}",
         f"est_b,{report.est_b:.17g}",
     ]
-    _write_study_outputs(spec, report, rows)
+    _write_study_outputs(outdir, "uniqueness", report, rows)
     return report
 
 
@@ -403,6 +363,15 @@ class GrowthReport:
                 "amplitude halves - cubic contamination, reduce the amplitude"
             )
         return "\n".join(lines)
+
+    def failures(self) -> list[str]:
+        """Rates within 1e-6 relative of the symbol, uncontaminated; zero
+        amplitude passes."""
+        if self.stationary or (not self.contaminated and self.max_rel_error <= 1e-6):
+            return []
+        if self.contaminated:
+            return ["cubic contamination detected; lower --amplitude"]
+        return [f"max relative rate error {self.max_rel_error:.3e} above 1e-6"]
 
 
 def _mode_for_ksq(grid: Grid, ksq_target: int):
@@ -434,11 +403,11 @@ def _seed_mode(grid: Grid, mode, amplitude) -> Field:
     return Field(grid, data, "physical")
 
 
-def _measure_mode_rate(spec, grid, mode, amplitude):
+def _measure_mode_rate(grid, mode, amplitude, t_end, scheme, params, report_every):
     """Fit log |u_hat(mode, t)| vs t over the report cadence."""
     u0 = _seed_mode(grid, mode, amplitude)
     idx = tuple(m % grid.n for m in mode)
-    run = trajectory(u0, spec.t_end, spec.scheme, spec.params, report_every=spec.report_every)
+    run = trajectory(u0, t_end, scheme, params, report_every=report_every)
     ts, amps = np.array([(r.t, abs(u.data[(2,) + idx])) for u, r in run]).T
     if np.any(amps <= 0):
         raise UsageError(f"mode {mode} amplitude reached zero; shorten t_end")
@@ -446,35 +415,40 @@ def _measure_mode_rate(spec, grid, mode, amplitude):
     return float(rate)
 
 
-def run_linear_growth(spec: StudySpec) -> GrowthReport:
-    """Measured exponential rate of each seeded tiny mode vs the linear
-    symbol sigma(k). A halved-amplitude rerun detects cubic contamination:
-    the quadratic-in-amplitude rate shift must sit below 1e-9."""
-    if spec.kind != "linear_growth":
-        raise UsageError(f"spec kind {spec.kind!r} is not linear_growth")
-    grid = spec.grid()
-    p = spec.params
-    amplitude = spec.amplitude
+def run_linear_growth(
+    grid: Grid, *, t_end, amplitude, mode_ksq=(0, 1, 2, 4, 9), scheme=SchemeConfig(),
+    report_every=10, params=DEFAULT_PARAMS, outdir=None,
+) -> GrowthReport:
+    """Measured exponential rate of a single mode of each squared magnitude
+    in mode_ksq, seeded at amplitude, vs the linear symbol sigma(k). A
+    halved-amplitude rerun detects cubic contamination: the
+    quadratic-in-amplitude rate shift must sit below 1e-9. scheme is a
+    SchemeConfig, adaptive or not."""
+    _check_t_end(t_end)
+    if any(k < 0 for k in mode_ksq):
+        raise UsageError(f"mode |m|^2 values must be nonnegative: {mode_ksq}")
     if amplitude == 0.0:
         # stationary (zero) data: no mode to track, trivially consistent
         report = GrowthReport(
             rows=(), max_rel_error=0.0, contaminated=False, contamination=0.0,
             stationary=True,
         )
-        _write_study_outputs(spec, report, ["ksq,sigma,measured_rate,rel_error"])
+        csv_rows = ["ksq,sigma,measured_rate,rel_error"]
+        _write_study_outputs(outdir, "linear_growth", report, csv_rows)
         return report
+    stepping = (t_end, scheme, params, report_every)
     rows = []
     contamination = 0.0
-    for ksq_t in spec.mode_ksq:
+    for ksq_t in mode_ksq:
         mode = _mode_for_ksq(grid, int(ksq_t))
         ksq = float(sum(m * m for m in mode)) * (2 * math.pi / grid.box_length) ** 2
         sigma = (
-            -p.lambda_e * ksq**2
-            - p.laplacian_coeff * ksq
-            + p.cubic_coeff
+            -params.lambda_e * ksq**2
+            - params.laplacian_coeff * ksq
+            + params.cubic_coeff
         )
-        rate = _measure_mode_rate(spec, grid, mode, amplitude)
-        rate_half = _measure_mode_rate(spec, grid, mode, amplitude / 2.0)
+        rate = _measure_mode_rate(grid, mode, amplitude, *stepping)
+        rate_half = _measure_mode_rate(grid, mode, amplitude / 2.0, *stepping)
         contamination = max(contamination, abs(rate - rate_half))
         rel = abs(rate - sigma) / max(abs(sigma), 1.0)
         rows.append((float(ksq_t), float(sigma), rate, rel))
@@ -486,7 +460,7 @@ def run_linear_growth(spec: StudySpec) -> GrowthReport:
     )
     csv_rows = ["ksq,sigma,measured_rate,rel_error"]
     csv_rows += [f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}" for a, b, c, d in report.rows]
-    _write_study_outputs(spec, report, csv_rows)
+    _write_study_outputs(outdir, "linear_growth", report, csv_rows)
     return report
 
 
@@ -501,22 +475,20 @@ class CalibrationReport:
         return "\n".join(lines)
 
 
-def run_gn_calibration(spec: StudySpec) -> CalibrationReport:
+def run_gn_calibration(
+    grid: Grid, *, seed=0, kernel="gaussian", params=DEFAULT_PARAMS, family_size=100
+) -> CalibrationReport:
     """Max observed constants of the interpolation inequalities and the
-    smoothed-dynamics Lipschitz bound over a seeded field family; with an
-    outdir they are written to constants.txt, which feeds the regression
-    tests."""
-    if spec.kind != "gn_calibration":
-        raise UsageError(f"spec kind {spec.kind!r} is not gn_calibration")
-    if spec.family_size < 100:
+    smoothed-dynamics Lipschitz bound over the seeded field family that
+    starts at seed."""
+    if family_size < 100:
         raise UsageError("calibration needs a family of at least 100 fields")
-    grid = spec.grid()
     ratios = {"linf_h1_h2": 0.0, "grad_l4": 0.0}
     fields = []
-    for i in range(spec.family_size):
+    for i in range(family_size):
         u = random_band_limited_field(
             grid,
-            seed=spec.seed + i,
+            seed=seed + i,
             decay_r=(2.0, 3.0, 5.0)[i % 3],
             amplitude=(0.3, 0.5, 1.0)[(i // 3) % 3],
             kmax=(grid.n // 6, grid.n // 4)[i % 2],
@@ -525,7 +497,7 @@ def run_gn_calibration(spec: StudySpec) -> CalibrationReport:
         for key, val in gn_ratios(u).items():
             ratios[key] = max(ratios[key], val)
 
-    J = make_mollifier(grid, 0.2, spec.kernel)
+    J = make_mollifier(grid, 0.2, kernel)
     lip = 0.0
     for i in range(0, 50):
         a = fields[i % len(fields)]
@@ -533,23 +505,16 @@ def run_gn_calibration(spec: StudySpec) -> CalibrationReport:
         sa, sb = norm(a, "hs", s=2), norm(b, "hs", s=2)
         ua = a * (1.0 / sa if sa > 1 else 1.0)  # keep the pair in the unit ball
         ub = b * (1.0 / sb if sb > 1 else 1.0)
-        lip = max(lip, lipschitz_probe(ua, ub, J, spec.params))
+        lip = max(lip, lipschitz_probe(ua, ub, J, params))
 
     constants = {
         "gn_linf_h1_h2_max": f"{ratios['linf_h1_h2']:.17g}",
         "gn_grad_l4_max": f"{ratios['grad_l4']:.17g}",
         "lipschitz_h2_eps0.2_max": f"{lip:.17g}",
-        "family_size": str(spec.family_size),
-        "grid": f"{spec.dim}d-n{spec.n}",
+        "family_size": str(family_size),
+        "grid": f"{grid.dim}d-n{grid.n}",
     }
-    report = CalibrationReport(constants=constants)
-    if spec.outdir is not None:
-        write_config(
-            os.path.join(spec.outdir, "constants.txt"),
-            constants,
-            header="calibrated inequality constants (max over seeded family)",
-        )
-    return report
+    return CalibrationReport(constants=constants)
 
 
 def find_stable_dt(grid: Grid, seed: int = 0) -> float:
@@ -578,10 +543,10 @@ def find_stable_dt(grid: Grid, seed: int = 0) -> float:
     raise UsageError(f"no stable dt found above {dt:g} for this configuration")
 
 
-def _write_study_outputs(spec: StudySpec, report, csv_rows):
-    if spec.outdir is None:
+def _write_study_outputs(outdir, kind, report, csv_rows):
+    if outdir is None:
         return
-    base = os.path.join(spec.outdir, spec.kind)
+    base = os.path.join(outdir, kind)
     with open(base + ".csv", "w") as fh:
         fh.write("\n".join(csv_rows) + "\n")
     with open(base + ".txt", "w") as fh:

@@ -16,12 +16,7 @@ from oracles import direct_dft, fd_diff, fd_laplacian
 from scipy.integrate import solve_ivp
 
 from llbar.diagnostics import monotonicity_audit
-from llbar.experiments import (
-    StudySpec,
-    run_eps_cauchy,
-    run_linear_growth,
-    run_uniqueness,
-)
+from llbar.experiments import run_eps_cauchy, run_linear_growth, run_uniqueness
 from llbar.grid import (
     Grid,
     constant_field,
@@ -49,18 +44,10 @@ IDENTITY_CHECKS = (
 def smoothing_sweep():
     """One shared smoothing-scale sweep at desk scale: 64^2, data with
     spectral decay exponent 5 (well inside H^6), eps halving 0.4 -> 0.05."""
-    spec = StudySpec(
-        kind="eps_cauchy",
-        dim=2,
-        n=64,
-        seed=0,
-        decay_r=5.0,
-        amplitude=0.5,
-        eps_list=(0.4, 0.2, 0.1, 0.05),
-        t_end=0.1,
-        scheme=SchemeConfig(scheme="etd_rk2", dt=1e-3),
+    u0 = random_band_limited_field(Grid(2, 64), seed=0, decay_r=5.0, amplitude=0.5)
+    return run_eps_cauchy(
+        u0, (0.4, 0.2, 0.1, 0.05), t_end=0.1, scheme="etd_rk2", dt=1e-3
     )
-    return run_eps_cauchy(spec)
 
 
 def test_1_integral_identities_at_scale():
@@ -148,15 +135,12 @@ def test_5_linear_dispersion_relation():
     """Small-amplitude mode growth rates match the linear symbol
     -|k|^4 + |k|^2 + 2 to 1e-6 relative on |k|^2 in {0, 1, 2, 4, 9},
     including the neutral mode at |k|^2 = 2."""
-    spec = StudySpec(
-        kind="linear_growth",
-        dim=2,
-        n=64,
+    rep = run_linear_growth(
+        Grid(2, 64),
         amplitude=1e-8,
         t_end=0.5,
         scheme=SchemeConfig(scheme="etd_rk2", dt=1e-3),
     )
-    rep = run_linear_growth(spec)
     assert not rep.contaminated
     assert rep.max_rel_error <= 1e-6, f"max rel error {rep.max_rel_error:.3e}"
     table = {ksq: (sigma, rate) for ksq, sigma, rate, _ in rep.rows}
@@ -210,20 +194,18 @@ def test_7_independent_discretizations_agree():
     """Two discretizations of the same flow from the same u0 - differing in
     scheme, dt, and kernel kind (inert here since eps = 0) - agree at t_end
     within 3x the finer run's self-estimated discretization error."""
-    spec = StudySpec(
-        kind="uniqueness",
-        dim=2,
-        n=64,
-        seed=7,
+    rep = run_uniqueness(
+        random_band_limited_field(Grid(2, 64), seed=7, decay_r=3.0, amplitude=0.5),
         t_end=0.25,
-        scheme=SchemeConfig(scheme="etd_rk2", dt=1e-3),
-        scheme_b=SchemeConfig(scheme="imex_bdf2", dt=5e-4),
+        scheme="etd_rk2",
+        dt=1e-3,
+        scheme_b="imex_bdf2",
+        dt_b=5e-4,
         kernel="gaussian",
         kernel_b="bump",
         eps_a=0.0,
         eps_b=0.0,
     )
-    rep = run_uniqueness(spec)
     assert rep.same_flow
     assert rep.est_a > 0 and rep.est_b > 0
     assert rep.passed, (

@@ -27,17 +27,28 @@ def outdir(tmp_path):
     return str(tmp_path / "out")
 
 
-# the keys each subcommand reads, found in its cmd_* function
+# the keys each converge study reads, found in its run_* function
+_STUDY = {"outdir", "dim", "n", "box_length", "chi", "lambda_r", "lambda_e", "gamma",
+          "scheme", "dt", "t_end", "study"}
+_EPS_STUDY = _STUDY | {"report_every", "kernel", "seed", "amplitude", "decay_r", "kmax",
+                       "eps_list", "drop_largest"}
+STUDY_READS = {
+    "eps_cauchy": _EPS_STUDY,
+    "eps_limit": _EPS_STUDY,
+    "uniqueness": _STUDY | {"kernel", "seed", "amplitude", "decay_r", "kmax", "scheme_b",
+                            "dt_b", "kernel_b", "eps_a", "eps_b"},
+    "linear_growth": _STUDY | {"adaptive", "tol", "report_every", "amplitude", "mode_ksq"},
+}
+
+# the keys each subcommand reads, found in its cmd_* function; converge
+# offers those of all its studies
 READS = {
     "simulate": {"outdir", "dim", "n", "box_length", "chi", "lambda_r", "lambda_e", "gamma",
                  "scheme", "dt", "adaptive", "tol", "t_end", "report_every", "eps", "kernel",
                  "seed", "amplitude", "decay_r", "kmax", "snapshot"},
     "verify": {"outdir", "dim", "n", "box_length", "chi", "lambda_r", "lambda_e", "gamma",
                "eps", "kernel", "seed", "seeds"},
-    "converge": {"outdir", "dim", "n", "box_length", "chi", "lambda_r", "lambda_e", "gamma",
-                 "scheme", "dt", "adaptive", "tol", "t_end", "report_every", "kernel", "seed",
-                 "amplitude", "decay_r", "kmax", "study", "eps_list", "drop_largest",
-                 "scheme_b", "dt_b", "kernel_b", "eps_a", "eps_b", "mode_ksq"},
+    "converge": set().union(*STUDY_READS.values()),
     "mollifier-check": {"outdir", "dim", "n", "box_length", "eps", "kernel",
                         "write_calibration"},
     "calibrate": {"outdir", "dim", "n", "box_length", "chi", "lambda_r", "lambda_e", "gamma",
@@ -57,6 +68,8 @@ VALUES = {
 }
 
 UNREAD = [(cmd, key) for cmd, keys in READS.items() for key in VALUES if key not in keys]
+STUDY_UNREAD = [(study, key) for study, keys in STUDY_READS.items()
+                for key in VALUES if key in READS["converge"] - keys]
 
 
 def write_stationary_snapshot(path, n=32):
@@ -154,6 +167,58 @@ class TestUsageErrors:
         assert f"usage error: {cfg}: {cmd} reads no configuration key {key!r}" in err
         assert not os.path.exists(outdir)
 
+    @pytest.mark.parametrize("study, key", STUDY_UNREAD)
+    def test_unread_study_key_rejected_as_flag(self, outdir, capsys, study, key):
+        flag = "--" + key.replace("_", "-")
+        value = [] if VALUES[key] == "true" else [VALUES[key]]
+        assert run("converge", "--study", study, flag, *value, "--outdir", outdir) == 1
+        assert f"usage error: converge --study {study} reads no {flag}\n" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("study, key", STUDY_UNREAD)
+    def test_unread_study_key_rejected_in_config(self, tmp_path, outdir, capsys, study, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"study = {study}\n{key} = {VALUES[key]}\n")
+        assert run("converge", "--config", str(cfg), "--outdir", outdir) == 1
+        err = capsys.readouterr().err
+        assert (f"usage error: {cfg}: converge --study {study} reads no configuration key "
+                f"{key!r}") in err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("converge", "--study", "eps_limit", "--n", "16", "--eps-l", "0.4,0.2"),
+            ("mollifier-check", "--n", "16", "--write"),
+        ],
+        ids=["converge", "mollifier-check"],
+    )
+    def test_abbreviated_flag_rejected(self, outdir, capsys, argv):
+        # a prefix of a flag is not that flag
+        assert run(*argv, "--outdir", outdir) == 1
+        assert "usage error: unrecognized arguments: " in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--n", "16", "--eps", "0"),
+            ("simulate", "--n", "63"),
+            ("simulate", "--n", "16", "--chi", "-1"),
+            ("converge", "--study", "eps_limit", "--n", "16", "--eps-list", "0.4"),
+        ],
+    )
+    def test_usage_error_writes_no_echo(self, tmp_path, capsys, argv):
+        # the echo of an earlier run in the outdir survives a refused run
+        out = tmp_path / "out"
+        out.mkdir()
+        echo = out / "effective-config.txt"
+        echo.write_text("subcommand = verify\n")
+        assert run(*argv, "--outdir", str(out)) == 1
+        assert "usage error:" in capsys.readouterr().err
+        assert echo.read_text() == "subcommand = verify\n"
+        assert [path.name for path in out.iterdir()] == ["effective-config.txt"]
+
     @pytest.mark.parametrize(
         "cmd, key, value",
         [
@@ -166,7 +231,8 @@ class TestUsageErrors:
     )
     def test_config_value_outside_choices_named(self, tmp_path, outdir, capsys, cmd, key, value):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"n = 16\nt_end = 0.01\n{key} = {value}\n")
+        study = "study = uniqueness\n" if key.endswith("_b") else ""
+        cfg.write_text(f"n = 16\nt_end = 0.01\n{study}{key} = {value}\n")
         assert run(cmd, "--config", str(cfg), "--outdir", outdir) == 1
         assert f"usage error: {cfg}: bad value for {key!r}" in capsys.readouterr().err
 
@@ -391,16 +457,20 @@ class TestConfigResolution:
         assert "verify" in capsys.readouterr().err
 
     def test_flags_and_config_keys_agree(self):
-        """Each subcommand's flags are exactly the keys it reads, which are
-        exactly the keys the one key table gives it; every key of the table
-        is some subcommand's flag."""
+        """Each subcommand's flags are exactly the keys it reads (converge:
+        those of its studies), and the one key table gives each subcommand
+        and each study exactly the keys it reads; every key of the table is
+        some subcommand's flag."""
         parser = _build_parser()
         subparsers = parser._subparsers._group_actions[0].choices
         assert set(subparsers) == set(READS)
         for name, sub in subparsers.items():
             mine = {a.dest for a in sub._actions} - {"help", "config"}
             assert mine == READS[name], (name, sorted(mine ^ READS[name]))
-            assert mine == {key for key, k in _KEYS.items() if name in k.reads}, name
+        readers = {**{cmd: keys for cmd, keys in READS.items() if cmd != "converge"},
+                   **STUDY_READS}
+        for reader, keys in readers.items():
+            assert {key for key, k in _KEYS.items() if reader in k.reads} == keys, reader
         assert set(_KEYS) == set().union(*READS.values())
 
     @pytest.mark.parametrize(
@@ -412,14 +482,22 @@ class TestConfigResolution:
             (("calibrate", "--n", "16"), "constants.txt"),
             (("converge", "--study", "uniqueness", "--n", "16", "--t-end", "0.1"),
              "uniqueness.csv"),
+            (("converge", "--study", "eps_cauchy", "--n", "16", "--decay-r", "5",
+              "--t-end", "0.02"), "eps_cauchy.csv"),
+            (("converge", "--study", "eps_limit", "--n", "16", "--decay-r", "5",
+              "--t-end", "0.02"), "eps_limit.csv"),
+            (("converge", "--study", "linear_growth", "--n", "16", "--t-end", "0.1",
+              "--mode-ksq", "1"), "linear_growth.csv"),
         ],
-        ids=["verify", "mollifier-check", "calibrate", "converge"],
+        ids=["verify", "mollifier-check", "calibrate", "converge", "converge-eps_cauchy",
+             "converge-eps_limit", "converge-linear_growth"],
     )
     def test_every_subcommand_echo_replays(self, tmp_path, argv, output):
         first, second = tmp_path / "first", tmp_path / "second"
         assert run(*argv, "--outdir", str(first)) == 0
         echo = first / "effective-config.txt"
-        assert set(read_config(str(echo))) == READS[argv[0]] | {"subcommand"}
+        keys = STUDY_READS[argv[2]] if argv[0] == "converge" else READS[argv[0]]
+        assert set(read_config(str(echo))) == keys | {"subcommand"}
         assert run(argv[0], "--config", str(echo), "--outdir", str(second)) == 0
         assert (second / output).read_bytes() == (first / output).read_bytes()
 
@@ -551,8 +629,7 @@ class TestCalibrate:
             written.append(os.path.basename(path))
             write_config(path, *args, **kwargs)
 
-        for module in ("llbar.cli", "llbar.experiments"):
-            monkeypatch.setattr(f"{module}.write_config", recording)
+        monkeypatch.setattr("llbar.cli.write_config", recording)
         assert run("calibrate", "--n", "32", "--family-size", "100", "--outdir", outdir) == 0
         assert written.count("constants.txt") == 1
 

@@ -17,7 +17,6 @@ import pytest
 from llbar.diagnostics import blowup_monitor, monotonicity_audit
 from llbar.errors import UsageError
 from llbar.experiments import (
-    StudySpec,
     fit_loglog,
     find_stable_dt,
     run_eps_cauchy,
@@ -38,36 +37,36 @@ from conftest import CALIBRATION_FILE
 # shared sweep configuration for the rate studies (32^2 keeps these quick;
 # the acceptance suite repeats the sweep on 64^2)
 SWEEP = dict(
-    n=32,
-    seed=0,
-    decay_r=5.0,
-    amplitude=0.5,
     eps_list=(0.4, 0.2, 0.1, 0.05),
     t_end=0.1,
-    scheme=SchemeConfig(scheme="etd_rk2", dt=1e-3),
+    scheme="etd_rk2",
+    dt=1e-3,
 )
+
+
+def seeded(n=32, seed=0, decay_r=5.0, amplitude=0.5):
+    """Seeded 2d initial data; the defaults are the sweep's."""
+    return random_band_limited_field(Grid(2, n), seed=seed, decay_r=decay_r, amplitude=amplitude)
 
 
 @pytest.fixture(scope="module")
 def cauchy_report():
-    return run_eps_cauchy(StudySpec(kind="eps_cauchy", **SWEEP))
+    return run_eps_cauchy(seeded(), **SWEEP)
 
 
 @pytest.fixture(scope="module")
 def limit_report():
-    return run_eps_limit(StudySpec(kind="eps_limit", **SWEEP))
+    return run_eps_limit(seeded(), **SWEEP)
 
 
 @pytest.fixture(scope="module")
 def growth_report():
-    return run_linear_growth(
-        StudySpec(kind="linear_growth", n=32, t_end=0.1, amplitude=1e-8)
-    )
+    return run_linear_growth(Grid(2, 32), t_end=0.1, amplitude=1e-8)
 
 
 @pytest.fixture(scope="module")
 def calibration_report():
-    return run_gn_calibration(StudySpec(kind="gn_calibration", n=32, family_size=100))
+    return run_gn_calibration(Grid(2, 32), family_size=100)
 
 
 @pytest.fixture(scope="module")
@@ -79,50 +78,36 @@ def recorded_constants():
 
 
 class TestStudySpec:
-    def test_unknown_kind(self):
-        with pytest.raises(UsageError, match="unknown study kind"):
-            StudySpec(kind="bogus")
+    """The range checks each runner makes on the values that specify its
+    study, before it steps anything."""
 
     @pytest.mark.parametrize("t_end", [0.0, -1.0])
     def test_bad_t_end(self, t_end):
-        with pytest.raises(UsageError, match="t_end"):
-            StudySpec(kind="uniqueness", t_end=t_end)
+        u0 = seeded(n=16)
+        runs = (
+            lambda: run_eps_limit(u0, (0.4, 0.2), t_end=t_end),
+            lambda: run_uniqueness(u0, t_end=t_end, scheme_b="etd1", dt_b=1e-3),
+            lambda: run_linear_growth(u0.grid, t_end=t_end, amplitude=1e-8),
+        )
+        for runner in runs:
+            with pytest.raises(UsageError, match="t_end"):
+                runner()
 
     def test_cauchy_needs_three_eps(self):
         with pytest.raises(UsageError, match="at least 3"):
-            StudySpec(kind="eps_cauchy", eps_list=(0.4, 0.2))
+            run_eps_cauchy(seeded(n=16), (0.4, 0.2), t_end=0.1)
 
     def test_limit_needs_two_eps(self):
         with pytest.raises(UsageError, match="at least 2"):
-            StudySpec(kind="eps_limit", eps_list=(0.4,))
+            run_eps_limit(seeded(n=16), (0.4,), t_end=0.1)
 
     def test_eps_must_decrease(self):
         with pytest.raises(UsageError, match="strictly decreasing"):
-            StudySpec(kind="eps_cauchy", eps_list=(0.1, 0.2, 0.4))
+            run_eps_cauchy(seeded(n=16), (0.1, 0.2, 0.4), t_end=0.1)
 
     def test_eps_outside_mollifier_range(self):
         with pytest.raises(UsageError):
-            StudySpec(kind="eps_cauchy", eps_list=(1.5, 0.2, 0.1))
-
-    @pytest.mark.parametrize("kind", ["eps_cauchy", "eps_limit"])
-    def test_eps_studies_reject_adaptive_stepping(self, kind):
-        with pytest.raises(UsageError, match="--adaptive"):
-            StudySpec(kind=kind, **{**SWEEP, "scheme": SchemeConfig(adaptive=True)})
-
-    @pytest.mark.parametrize("leg", ["scheme", "scheme_b"])
-    def test_uniqueness_rejects_an_adaptive_leg(self, leg):
-        legs = {"scheme": SchemeConfig(), "scheme_b": SchemeConfig()}
-        legs[leg] = SchemeConfig(adaptive=True)
-        with pytest.raises(UsageError, match="--adaptive"):
-            StudySpec(kind="uniqueness", **legs)
-
-    def test_runners_check_kind(self):
-        spec = StudySpec(kind="uniqueness", scheme_b=SchemeConfig())
-        for runner in (run_eps_cauchy, run_eps_limit, run_linear_growth, run_gn_calibration):
-            with pytest.raises(UsageError, match="kind"):
-                runner(spec)
-        with pytest.raises(UsageError, match="kind"):
-            run_uniqueness(StudySpec(kind="linear_growth"))
+            run_eps_cauchy(seeded(n=16), (1.5, 0.2, 0.1), t_end=0.1)
 
 
 class TestFitLoglog:
@@ -150,25 +135,24 @@ class TestSupTDifference:
         assert sup_t_difference({0.0: u, 0.1: u}, {0.0: u, 0.1: u}) == 0.0
 
 
-def legs_one_at_a_time(spec, against_limit):
-    """(pairs, h2_sups) of an eps study whose legs run alone, keep every
-    sample, and are compared afterwards."""
-    u0 = spec.initial_data()
-    eps_values = list(spec.eps_list) + ([None] if against_limit else [])
+def legs_one_at_a_time(u0, against_limit, eps_list, t_end, scheme, dt):
+    """(pairs, h2_sups) of an eps study (gaussian kernel, a report every 10
+    steps) whose legs run alone, keep every sample, and are compared
+    afterwards."""
+    eps_values = list(eps_list) + ([None] if against_limit else [])
     snaps, h2_sups = {}, []
     for eps in eps_values:
-        J = make_mollifier(u0.grid, eps, spec.kernel) if eps else None
+        J = make_mollifier(u0.grid, eps) if eps else None
         start = to_spectral(u0) if J is None else mollify(J, to_spectral(u0))
         samples = list(
-            trajectory(start, spec.t_end, spec.scheme, spec.params, J,
-                       report_every=spec.report_every)
+            trajectory(start, t_end, SchemeConfig(scheme=scheme, dt=dt), J=J, report_every=10)
         )
         snaps[eps] = {r.t: u for u, r in samples}
         h2_sups.append((eps, max(r.h2 for _, r in samples)))
     if against_limit:
-        compared = [(eps, None) for eps in spec.eps_list]
+        compared = [(eps, None) for eps in eps_list]
     else:
-        compared = list(itertools.combinations(spec.eps_list, 2))
+        compared = list(itertools.combinations(eps_list, 2))
     pairs = [(a, b or 0.0, sup_t_difference(snaps[a], snaps[b])) for a, b in compared]
     return tuple(pairs), tuple(h2_sups)
 
@@ -178,15 +162,13 @@ class TestLockstepLegs:
     states; their numbers are those of legs run one at a time."""
 
     def test_cauchy_matches_legs_run_alone(self, cauchy_report):
-        spec = StudySpec(kind="eps_cauchy", **SWEEP)
         assert (cauchy_report.pairs, cauchy_report.h2_sups) == legs_one_at_a_time(
-            spec, against_limit=False
+            seeded(), against_limit=False, **SWEEP
         )
 
     def test_limit_matches_legs_run_alone(self, limit_report):
-        spec = StudySpec(kind="eps_limit", **SWEEP)
         assert (limit_report.pairs, limit_report.h2_sups) == legs_one_at_a_time(
-            spec, against_limit=True
+            seeded(), against_limit=True, **SWEEP
         )
 
     def test_each_leg_builds_its_symbols_once(self, monkeypatch):
@@ -202,9 +184,7 @@ class TestLockstepLegs:
 
         monkeypatch.setattr(integrator, "nonlinear_symbols", counting)
         eps_list = (0.4, 0.35, 0.3, 0.25, 0.2, 0.15, 0.1, 0.08, 0.06)
-        spec = StudySpec(**{**SWEEP, "kind": "eps_limit", "n": 16,
-                            "eps_list": eps_list, "t_end": 0.01})
-        report = run_eps_limit(spec)
+        report = run_eps_limit(seeded(n=16), **{**SWEEP, "eps_list": eps_list, "t_end": 0.01})
         assert len(report.pairs) == 9
         assert len(builds) == 10
         assert [J.eps for J in builds[:-1]] == list(eps_list) and builds[-1] is None
@@ -212,13 +192,12 @@ class TestLockstepLegs:
     def test_memory_does_not_grow_with_t_end(self):
         # tracemalloc peaks at T and 4T: 1.02 and 1.95 MB when the study
         # kept every sample of every leg, 1.05 and 1.06 MB with lockstep legs
-        spec = {**SWEEP, "kind": "eps_limit"}
-        run_eps_limit(StudySpec(**{**spec, "t_end": 0.025}))  # warm the caches
+        run_eps_limit(seeded(), **{**SWEEP, "t_end": 0.025})  # warm the caches
         peaks = []
         for t_end in (0.025, 0.1):
             tracemalloc.start()
             try:
-                run_eps_limit(StudySpec(**{**spec, "t_end": t_end}))
+                run_eps_limit(seeded(), **{**SWEEP, "t_end": t_end})
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -245,31 +224,22 @@ class TestEpsCauchy:
         assert cauchy_report.h2_spread <= 0.10  # measured: ~0.1%
 
     def test_rerun_is_bit_identical(self, cauchy_report):
-        again = run_eps_cauchy(StudySpec(kind="eps_cauchy", **SWEEP))
+        again = run_eps_cauchy(seeded(), **SWEEP)
         assert again.slope == cauchy_report.slope
         assert again.pairs == cauchy_report.pairs
         assert again.h2_sups == cauchy_report.h2_sups
 
     def test_drop_largest_eps(self):
-        rep = run_eps_cauchy(
-            StudySpec(kind="eps_cauchy", drop_largest_eps=True, **SWEEP)
-        )
+        rep = run_eps_cauchy(seeded(), drop_largest=True, **SWEEP)
         assert rep.dropped_largest
         assert rep.slope == pytest.approx(2.1440, abs=0.05)
 
     def test_drop_largest_needs_enough_pairs(self):
-        spec = StudySpec(
-            kind="eps_cauchy",
-            drop_largest_eps=True,
-            **{**SWEEP, "eps_list": (0.4, 0.2, 0.1)},
-        )
         with pytest.raises(UsageError, match="too few pairs"):
-            run_eps_cauchy(spec)
+            run_eps_cauchy(seeded(), drop_largest=True, **{**SWEEP, "eps_list": (0.4, 0.2, 0.1)})
 
     def test_stationary_data_short_circuits(self):
-        rep = run_eps_cauchy(
-            StudySpec(kind="eps_cauchy", **{**SWEEP, "amplitude": 0.0})
-        )
+        rep = run_eps_cauchy(seeded(amplitude=0.0), **SWEEP)
         assert rep.stationary
         assert math.isnan(rep.slope)
         assert all(diff == 0.0 for _, _, diff in rep.pairs)
@@ -277,8 +247,7 @@ class TestEpsCauchy:
         assert "stationary" in rep.summary()
 
     def test_output_files(self, tmp_path):
-        spec = StudySpec(kind="eps_cauchy", outdir=str(tmp_path), **SWEEP)
-        rep = run_eps_cauchy(spec)
+        rep = run_eps_cauchy(seeded(), outdir=str(tmp_path), **SWEEP)
         csv = (tmp_path / "eps_cauchy.csv").read_text().splitlines()
         assert csv[0] == "eps_big,eps_small,sup_t_l2_diff"
         assert len(csv) == 1 + len(rep.pairs)
@@ -303,9 +272,7 @@ class TestEpsLimit:
         assert limit_report.h2_spread <= 0.10
 
     def test_stationary_data_short_circuits(self):
-        rep = run_eps_limit(
-            StudySpec(kind="eps_limit", **{**SWEEP, "amplitude": 0.0})
-        )
+        rep = run_eps_limit(seeded(amplitude=0.0), **SWEEP)
         assert rep.stationary
         assert all(diff == 0.0 for _, _, diff in rep.pairs)
 
@@ -323,26 +290,17 @@ def count_propagator_builds(monkeypatch):
     return dts
 
 
-def uniqueness_spec(**overrides):
-    base = dict(
-        kind="uniqueness",
-        n=32,
-        seed=7,
-        t_end=0.25,
-        scheme=SchemeConfig(scheme="etd_rk2", dt=1e-3),
-        scheme_b=SchemeConfig(scheme="etd_rk2", dt=1e-3),
-    )
-    base.update(overrides)
-    return StudySpec(**base)
+def uniqueness_run(n=32, seed=7, amplitude=0.5, **overrides):
+    """run_uniqueness from seeded data of decay 3; by default both legs are
+    etd_rk2 at dt = 1e-3, to t_end = 0.25."""
+    u0 = seeded(n=n, seed=seed, decay_r=3.0, amplitude=amplitude)
+    legs = dict(t_end=0.25, scheme="etd_rk2", dt=1e-3, scheme_b="etd_rk2", dt_b=1e-3)
+    return run_uniqueness(u0, **{**legs, **overrides})
 
 
 class TestUniqueness:
-    def test_needs_second_configuration(self):
-        with pytest.raises(UsageError, match="second configuration"):
-            run_uniqueness(StudySpec(kind="uniqueness"))
-
     def test_identical_configurations_agree_exactly(self):
-        rep = run_uniqueness(uniqueness_spec(t_end=0.1))
+        rep = uniqueness_run(t_end=0.1)
         assert rep.final_diff_l2 == 0.0
         assert rep.sup_diff_l2 == 0.0
         assert rep.sup_diff_h2 == 0.0
@@ -350,25 +308,15 @@ class TestUniqueness:
         assert rep.passed
 
     def test_stationary_data_agrees_exactly(self):
-        rep = run_uniqueness(
-            uniqueness_spec(
-                amplitude=0.0,
-                t_end=0.1,
-                scheme_b=SchemeConfig(scheme="etd1", dt=5e-4),
-            )
-        )
+        rep = uniqueness_run(amplitude=0.0, t_end=0.1, scheme_b="etd1", dt_b=5e-4)
         assert rep.final_diff_l2 == 0.0
         assert rep.passed
 
     def test_different_schemes_dt_and_declared_kernels_agree(self):
         # the kernel declarations are inert at eps = 0: same limit flow
-        rep = run_uniqueness(
-            uniqueness_spec(
-                scheme=SchemeConfig(scheme="etd_rk2", dt=1e-3),
-                scheme_b=SchemeConfig(scheme="imex_bdf2", dt=5e-4),
-                kernel="gaussian",
-                kernel_b="bump",
-            )
+        rep = uniqueness_run(
+            scheme="etd_rk2", dt=1e-3, scheme_b="imex_bdf2", dt_b=5e-4,
+            kernel="gaussian", kernel_b="bump",
         )
         assert rep.same_flow
         assert rep.passed  # measured: diff 5.98e-7 vs 3 x 2.90e-7
@@ -376,13 +324,8 @@ class TestUniqueness:
 
     def test_matched_accuracy_first_vs_second_order(self):
         # dts chosen so both self-estimates land near 1.9e-4
-        rep = run_uniqueness(
-            uniqueness_spec(
-                scheme=SchemeConfig(scheme="etd1", dt=4e-4),
-                scheme_b=SchemeConfig(scheme="etd_rk2", dt=0.0235),
-                eps_a=0.1,
-                eps_b=0.1,
-            )
+        rep = uniqueness_run(
+            scheme="etd1", dt=4e-4, scheme_b="etd_rk2", dt_b=0.0235, eps_a=0.1, eps_b=0.1
         )
         assert rep.same_flow
         assert 0.5 <= rep.est_b / rep.est_a <= 2.0  # measured: 0.98
@@ -392,22 +335,16 @@ class TestUniqueness:
         # second-order at dt=1e-3 is ~280x more accurate than first-order
         # at dt=2e-4; the rescale pass must raise dt_a (never shrink dt_b,
         # which would cost millions of steps) up to the segment cap
-        spec = uniqueness_spec(
-            scheme=SchemeConfig(scheme="etd_rk2", dt=1e-3),
-            scheme_b=SchemeConfig(scheme="etd1", dt=2e-4),
-            eps_a=0.1,
-            eps_b=0.1,
+        rep = uniqueness_run(
+            scheme="etd_rk2", dt=1e-3, scheme_b="etd1", dt_b=2e-4, eps_a=0.1, eps_b=0.1
         )
-        rep = run_uniqueness(spec)
-        assert rep.dt_a == spec.t_end / 20.0  # capped: 2 steps per segment
+        assert rep.dt_a == 0.25 / 20.0  # capped at t_end / 20: 2 steps per segment
         assert rep.dt_b == 2e-4
         assert 0.1 <= rep.est_b / rep.est_a <= 10.0  # measured: 1.75
         assert rep.passed  # measured: diff 1.50e-4 vs 3 x 5.50e-5
 
     def test_different_kernels_same_eps_differ(self):
-        rep = run_uniqueness(
-            uniqueness_spec(kernel="gaussian", kernel_b="bump", eps_a=0.2, eps_b=0.2)
-        )
+        rep = uniqueness_run(kernel="gaussian", kernel_b="bump", eps_a=0.2, eps_b=0.2)
         assert not rep.same_flow
         assert not rep.passed
         # genuinely different regularizations: gap far above both estimates
@@ -417,11 +354,7 @@ class TestUniqueness:
     def test_kernel_disagreement_shrinks_with_eps(self):
         sups = []
         for eps in (0.4, 0.2, 0.1):
-            rep = run_uniqueness(
-                uniqueness_spec(
-                    kernel="gaussian", kernel_b="bump", eps_a=eps, eps_b=eps
-                )
-            )
+            rep = uniqueness_run(kernel="gaussian", kernel_b="bump", eps_a=eps, eps_b=eps)
             sups.append(rep.sup_diff_l2)
         assert sups[0] > sups[1] > sups[2]
         # measured 6.7e-2 / 1.8e-2 / 4.5e-3: consistent with O(eps^2)
@@ -431,23 +364,20 @@ class TestUniqueness:
         # one trajectory per leg run, landing on the ten shared times: legs
         # a and b each run at dt and dt/2, and each run tabulates once
         dts = count_propagator_builds(monkeypatch)
-        run_uniqueness(uniqueness_spec(t_end=0.1))
+        uniqueness_run(t_end=0.1)
         assert dts == [1e-3, 5e-4, 1e-3, 5e-4]
 
     def test_leg_at_the_coarsening_cap_is_not_rerun(self, monkeypatch):
         # leg a is the more accurate one, but t_end / 20 = 1e-3 is already
         # its dt: coarsening cannot change it, so no third run of leg a
         dts = count_propagator_builds(monkeypatch)
-        rep = run_uniqueness(
-            uniqueness_spec(n=16, seed=0, t_end=0.02,
-                            scheme_b=SchemeConfig(scheme="imex_bdf2", dt=5e-4))
-        )
+        rep = uniqueness_run(n=16, seed=0, t_end=0.02, scheme_b="imex_bdf2", dt_b=5e-4)
         assert rep.est_a < rep.est_b / 10
         assert (rep.dt_a, rep.dt_b) == (1e-3, 5e-4)
         assert dts == [1e-3, 5e-4, 5e-4, 2.5e-4]
 
     def test_output_files(self, tmp_path):
-        run_uniqueness(uniqueness_spec(t_end=0.1, outdir=str(tmp_path)))
+        uniqueness_run(t_end=0.1, outdir=str(tmp_path))
         lines = (tmp_path / "uniqueness.csv").read_text().splitlines()
         assert lines[0] == "quantity,value"
         assert (tmp_path / "uniqueness.txt").read_text().startswith("study: uniqueness")
@@ -465,11 +395,7 @@ class TestLinearGrowth:
         assert abs(neutral[2]) <= 1e-6  # measured rate itself, sigma = 0
 
     def test_large_amplitude_flags_contamination(self):
-        rep = run_linear_growth(
-            StudySpec(
-                kind="linear_growth", n=32, t_end=0.1, amplitude=1e-2, mode_ksq=(1, 4)
-            )
-        )
+        rep = run_linear_growth(Grid(2, 32), t_end=0.1, amplitude=1e-2, mode_ksq=(1, 4))
         assert rep.contaminated
         assert rep.contamination > 1e-9  # measured: 2.8e-4
         assert "FLAGGED" in rep.summary()
@@ -477,38 +403,21 @@ class TestLinearGrowth:
     def test_general_coefficients(self):
         # lambda_e = 2: sigma(1) = -2 - (1 - 2/(2 chi)) + 2 = 3 at chi = 1/4
         p = EffectiveFieldParams(lambda_e=2.0)
-        rep = run_linear_growth(
-            StudySpec(
-                kind="linear_growth",
-                n=32,
-                t_end=0.1,
-                amplitude=1e-8,
-                mode_ksq=(1,),
-                params=p,
-            )
-        )
+        rep = run_linear_growth(Grid(2, 32), t_end=0.1, amplitude=1e-8, mode_ksq=(1,), params=p)
         assert rep.rows[0][1] == 3.0
         assert rep.max_rel_error <= 1e-6  # measured: 6.5e-15
 
     def test_one_dimensional_grid(self):
-        rep = run_linear_growth(
-            StudySpec(
-                kind="linear_growth", dim=1, n=32, t_end=0.1, amplitude=1e-8,
-                mode_ksq=(0, 1, 4),
-            )
-        )
+        rep = run_linear_growth(Grid(1, 32), t_end=0.1, amplitude=1e-8, mode_ksq=(0, 1, 4))
         assert [row[1] for row in rep.rows] == [2.0, 2.0, -10.0]
         assert rep.max_rel_error <= 1e-6
 
     def test_unrepresentable_mode_rejected(self):
-        spec = StudySpec(kind="linear_growth", n=32, t_end=0.1, mode_ksq=(3,))
         with pytest.raises(UsageError, match="no lattice mode"):
-            run_linear_growth(spec)
+            run_linear_growth(Grid(2, 32), t_end=0.1, amplitude=0.5, mode_ksq=(3,))
 
     def test_zero_amplitude_short_circuits(self):
-        rep = run_linear_growth(
-            StudySpec(kind="linear_growth", n=32, t_end=0.1, amplitude=0.0)
-        )
+        rep = run_linear_growth(Grid(2, 32), t_end=0.1, amplitude=0.0)
         assert rep.stationary
         assert rep.rows == ()
         assert rep.max_rel_error == 0.0
@@ -516,14 +425,7 @@ class TestLinearGrowth:
 
     def test_output_files(self, tmp_path):
         run_linear_growth(
-            StudySpec(
-                kind="linear_growth",
-                n=32,
-                t_end=0.1,
-                amplitude=1e-8,
-                mode_ksq=(0,),
-                outdir=str(tmp_path),
-            )
+            Grid(2, 32), t_end=0.1, amplitude=1e-8, mode_ksq=(0,), outdir=str(tmp_path)
         )
         lines = (tmp_path / "linear_growth.csv").read_text().splitlines()
         assert lines[0] == "ksq,sigma,measured_rate,rel_error"
@@ -553,24 +455,12 @@ class TestGnCalibration:
         assert float(calibration_report.constants["lipschitz_h2_eps0.2_max"]) > 0
 
     def test_rerun_is_bit_identical(self, calibration_report):
-        again = run_gn_calibration(
-            StudySpec(kind="gn_calibration", n=32, family_size=100)
-        )
+        again = run_gn_calibration(Grid(2, 32), family_size=100)
         assert again.constants == calibration_report.constants
 
     def test_small_family_rejected(self):
         with pytest.raises(UsageError, match="at least 100"):
-            run_gn_calibration(
-                StudySpec(kind="gn_calibration", n=32, family_size=50)
-            )
-
-    def test_constants_file_round_trips(self, tmp_path, calibration_report):
-        run_gn_calibration(
-            StudySpec(kind="gn_calibration", n=32, family_size=100, outdir=str(tmp_path))
-        )
-        stored = read_config(tmp_path / "constants.txt")
-        assert stored == calibration_report.constants
-        assert [p.name for p in tmp_path.iterdir()] == ["constants.txt"]
+            run_gn_calibration(Grid(2, 32), family_size=50)
 
 
 class TestCalibrationRegression:
