@@ -25,6 +25,7 @@ Exit codes: 0 all checks passed, 1 usage error, 2 a check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -192,7 +193,7 @@ def _resolve(args) -> dict:
     """Flag > config-file > default over the keys of the run's reader (the
     subcommand, or converge's study), tracking which keys the user set (a
     file value counts only when it differs from the default, so an echo
-    replays). Writes nothing but the output directory."""
+    replays). Writes nothing."""
     cmd = args.subcommand
     offered = {key: k for key, k in _KEYS.items() if any(r in k.reads for r in _readers(cmd))}
     file_vals = {}
@@ -242,9 +243,7 @@ def _resolve(args) -> dict:
                 "conflicting initial-data sources: snapshot together with "
                 + ", ".join(conflicts)
             )
-    cfg["outdir"] = ensure_outdir(
-        cfg["outdir"] or os.environ.get("LLBAR_OUTDIR") or "out"
-    )
+    cfg["outdir"] = cfg["outdir"] or os.environ.get("LLBAR_OUTDIR") or "out"
     return cfg
 
 
@@ -486,13 +485,19 @@ def _run(args) -> int:
     """Run the subcommand on its resolved configuration, then echo that to
     the output directory, also after a blow-up or a data error. A run
     refused as a usage error writes no echo, so it keeps one already
-    there."""
+    there, and removes the output directory if it made it and left it
+    empty."""
     cfg = _resolve(args)
+    made = not os.path.isdir(cfg["outdir"])
+    ensure_outdir(cfg["outdir"])
     refused = False
     try:
         return args.func(cfg)
     except UsageError:
         refused = True
+        if made:
+            with contextlib.suppress(OSError):  # not empty: the run wrote there
+                os.rmdir(cfg["outdir"])
         raise
     finally:
         if not refused:

@@ -28,6 +28,16 @@ from .physics import DEFAULT_PARAMS, gn_ratios, lipschitz_probe
 # the uniqueness legs are compared at the shared times j*t_end/SHARED_TIMES
 SHARED_TIMES = 10
 
+# Grids of at least this many points step their eps legs on several cores.
+# numpy's transforms release the GIL, so a second core steps one leg while
+# the first steps another; on smaller grids the legs' Python work holds the
+# GIL and threads lose. Threaded/serial wall time of an eps_limit study
+# (five legs, one step and one report per sample; medians of 9 pairs on
+# two cores): 2d n=32 (1,024 points) 1.94, 2d n=64 (4,096) 1.01, 2d n=80
+# (6,400) 0.90, 3d n=20 (8,000) 0.83, 2d n=96 (9,216) 0.91, 2d n=128
+# (16,384) 0.66, 3d n=32 (32,768) 0.61.
+THREADED_POINTS = 8000
+
 
 def _check_t_end(t_end):
     if t_end <= 0:
@@ -48,6 +58,69 @@ def _leg(u0, J, label, t_end, cfg, params, report_every):
     except BlowUpError as exc:
         exc.study_label = label
         raise
+
+
+def _lanes(legs, npoints):
+    """How many threads step the legs: one below THREADED_POINTS, else
+    one per available core, at most one per leg."""
+    if npoints < THREADED_POINTS:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # no affinity mask on this platform
+        cores = os.cpu_count() or 1
+    return min(len(legs), cores)
+
+
+def _advance(legs):
+    """next() of each leg, as (sample, None) or (None, exception); a leg
+    that has ended gives (None, None)."""
+    out = []
+    for leg in legs:
+        try:
+            out.append((next(leg), None))
+        except StopIteration:
+            out.append((None, None))
+        except Exception as exc:  # raised in eps order by _lockstep
+            out.append((None, exc))
+    return out
+
+
+def _lockstep(legs, npoints):
+    """Yield the legs' samples one sample at a time, as a tuple in leg
+    order. For each sample every leg advances once: with k lanes
+    (_lanes), lane i advances legs i, i + k, ...; the calling thread runs
+    lane 0 and k - 1 worker threads the others. A leg does the same
+    arithmetic on any thread, so the samples do not depend on k. When
+    legs fail in one sample, the first failing leg's error is raised after
+    every leg has finished that sample; legs that end at different samples
+    do not share their report cadence."""
+    lanes = _lanes(legs, npoints)
+    shares = [legs[i::lanes] for i in range(lanes)]
+    pool = None
+    if lanes > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(lanes - 1, thread_name_prefix="eps-leg")
+    try:
+        while True:
+            futures = [pool.submit(_advance, share) for share in shares[1:]]
+            outcomes = [_advance(shares[0])] + [f.result() for f in futures]
+            steps = [None] * len(legs)
+            for i, lane in enumerate(outcomes):
+                steps[i::lanes] = lane
+            for _, exc in steps:
+                if exc is not None:
+                    raise exc
+            done = [sample is None for sample, _ in steps]
+            if all(done):
+                return
+            if any(done):
+                raise UsageError("compared runs must share their report cadence")
+            yield tuple(sample for sample, _ in steps)
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def sup_t_difference(snaps_a: dict, snaps_b: dict, kind: str = "l2", s=None) -> float:
@@ -121,11 +194,12 @@ def _eps_study(
     eps legs smooth with kernel, drop_largest leaves the largest eps out of
     the rate fit, and an outdir receives <kind>.csv and <kind>.txt.
 
-    Steps the legs in lockstep, one sample at a time in eps order, and
-    holds only their current states: each pair's sup-in-t L2 difference
-    and each leg's sup-in-t H2 are running maxima. A blow-up names the
-    first leg to blow up, to within one report interval; legs that blow
-    up in the same interval go in eps order."""
+    Steps the legs in lockstep, one sample at a time (_lockstep, on
+    several cores for large grids), and holds only their current states:
+    each pair's sup-in-t L2 difference and each leg's sup-in-t H2 are
+    running maxima. A blow-up names the first leg to blow up, to within
+    one report interval; legs that blow up in the same interval go in eps
+    order."""
     _check_t_end(t_end)
     need = 3 if kind == "eps_cauchy" else 2
     if len(eps_list) < need:
@@ -146,7 +220,7 @@ def _eps_study(
         pair_index = list(itertools.combinations(range(m), 2))
     ys = [0.0] * len(pair_index)
     h2 = [-math.inf] * len(eps_values)
-    for samples in zip(*legs, strict=True):
+    for samples in _lockstep(legs, u0.grid.npoints):
         if len({r.t for _, r in samples}) > 1:
             raise UsageError("compared runs must share their report cadence")
         ys = [

@@ -273,10 +273,11 @@ def trajectory(
 ) -> Generator[tuple[Field, EnergyReport], None, IntegrationResult]:
     """Advance u0 to t_end, yielding (u, report) at each sample (first
     step, every report_every-th, each of the increasing times land_at,
-    last): u is a new spectral Field the integrator keeps no reference
-    to, report the EnergyReport just appended to the series. Returns the
-    IntegrationResult of integrate. The run lands on land_at as on t_end,
-    shortening only the step that would pass one of them.
+    last): u is a spectral Field over a read-only view of the state (a
+    write to it raises), report the EnergyReport just appended to the
+    series. Returns the IntegrationResult of integrate. The run lands on
+    land_at as on t_end, shortening only the step that would pass one of
+    them.
 
     A non-finite state, or an adaptive step size collapsing below
     dt_min, raises the blow-up signal carrying the partial series and the
@@ -305,13 +306,16 @@ def trajectory(
             field=u0,
         )
     uhat = to_spectral(u0).data
+    del u0  # uhat is the state now: the start is freed by the first step
 
     def sample(uhat, force=False):
         if force or st.step % report_every == 0:
             if not series.reports or st.t > series.reports[-1].t:
-                u = _derived(grid, uhat)
+                view = uhat.view()  # advance never writes its input
+                view.flags.writeable = False
+                u = _derived(grid, view)
                 series.append(report(u, st.t, p))
-                yield u.copy(), series.reports[-1]
+                yield u, series.reports[-1]
 
     yield from sample(uhat, force=True)
     dt_next = cfg.dt

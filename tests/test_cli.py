@@ -220,6 +220,23 @@ class TestUsageErrors:
         assert [path.name for path in out.iterdir()] == ["effective-config.txt"]
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--n", "16", "--eps", "0"),
+            ("converge", "--study", "eps_limit", "--n", "16", "--eps-list", "0.4"),
+        ],
+    )
+    def test_usage_error_removes_the_outdir_it_made(self, tmp_path, capsys, argv):
+        # an empty directory that was there before the run stays
+        made, kept = tmp_path / "made", tmp_path / "kept"
+        kept.mkdir()
+        for out in (made, kept):
+            assert run(*argv, "--outdir", str(out)) == 1
+        assert capsys.readouterr().err.count("usage error:") == 2
+        assert not made.exists()
+        assert kept.is_dir() and not any(kept.iterdir())
+
+    @pytest.mark.parametrize(
         "cmd, key, value",
         [
             ("simulate", "kernel", "foo"),

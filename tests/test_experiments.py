@@ -9,13 +9,16 @@ thresholds, flag logic, file layout) are asserted directly.
 import itertools
 import math
 import os
+import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from llbar import experiments
 from llbar.diagnostics import blowup_monitor, monotonicity_audit
-from llbar.errors import UsageError
+from llbar.errors import BlowUpError, UsageError
 from llbar.experiments import (
     fit_loglog,
     find_stable_dt,
@@ -188,6 +191,72 @@ class TestLockstepLegs:
         assert len(report.pairs) == 9
         assert len(builds) == 10
         assert [J.eps for J in builds[:-1]] == list(eps_list) and builds[-1] is None
+
+    @pytest.mark.parametrize("lanes", [2, 5])
+    @pytest.mark.parametrize("run_study", [run_eps_limit, run_eps_cauchy])
+    def test_outputs_do_not_depend_on_the_lanes(self, tmp_path, monkeypatch, run_study, lanes):
+        # each run on a fresh grid, whose cached wavenumber tables the legs
+        # fill from their threads; a short switch interval interleaves them
+        study = {**SWEEP, "t_end": 0.02, "report_every": 1}
+        outputs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for k in (1, lanes):
+                monkeypatch.setattr(experiments, "_lanes", lambda legs, npoints, k=k: k)
+                out = tmp_path / str(k)
+                out.mkdir()
+                run_study(seeded(), outdir=str(out), **study)
+                outputs[k] = sorted((f.name, f.read_bytes()) for f in out.iterdir())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(outputs[1]) == 2 and outputs[lanes] == outputs[1]
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_legs_failing_in_one_sample_raise_the_first_legs_error(self, monkeypatch, lanes):
+        # legs 2 and 0 blow up in sample 1, and every leg still finishes
+        # that sample
+        monkeypatch.setattr(experiments, "_lanes", lambda legs, npoints: lanes)
+        advanced = []
+
+        def leg(i):
+            yield i
+            advanced.append(i)
+            if i in (0, 2):
+                if i == 0:
+                    time.sleep(0.05)  # leg 2 fails first in time
+                exc = BlowUpError("non-finite state")
+                exc.study_label = f"leg {i}"
+                raise exc
+            yield i
+
+        lockstep = experiments._lockstep([leg(i) for i in range(4)], npoints=0)
+        assert next(lockstep) == (0, 1, 2, 3)
+        with pytest.raises(BlowUpError) as info:
+            next(lockstep)
+        assert info.value.study_label == "leg 0"
+        assert sorted(advanced) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize(
+        "skew",
+        [
+            {"report_every": 3},  # the limit leg samples at other times
+            {"t_end": 0.01},  # the limit leg ends halfway
+        ],
+    )
+    def test_cadence_mismatch_is_a_usage_error(self, monkeypatch, lanes, skew):
+        monkeypatch.setattr(experiments, "_lanes", lambda legs, npoints: lanes)
+        leg = experiments._leg
+
+        def skewed(u0, J, label, t_end, cfg, params, report_every):
+            limit = skew if J is None else {}
+            return leg(u0, J, label, limit.get("t_end", t_end), cfg, params,
+                       limit.get("report_every", report_every))
+
+        monkeypatch.setattr(experiments, "_leg", skewed)
+        with pytest.raises(UsageError, match="cadence"):
+            run_eps_limit(seeded(n=16), (0.4, 0.2), t_end=0.02, report_every=2)
 
     def test_memory_does_not_grow_with_t_end(self):
         # tracemalloc peaks at T and 4T: 1.02 and 1.95 MB when the study

@@ -7,6 +7,7 @@ tolerance for the constant-field ODE, and self-convergence for orders.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -316,9 +317,9 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_changing_yielded_fields_leaves_the_run_bit_identical(self, grid16_2d, scheme):
-        # a yielded field that aliased the state (which the next step
-        # starts from, and imex_bdf2 keeps as history) would feed the
-        # change back into the run
+        # a yielded field views the state, which the next step starts from
+        # and imex_bdf2 keeps as history: a write to it raises instead of
+        # feeding the change back into the run
         u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
         cfg = SchemeConfig(scheme=scheme, dt=1e-3)
         run = trajectory(u0, 0.02, cfg, report_every=1)
@@ -328,8 +329,20 @@ class TestTrajectory:
             except StopIteration as done:
                 res = done.value
                 break
-            u.data *= 2.0
+            assert not u.data.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                u.data *= 2.0
         assert same_run(res, integrate(u0, 0.02, cfg, report_every=1))
+
+    def test_keeps_no_reference_to_the_start_after_the_first_step(self, grid16_2d):
+        start = to_spectral(random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4))
+        refs = (weakref.ref(start), weakref.ref(start.data))
+        run = trajectory(start, 0.02, SchemeConfig(dt=1e-3), report_every=1)
+        del start
+        for _ in range(2):  # the start's sample, then the first step's
+            u, _ = next(run)
+            del u
+        assert [ref() for ref in refs] == [None, None]
 
     def test_zero_length_run_yields_the_initial_state(self, grid16_2d):
         u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
