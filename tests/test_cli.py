@@ -685,6 +685,17 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_loads_no_thread_pool(self):
+        """The eps studies import their thread pool only when they start one."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, llbar.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator")
     def test_steps_reuse_freed_memory(self, tmp_path):
         """200 steps at 2d n=64 fault in a few hundred pages; with freed
