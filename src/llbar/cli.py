@@ -107,7 +107,7 @@ _KEYS = {
     "tol": _Key(float, 1e-6, ("simulate", "linear_growth"), "adaptive local-error target"),
     "t_end": _Key(float, 1.0, _STEPPED, "final time"),
     "report_every": _Key(int, 10, ("simulate", "linear_growth") + _EPS_STUDIES,
-                         "steps between diagnostic rows"),
+                         "steps between samples (diagnostic rows in simulate)"),
     "eps": _Key(float, 0.0, ("simulate", "verify", "mollifier-check"),
                 "smoothing length; 0 = limit flow"),
     "kernel": _Key(str, "gaussian", _SUBCOMMANDS + _SEEDED_STUDIES, "smoothing kernel kind",

@@ -101,7 +101,7 @@ def report(
             l4=l4_4**0.25,
             linf=float(np.sqrt(np.max(usq))),
             h1=math.sqrt(float(np.sum(bessel * dens)) * parseval),
-            h2=math.sqrt(float(np.sum(bessel**2 * dens)) * parseval),
+            h2=_h2(grid, dens),
             grad_l2=math.sqrt(grad_sq),
             energy=l4_4 / (8.0 * p.chi) + 0.5 * grad_sq - l2_sq / (4.0 * p.chi),
             dissipation=p.lambda_r * heff_sq + p.lambda_e * grad_h_sq,
@@ -111,6 +111,18 @@ def report(
     if not np.all(np.isfinite(values)):
         rep = dataclasses.replace(rep, flags="nan")
     return rep
+
+
+def h2_norm(u: Field) -> float:
+    """||u||_H2 of finite data, bit for bit the h2 of report(u, t)."""
+    with np.errstate(over="ignore"):
+        return _h2(u.grid, u.grid.mode_density(to_spectral(u).data))
+
+
+def _h2(grid, dens) -> float:
+    """The H2 norm from the mode density dens, scaled as report() scales."""
+    weighted = float(np.sum((1.0 + grid.ksq) ** 2 * dens))
+    return math.sqrt(weighted * (grid.cell_volume / grid.npoints))
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import blowup_monitor, monotonicity_audit
+from .diagnostics import blowup_monitor, h2_norm, monotonicity_audit
 from .errors import BlowUpError, UsageError
 from .grid import Field, Grid, norm, random_band_limited_field, to_spectral
 from .integrator import SchemeConfig, integrate, trajectory
@@ -32,10 +32,10 @@ SHARED_TIMES = 10
 # numpy's transforms release the GIL, so a second core steps one leg while
 # the first steps another; on smaller grids the legs' Python work holds the
 # GIL and threads lose. Threaded/serial wall time of an eps_limit study
-# (five legs, one step and one report per sample; medians of 9 pairs on
-# two cores): 2d n=32 (1,024 points) 1.94, 2d n=64 (4,096) 1.01, 2d n=80
-# (6,400) 0.90, 3d n=20 (8,000) 0.83, 2d n=96 (9,216) 0.91, 2d n=128
-# (16,384) 0.66, 3d n=32 (32,768) 0.61.
+# (five legs, one step and one H2 norm per sample; medians of 9 pairs on
+# two cores): 2d n=32 (1,024 points) 2.18, 2d n=64 (4,096) 1.25, 2d n=80
+# (6,400) 0.82, 3d n=20 (8,000) 0.83, 2d n=96 (9,216) 0.79, 3d n=24
+# (13,824) 0.68, 2d n=128 (16,384) 0.87, 3d n=32 (32,768) 0.70.
 THREADED_POINTS = 8000
 
 
@@ -198,7 +198,7 @@ def _eps_study(
     several cores for large grids), and holds only their current states:
     each pair's sup-in-t L2 difference and each leg's sup-in-t H2 are
     running maxima. A blow-up names the first leg to blow up, to within
-    one report interval; legs that blow up in the same interval go in eps
+    one sample interval; legs that blow up in the same interval go in eps
     order."""
     _check_t_end(t_end)
     need = 3 if kind == "eps_cauchy" else 2
@@ -221,13 +221,13 @@ def _eps_study(
     ys = [0.0] * len(pair_index)
     h2 = [-math.inf] * len(eps_values)
     for samples in _lockstep(legs, u0.grid.npoints):
-        if len({r.t for _, r in samples}) > 1:
+        if len({t for t, _ in samples}) > 1:
             raise UsageError("compared runs must share their report cadence")
         ys = [
-            max(d, norm(samples[i][0] - samples[j][0], "l2"))
+            max(d, norm(samples[i][1] - samples[j][1], "l2"))
             for d, (i, j) in zip(ys, pair_index)
         ]
-        h2 = [max(h, r.h2) for h, (_, r) in zip(h2, samples)]
+        h2 = [max(h, h2_norm(u)) for h, (_, u) in zip(h2, samples)]
     pairs = [(eps_values[i], eps_values[j] or 0.0, d) for (i, j), d in zip(pair_index, ys)]
     xs = [eps_values[i] for i, _ in pair_index]  # the larger eps of each pair
     stationary = max(ys) <= 1e-12 * max(1.0, *h2)
@@ -337,7 +337,7 @@ def _leg_with_estimate(u0, cfg, eps, kernel, label, t_end, params):
             run = trajectory(
                 start, times[-1], run_cfg, params, J, report_every=10**9, land_at=times
             )
-            states = [u for u, _ in run]
+            states = [u for _, u in run]
             if len(states) != SHARED_TIMES + 1:
                 raise UsageError(f"t_end={t_end:g} leaves no step between shared times")
             runs.append(dict(zip((0.0, *times), states)))
@@ -482,7 +482,7 @@ def _measure_mode_rate(grid, mode, amplitude, t_end, scheme, params, report_ever
     u0 = _seed_mode(grid, mode, amplitude)
     idx = tuple(m % grid.n for m in mode)
     run = trajectory(u0, t_end, scheme, params, report_every=report_every)
-    ts, amps = np.array([(r.t, abs(u.data[(2,) + idx])) for u, r in run]).T
+    ts, amps = np.array([(t, abs(u.data[(2,) + idx])) for t, u in run]).T
     if np.any(amps <= 0):
         raise UsageError(f"mode {mode} amplitude reached zero; shorten t_end")
     rate, _ = np.polyfit(ts, np.log(amps), 1)

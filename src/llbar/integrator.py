@@ -8,8 +8,9 @@ The imex_bdf2 history (dt, u_{n-1}, N(u_{n-1})) is private to the run's
 Stepper; the first step, and any step of another dt than the history's
 (a shortened landing step), bootstraps with one etd_rk2 step.
 
-trajectory is the one stepping loop: a generator of the samples that
-returns the run's result. integrate drains it.
+trajectory is the one stepping loop: a generator of the sampled states
+that returns the final field and the run's time and step count. integrate
+runs it and builds the diagnostic series, one report() per sample.
 
 The state, the propagator tables, N(u), the imex_bdf2 history, the
 samples and the returned field all use the one spectral layout of
@@ -24,7 +25,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .diagnostics import EnergyReport, TimeSeries, report
+from .diagnostics import TimeSeries, report
 from .errors import BlowUpError, UsageError
 from .grid import SPECTRAL, Field, Grid, _derived, norm, to_physical, to_spectral
 from .mollifier import MollifierSymbol
@@ -135,7 +136,8 @@ class Stepper:
     """Stateful single-run driver and the run's spectral kernel: it builds
     the symbols of N(u) once, keeps the propagator tables of the last two
     step sizes (a step and, under step doubling, its half) and, for the
-    two-step scheme, holds the history (dt, u_{n-1}, N(u_{n-1}))."""
+    two-step scheme, holds the history (dt, u_{n-1}, N(u_{n-1})) and the
+    denominator 3 - 2 dt sigma of the history's dt."""
 
     def __init__(
         self,
@@ -150,6 +152,8 @@ class Stepper:
         self._history = None
         self._symbols = nonlinear_symbols(grid, p, J)  # checks J's grid
         self._prop = lru_cache(maxsize=2)(partial(LinearPropagator.build, grid, p=p, J=J))
+        if cfg.scheme == "imex_bdf2":  # the history serves one dt at a time
+            self._bdf2_denom = lru_cache(1)(lambda dt: 3.0 - 2.0 * dt * self._prop(dt).symbol)
 
     def _nonlinear(self, uhat: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinear:
@@ -185,14 +189,20 @@ class Stepper:
         return new
 
     def _bdf2(self, uhat: np.ndarray, dt: float) -> np.ndarray:
+        """(4 uhat - u_{n-1} + 2 dt (2 N(uhat) - N(u_{n-1}))) / (3 - 2 dt sigma)."""
         # a history of another dt is stale: bootstrap as a fresh run does
         nhat = self._nonlinear(uhat)
         if self._history is None or self._history[0] != dt:
             new = self._etd_rk2(uhat, dt, nhat)
         else:
             _, prev_field, prev_nonlinear = self._history
-            num = 4.0 * uhat - prev_field + 2.0 * dt * (2.0 * nhat - prev_nonlinear)
-            new = num / (3.0 - 2.0 * dt * self._prop(dt).symbol)
+            new = 4.0 * uhat
+            new -= prev_field
+            slope = 2.0 * nhat  # nhat is the next history: kept intact
+            slope -= prev_nonlinear
+            slope *= 2.0 * dt
+            new += slope
+            new /= self._bdf2_denom(dt)
         self._history = (dt, uhat, nhat)
         return new
 
@@ -268,54 +278,41 @@ def trajectory(
     p: EffectiveFieldParams = DEFAULT_PARAMS,
     J: MollifierSymbol | None = None,
     report_every: int = 10,
-    metadata: dict | None = None,
     land_at: tuple = (),
-) -> Generator[tuple[Field, EnergyReport], None, IntegrationResult]:
-    """Advance u0 to t_end, yielding (u, report) at each sample (first
-    step, every report_every-th, each of the increasing times land_at,
-    last): u is a spectral Field over a read-only view of the state (a
-    write to it raises), report the EnergyReport just appended to the
-    series. Returns the IntegrationResult of integrate. The run lands on
-    land_at as on t_end, shortening only the step that would pass one of
-    them.
+) -> Generator[tuple[float, Field], None, tuple[Field, SchemeState]]:
+    """Advance u0 to t_end, yielding (t, u) at each sample (first step,
+    every report_every-th, each of the increasing times land_at, last): u
+    is a spectral Field over a read-only view of the state (a write to it
+    raises). Returns the final field and the run's SchemeState. The run
+    lands on land_at as on t_end, shortening only the step that would pass
+    one of them.
 
-    A non-finite state, or an adaptive step size collapsing below
-    dt_min, raises the blow-up signal carrying the partial series and the
-    offending field; the series gains a final flagged report first
-    ("nan"), or its row at the collapse time is flagged "dt_collapse"
-    (appended when that time is past the last row), so on-disk records
-    show the failure. Those flagged rows are not yielded.
+    A non-finite state, or an adaptive step size collapsing below dt_min,
+    raises the blow-up signal carrying its time, step and the offending
+    field, which is not yielded.
     """
     if t_end < 0:
         raise UsageError(f"t_end must be nonnegative, got {t_end}")
     if report_every < 1:
         raise UsageError(f"report_every must be at least 1, got {report_every}")
     grid = u0.grid
-    series = TimeSeries(metadata=dict(metadata or {}))
     stepper = Stepper(grid, cfg, p, J)
     st = stepper.state
     if any(b <= a for a, b in zip((0.0, *land_at), land_at)) or max((t_end, *land_at)) > t_end:
         raise UsageError(f"landing times must increase from t=0 to t_end, got {land_at}")
     if not np.all(np.isfinite(u0.data)):
-        series.append(report(u0, st.t, p))
-        raise BlowUpError(
-            "non-finite initial data",
-            t=st.t,
-            step=st.step,
-            series=series,
-            field=u0,
-        )
+        raise BlowUpError("non-finite initial data", t=st.t, step=st.step, field=u0)
     uhat = to_spectral(u0).data
     del u0  # uhat is the state now: the start is freed by the first step
+    last = -np.inf
 
     def sample(uhat, force=False):
-        if force or st.step % report_every == 0:
-            if not series.reports or st.t > series.reports[-1].t:
-                view = uhat.view()  # advance never writes its input
-                view.flags.writeable = False
-                u = _derived(grid, view)
-                series.append(report(u, st.t, p))
-                yield u, series.reports[-1]
+        nonlocal last
+        if (force or st.step % report_every == 0) and st.t > last:
+            last = st.t
+            view = uhat.view()  # advance never writes its input
+            view.flags.writeable = False
+            yield st.t, _derived(grid, view)
 
     yield from sample(uhat, force=True)
     dt_next = cfg.dt
@@ -337,26 +334,19 @@ def trajectory(
                     uhat, taken, dt_next = stepper.advance_adaptive(uhat, dt)
                 except BlowUpError as exc:
                     exc.field = _derived(grid, uhat)
-                    if st.t > series.reports[-1].t:
-                        series.append(report(exc.field, st.t, p))
-                    series.reports[-1] = replace(series.reports[-1], flags="dt_collapse")
-                    exc.series = series
                     raise
             st.t += taken
             st.step += 1
             if not np.all(np.isfinite(uhat)):
-                u = _derived(grid, uhat)
-                series.append(report(u, st.t, p))
                 raise BlowUpError(
                     f"non-finite state at t={st.t:.6g} (step {st.step})",
                     t=st.t,
                     step=st.step,
-                    series=series,
-                    field=u,
+                    field=_derived(grid, uhat),
                 )
             yield from sample(uhat)
         yield from sample(uhat, force=True)
-    return IntegrationResult(_derived(grid, uhat), series, st)
+    return _derived(grid, uhat), st
 
 
 def integrate(
@@ -368,14 +358,31 @@ def integrate(
     report_every: int = 10,
     metadata: dict | None = None,
 ) -> IntegrationResult:
-    """Drain trajectory: the final field, the sampled time series and the
-    run's time and step count."""
-    run = trajectory(u0, t_end, cfg, p, J, report_every, metadata)
-    while True:
-        try:
-            next(run)
-        except StopIteration as done:
-            return done.value
+    """Run trajectory and report() each sample: the final field, the time
+    series and the run's time and step count.
+
+    A blow-up signal leaves with the partial series attached, ending in a
+    flagged row so on-disk records show the failure: "nan" for a
+    non-finite field, or "dt_collapse" on the row at the collapse time
+    (appended when that time is past the last row)."""
+    series = TimeSeries(metadata=dict(metadata or {}))
+    run = trajectory(u0, t_end, cfg, p, J, report_every)
+    try:
+        while True:
+            t, u = next(run)
+            series.append(report(u, t, p))
+            del u  # a held sample would keep its state alive through the next steps
+    except StopIteration as done:
+        field, state = done.value
+        return IntegrationResult(field, series, state)
+    except BlowUpError as exc:
+        finite = np.all(np.isfinite(exc.field.data))
+        if not finite or exc.t > series.reports[-1].t:
+            series.append(report(exc.field, exc.t, p))
+        if finite:
+            series.reports[-1] = replace(series.reports[-1], flags="dt_collapse")
+        exc.series = series
+        raise
 
 
 @dataclass(frozen=True)

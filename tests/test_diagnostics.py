@@ -17,6 +17,7 @@ from llbar.diagnostics import (
     EnergyReport,
     TimeSeries,
     blowup_monitor,
+    h2_norm,
     monotonicity_audit,
     report,
 )
@@ -200,6 +201,19 @@ class TestReport:
         data[(0,) + index] = value
         with pytest.raises(DataError, match="conjugate symmetry"):
             Field(g, data, SPECTRAL)
+
+
+class TestH2Norm:
+    """The studies' H2 is report()'s h2, not a norm with its own rounding."""
+
+    # off powers of two, grid.norm(u, "hs", s=2) scales the Parseval sum
+    # in another order and can differ in the last bit
+    @pytest.mark.parametrize("dim,n", [(2, 24), (3, 12)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bits_as_the_report(self, dim, n, seed):
+        u = random_band_limited_field(Grid(dim, n), seed=seed, decay_r=2.0, amplitude=0.7)
+        assert h2_norm(u) == report(u, 0.0).h2
+        assert h2_norm(to_spectral(u)) == report(to_spectral(u), 0.0).h2
 
 
 FFT_ENTRY_POINTS = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2")

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from llbar import experiments
-from llbar.diagnostics import blowup_monitor, monotonicity_audit
+from llbar.diagnostics import blowup_monitor, monotonicity_audit, report
 from llbar.errors import BlowUpError, UsageError
 from llbar.experiments import (
     fit_loglog,
@@ -139,9 +139,9 @@ class TestSupTDifference:
 
 
 def legs_one_at_a_time(u0, against_limit, eps_list, t_end, scheme, dt):
-    """(pairs, h2_sups) of an eps study (gaussian kernel, a report every 10
+    """(pairs, h2_sups) of an eps study (gaussian kernel, a sample every 10
     steps) whose legs run alone, keep every sample, and are compared
-    afterwards."""
+    afterwards; each H2 is the h2 of report()."""
     eps_values = list(eps_list) + ([None] if against_limit else [])
     snaps, h2_sups = {}, []
     for eps in eps_values:
@@ -150,8 +150,8 @@ def legs_one_at_a_time(u0, against_limit, eps_list, t_end, scheme, dt):
         samples = list(
             trajectory(start, t_end, SchemeConfig(scheme=scheme, dt=dt), J=J, report_every=10)
         )
-        snaps[eps] = {r.t: u for u, r in samples}
-        h2_sups.append((eps, max(r.h2 for _, r in samples)))
+        snaps[eps] = dict(samples)
+        h2_sups.append((eps, max(report(u, t).h2 for t, u in samples)))
     if against_limit:
         compared = [(eps, None) for eps in eps_list]
     else:
@@ -271,6 +271,38 @@ class TestLockstepLegs:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+
+def refuse_reports(monkeypatch):
+    """Patch report() to raise, under both names a study could reach."""
+    import llbar.diagnostics as diagnostics
+    import llbar.integrator as integrator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a study built a report")
+
+    monkeypatch.setattr(integrator, "report", refuse)
+    monkeypatch.setattr(diagnostics, "report", refuse)
+
+
+class TestStudiesBuildNoReport:
+    """The studies read states and H2 norms; with report() refused they
+    give the results of an unpatched run."""
+
+    def test_eps_studies(self, monkeypatch, cauchy_report, limit_report):
+        refuse_reports(monkeypatch)
+        assert run_eps_cauchy(seeded(), **SWEEP) == cauchy_report
+        assert run_eps_limit(seeded(), **SWEEP) == limit_report
+
+    def test_uniqueness(self, monkeypatch):
+        legs = dict(n=16, t_end=0.05, scheme_b="imex_bdf2", dt_b=5e-4)
+        expected = uniqueness_run(**legs)
+        refuse_reports(monkeypatch)
+        assert uniqueness_run(**legs) == expected
+
+    def test_linear_growth(self, monkeypatch, growth_report):
+        refuse_reports(monkeypatch)
+        assert run_linear_growth(Grid(2, 32), t_end=0.1, amplitude=1e-8) == growth_report
 
 
 class TestEpsCauchy:

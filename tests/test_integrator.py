@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from llbar.diagnostics import blowup_monitor, monotonicity_audit
+from llbar.diagnostics import blowup_monitor, monotonicity_audit, report
 from llbar.errors import BlowUpError, UsageError
 from llbar.grid import (
     Field,
@@ -288,32 +288,41 @@ def drain(run):
             return samples, done.value
 
 
-def same_run(a, b):
-    return (
-        np.array_equal(a.field.data, b.field.data)
-        and [r.row() for r in a.series.reports] == [r.row() for r in b.series.reports]
-        and (a.state.t, a.state.step) == (b.state.t, b.state.step)
-    )
+def same_end(end, res):
+    """Whether trajectory's return (field, state) ends the run res."""
+    field, state = end
+    return np.array_equal(field.data, res.field.data) and state == res.state
 
 
 class TestTrajectory:
-    """The generator behind integrate: one (u, report) per sample, then
-    the run's result."""
+    """The stepping loop behind integrate: one (t, u) per sample, then the
+    final field and the run's state; it builds no report."""
 
     def test_samples_at_cadence(self, grid16_2d):
         u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
-        samples, res = drain(trajectory(u0, 0.02, SchemeConfig(dt=1e-3), report_every=5))
-        assert [round(r.t / 1e-3) for _, r in samples] == [0, 5, 10, 15, 20]
-        assert [r for _, r in samples] == res.series.reports
-        assert all(u.representation == "spectral" for u, _ in samples)
+        samples, (_, state) = drain(trajectory(u0, 0.02, SchemeConfig(dt=1e-3), report_every=5))
+        assert [round(t / 1e-3) for t, _ in samples] == [0, 5, 10, 15, 20]
+        assert samples[-1][0] == state.t and state.step == 20
+        assert all(u.representation == "spectral" for _, u in samples)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_integrate_drains_trajectory(self, grid16_2d, scheme):
+    def test_integrate_drains_trajectory(self, grid16_2d, scheme, monkeypatch):
+        # trajectory builds no report; integrate reports each of its samples
+        import llbar.integrator as integrator
+
+        def refuse(*args):
+            raise AssertionError("trajectory built a report")
+
         u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
         cfg = SchemeConfig(scheme=scheme, dt=1e-3)
         J = make_mollifier(grid16_2d, 0.2)
-        _, drained = drain(trajectory(u0, 0.0105, cfg, J=J, report_every=3))
-        assert same_run(drained, integrate(u0, 0.0105, cfg, J=J, report_every=3))
+        with monkeypatch.context() as patch:
+            patch.setattr(integrator, "report", refuse)
+            samples, end = drain(trajectory(u0, 0.0105, cfg, J=J, report_every=3))
+        assert len(samples) == 5  # steps 0, 3, 6, 9 and the short step 11
+        res = integrate(u0, 0.0105, cfg, J=J, report_every=3)
+        assert res.series.reports == [report(u, t) for t, u in samples]
+        assert same_end(end, res)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_changing_yielded_fields_leaves_the_run_bit_identical(self, grid16_2d, scheme):
@@ -325,14 +334,14 @@ class TestTrajectory:
         run = trajectory(u0, 0.02, cfg, report_every=1)
         while True:
             try:
-                u, _ = next(run)
+                _, u = next(run)
             except StopIteration as done:
-                res = done.value
+                end = done.value
                 break
             assert not u.data.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 u.data *= 2.0
-        assert same_run(res, integrate(u0, 0.02, cfg, report_every=1))
+        assert same_end(end, integrate(u0, 0.02, cfg, report_every=1))
 
     def test_keeps_no_reference_to_the_start_after_the_first_step(self, grid16_2d):
         start = to_spectral(random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4))
@@ -340,15 +349,16 @@ class TestTrajectory:
         run = trajectory(start, 0.02, SchemeConfig(dt=1e-3), report_every=1)
         del start
         for _ in range(2):  # the start's sample, then the first step's
-            u, _ = next(run)
+            _, u = next(run)
             del u
         assert [ref() for ref in refs] == [None, None]
 
     def test_zero_length_run_yields_the_initial_state(self, grid16_2d):
         u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
-        samples, res = drain(trajectory(u0, 0.0, SchemeConfig()))
-        assert len(samples) == len(res.series) == 1
-        assert np.array_equal(samples[0][0].data, to_spectral(u0).data)
+        samples, (field, state) = drain(trajectory(u0, 0.0, SchemeConfig()))
+        assert len(samples) == 1 and samples[0][0] == state.t == 0.0
+        assert np.array_equal(samples[0][1].data, to_spectral(u0).data)
+        assert np.array_equal(field.data, to_spectral(u0).data)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_landing_times_match_integrate_chained_segment_by_segment(
@@ -359,7 +369,7 @@ class TestTrajectory:
         u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
         cfg = SchemeConfig(scheme=scheme, dt=3e-3)
         times = tuple(0.1 * j / 10 for j in range(1, 11))
-        samples, res = drain(trajectory(u0, 0.1, cfg, report_every=10**9, land_at=times))
+        samples, (_, state) = drain(trajectory(u0, 0.1, cfg, report_every=10**9, land_at=times))
         # the oracle: one Stepper driven by hand through three steps of dt
         # and one short step per segment
         stepper = Stepper(grid16_2d, cfg)
@@ -373,19 +383,20 @@ class TestTrajectory:
             t, steps = t + (target - t), steps + 4
             chained.append(uhat)
         assert len(samples) == len(chained) == 11
-        assert all(np.array_equal(v.data, w) for (v, _), w in zip(samples, chained))
-        assert (res.state.t, res.state.step) == (t, steps)
+        assert all(np.array_equal(v.data, w) for (_, v), w in zip(samples, chained))
+        assert (state.t, state.step) == (t, steps)
 
     def test_landing_times_join_the_report_cadence(self, grid16_2d):
         u0 = random_band_limited_field(grid16_2d, seed=2, amplitude=0.3, kmax=4)
         cfg = SchemeConfig(dt=1e-3)
-        samples, res = drain(trajectory(u0, 0.02, cfg, report_every=5, land_at=(0.0075, 0.02)))
+        samples, (_, state) = drain(
+            trajectory(u0, 0.02, cfg, report_every=5, land_at=(0.0075, 0.02))
+        )
         # the cadence counts steps, so after the short step to 0.0075 every
         # fifth step lands half a step off the grid and t_end takes one more
         expected = [0, 5e-3, 7.5e-3, 9.5e-3, 1.45e-2, 1.95e-2, 2e-2]
-        assert [r.t for _, r in samples] == pytest.approx(expected)
-        assert [r for _, r in samples] == res.series.reports
-        assert res.state.step == 21
+        assert [t for t, _ in samples] == pytest.approx(expected)
+        assert state.step == 21
 
     @pytest.mark.parametrize("land_at", [(0.02, 0.01), (0.01, 0.01), (0.0,), (0.04,)])
     def test_landing_times_must_increase_within_the_run(self, grid16_2d, land_at):
@@ -408,11 +419,16 @@ class TestHalfLattice:
     lattice; the full lattice exists only in files."""
 
     def run(self, grid, monkeypatch, counts):
+        """integrate's result and the samples it reported."""
         import llbar.integrator as integrator
+
+        seen = []
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
                 counts[name] = counts.get(name, 0) + 1
+                if name == "report":
+                    seen.append(args[0])
                 return fn(*args, **kwargs)
 
             return wrapped
@@ -423,16 +439,14 @@ class TestHalfLattice:
             monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
         for name in ("nonlinear_rhs", "report"):
             monkeypatch.setattr(integrator, name, counting(name, getattr(integrator, name)))
-        samples, res = drain(
-            trajectory(
-                u0,
-                0.02,
-                SchemeConfig(scheme="etd_rk2", dt=1e-3),
-                J=make_mollifier(grid, 0.2),
-                report_every=10,
-            )
+        res = integrate(
+            u0,
+            0.02,
+            SchemeConfig(scheme="etd_rk2", dt=1e-3),
+            J=make_mollifier(grid, 0.2),
+            report_every=10,
         )
-        return res, [u for u, _ in samples]
+        return res, seen
 
     def test_integrate_builds_no_full_spectrum(self, grid32_2d, monkeypatch):
         counts = {}
@@ -571,13 +585,13 @@ class TestCheckpointResume:
         cfg = SchemeConfig(scheme=scheme, dt=1e-3)
         full = integrate(u0, 0.1, cfg)
         half = integrate(u0, 0.05, cfg)
-        samples, resumed = drain(trajectory(u0, 0.1, cfg, land_at=(0.05,)))
-        at_split = [u for u, r in samples if r.t == half.state.t]
+        samples, (field, state) = drain(trajectory(u0, 0.1, cfg, land_at=(0.05,)))
+        at_split = [u for t, u in samples if t == half.state.t]
         assert len(at_split) == 1
         assert np.array_equal(at_split[0].data, half.field.data)
-        assert np.array_equal(full.field.data, resumed.field.data)
-        assert resumed.state.step == full.state.step
-        assert resumed.state.t == full.state.t
+        assert np.array_equal(full.field.data, field.data)
+        assert state.step == full.state.step
+        assert state.t == full.state.t
 
 
 class TestTwoStepHistory:
@@ -750,6 +764,28 @@ class TestInPlaceUpdates:
         for scheme, expect in (("etd1", etd1), ("etd_rk2", etd_rk2)):
             stepper = Stepper(grid, SchemeConfig(scheme=scheme, dt=dt), J=J)
             assert np.array_equal(stepper.advance(uhat, dt), expect)
+
+    def test_bdf2_steps_equal_the_textbook_formula(self, setup):
+        # after the bootstrap step, each step reads the history and the
+        # denominator tabulated for its dt
+        grid, J, uhat = setup
+        dt = 1e-3
+        stepper = Stepper(grid, SchemeConfig(scheme="imex_bdf2", dt=dt), J=J)
+        symbols = nonlinear_symbols(grid, J=J)
+        sigma = LinearPropagator.build(grid, dt, J=J).symbol
+        states = [uhat, stepper.advance(uhat, dt)]
+        for _ in range(2):
+            prev, now = states[-2:]
+            n_prev, n_now = (nonlinear_rhs(grid, v, symbols) for v in (prev, now))
+            num = 4.0 * now - prev + 2.0 * dt * (2.0 * n_now - n_prev)
+            states.append(stepper.advance(now, dt))
+            assert np.array_equal(states[-1], num / (3.0 - 2.0 * dt * sigma))
+
+    def test_only_imex_bdf2_tabulates_its_denominator(self, setup):
+        grid, J, _ = setup
+        for scheme in SCHEMES:
+            stepper = Stepper(grid, SchemeConfig(scheme=scheme), J=J)
+            assert hasattr(stepper, "_bdf2_denom") == (scheme == "imex_bdf2")
 
 
 class TestBlowUpEscalation:
