@@ -136,8 +136,7 @@ class Stepper:
     """Stateful single-run driver and the run's spectral kernel: it builds
     the symbols of N(u) once, keeps the propagator tables of the last two
     step sizes (a step and, under step doubling, its half) and, for the
-    two-step scheme, holds the history (dt, u_{n-1}, N(u_{n-1})) and the
-    denominator 3 - 2 dt sigma of the history's dt."""
+    two-step scheme, holds the history (dt, u_{n-1}, N(u_{n-1}))."""
 
     def __init__(
         self,
@@ -152,8 +151,6 @@ class Stepper:
         self._history = None
         self._symbols = nonlinear_symbols(grid, p, J)  # checks J's grid
         self._prop = lru_cache(maxsize=2)(partial(LinearPropagator.build, grid, p=p, J=J))
-        if cfg.scheme == "imex_bdf2":  # the history serves one dt at a time
-            self._bdf2_denom = lru_cache(1)(lambda dt: 3.0 - 2.0 * dt * self._prop(dt).symbol)
 
     def _nonlinear(self, uhat: np.ndarray) -> np.ndarray:
         if not self.cfg.nonlinear:
@@ -189,20 +186,14 @@ class Stepper:
         return new
 
     def _bdf2(self, uhat: np.ndarray, dt: float) -> np.ndarray:
-        """(4 uhat - u_{n-1} + 2 dt (2 N(uhat) - N(u_{n-1}))) / (3 - 2 dt sigma)."""
         # a history of another dt is stale: bootstrap as a fresh run does
         nhat = self._nonlinear(uhat)
         if self._history is None or self._history[0] != dt:
             new = self._etd_rk2(uhat, dt, nhat)
         else:
             _, prev_field, prev_nonlinear = self._history
-            new = 4.0 * uhat
-            new -= prev_field
-            slope = 2.0 * nhat  # nhat is the next history: kept intact
-            slope -= prev_nonlinear
-            slope *= 2.0 * dt
-            new += slope
-            new /= self._bdf2_denom(dt)
+            num = 4.0 * uhat - prev_field + 2.0 * dt * (2.0 * nhat - prev_nonlinear)
+            new = num / (3.0 - 2.0 * dt * self._prop(dt).symbol)
         self._history = (dt, uhat, nhat)
         return new
 

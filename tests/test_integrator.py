@@ -766,8 +766,7 @@ class TestInPlaceUpdates:
             assert np.array_equal(stepper.advance(uhat, dt), expect)
 
     def test_bdf2_steps_equal_the_textbook_formula(self, setup):
-        # after the bootstrap step, each step reads the history and the
-        # denominator tabulated for its dt
+        # after the bootstrap step, each step reads the history
         grid, J, uhat = setup
         dt = 1e-3
         stepper = Stepper(grid, SchemeConfig(scheme="imex_bdf2", dt=dt), J=J)
@@ -780,12 +779,6 @@ class TestInPlaceUpdates:
             num = 4.0 * now - prev + 2.0 * dt * (2.0 * n_now - n_prev)
             states.append(stepper.advance(now, dt))
             assert np.array_equal(states[-1], num / (3.0 - 2.0 * dt * sigma))
-
-    def test_only_imex_bdf2_tabulates_its_denominator(self, setup):
-        grid, J, _ = setup
-        for scheme in SCHEMES:
-            stepper = Stepper(grid, SchemeConfig(scheme=scheme), J=J)
-            assert hasattr(stepper, "_bdf2_denom") == (scheme == "imex_bdf2")
 
 
 class TestBlowUpEscalation:
