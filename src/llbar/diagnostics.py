@@ -70,10 +70,12 @@ def report(
     that overflows during evaluation (finite data, huge norms) is flagged
     the same way.
 
-    The same quantities as norm(), energy(), dissipation() and
-    effective_field(), from three real transforms: the Sobolev norms and
-    the quadratic parts of E and D are Parseval sums over the half lattice,
-    and only |u| and H = Lap u + (1/(2 chi)) (1 - |u|^2) u are sampled."""
+    The norms of grid.norm(), the energy
+    E(u) = 1/(8 chi) ||u||_{L4}^4 + 1/2 ||grad u||^2 - 1/(4 chi) ||u||^2,
+    and the dissipation D and effective field H of physics.FieldTerms, from
+    three real transforms: the Sobolev norms and the quadratic parts of E
+    and D are Parseval sums over the half lattice, and only |u| and
+    H = Lap u + (1/(2 chi)) (1 - |u|^2) u are sampled."""
     if not np.all(np.isfinite(u.data)):
         nan = float("nan")
         return EnergyReport(t, nan, nan, nan, nan, nan, nan, nan, nan, nan, "nan")

@@ -107,17 +107,19 @@ def _lockstep(legs, npoints):
             futures = [pool.submit(_advance, share) for share in shares[1:]]
             outcomes = [_advance(shares[0])] + [f.result() for f in futures]
             steps = [None] * len(legs)
-            for i, lane in enumerate(outcomes):
-                steps[i::lanes] = lane
-            for _, exc in steps:
-                if exc is not None:
-                    raise exc
+            for i in range(lanes):
+                steps[i::lanes] = outcomes[i]
+            del futures, outcomes  # each holds the samples
+            exc = next((e for _, e in steps if e is not None), None)
+            if exc is not None:
+                raise exc
             done = [sample is None for sample, _ in steps]
             if all(done):
                 return
             if any(done):
                 raise UsageError("compared runs must share their report cadence")
             yield tuple(sample for sample, _ in steps)
+            del steps  # free this sample's states before the legs step again
     finally:
         if pool is not None:
             pool.shutdown()
@@ -228,6 +230,7 @@ def _eps_study(
             for d, (i, j) in zip(ys, pair_index)
         ]
         h2 = [max(h, h2_norm(u)) for h, (_, u) in zip(h2, samples)]
+        del samples  # free the states before the legs step again
     pairs = [(eps_values[i], eps_values[j] or 0.0, d) for (i, j), d in zip(pair_index, ys)]
     xs = [eps_values[i] for i, _ in pair_index]  # the larger eps of each pair
     stationary = max(ys) <= 1e-12 * max(1.0, *h2)

@@ -221,22 +221,19 @@ def _rel(a: float, scale: float) -> float:
     return a / scale if scale > 0 else a
 
 
-def verify_mollifier_properties(
-    J: MollifierSymbol, fields: list | None = None
-) -> MollifierReport:
+def verify_mollifier_properties(J: MollifierSymbol) -> MollifierReport:
     """Measure the five smoothing-family properties for J's kind on J's grid.
 
     Rate and growth measurements construct sibling symbols of the same kind
     at eps = 0.4, 0.2, 0.1, 0.05; growth is measured for derivative orders
-    1 and 2. `fields` defaults to a small seeded family of smooth
+    1 and 2. The field checks run on a small seeded family of smooth
     band-limited fields on J.grid.
     """
     grid = J.grid
-    if fields is None:
-        fields = [
-            random_band_limited_field(grid, seed=s, decay_r=3.0, amplitude=1.0)
-            for s in range(5)
-        ]
+    fields = [
+        random_band_limited_field(grid, seed=s, decay_r=3.0, amplitude=1.0)
+        for s in range(5)
+    ]
     checks = []
 
     # symbol shape: normalization, range, radial monotonicity

@@ -1,4 +1,5 @@
-"""Dynamics of the vector field: effective field, right-hand side, energy law.
+"""Dynamics of the vector field: the right-hand side, its split into a
+linear symbol and a nonlinear part, and the checks of the energy method.
 
 The evolution is u_t = F(u) with
 
@@ -16,6 +17,9 @@ A smoothing symbol J turns F into the regularized field
 F_eps(u) = J[F-core applied to Ju] with the linear terms passing through
 J twice, matching the composition mollify -> differentiate/multiply ->
 mollify.
+
+FieldTerms(u, J, p) evaluates the energy method's checks of one field;
+identity_suite runs them over a seeded family.
 """
 
 from __future__ import annotations
@@ -103,12 +107,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _quad(grid: Grid, values) -> float:
     """Collocation quadrature of a scalar sample array."""
     return float(np.sum(values)) * grid.cell_volume
-
-
-def effective_field(u: Field, p: EffectiveFieldParams = DEFAULT_PARAMS) -> Field:
-    """H = Lap u + (1/(2 chi)) (1 - |u|^2) u, in physical representation."""
-    _require_finite(u, "effective_field")
-    return _SeedTerms(u, None, p).h
 
 
 def rhs(
@@ -210,20 +208,6 @@ def nonlinear_rhs(grid: Grid, uhat: np.ndarray, symbols: tuple) -> np.ndarray:
     return data
 
 
-def rhs_consistency_with_heff(
-    u: Field, p: EffectiveFieldParams = DEFAULT_PARAMS
-) -> float:
-    """Relative L2 gap between the five-term form and the H-based form.
-
-    Both paths use raw pointwise products (no dealiasing): truncation
-    would break the exact cancellation u x (1-|u|^2)u = 0 that makes the
-    two forms agree pointwise.  The comparison happens in spectral space;
-    an inverse transform would amplify high-mode roundoff through the
-    quartic symbol.
-    """
-    return _SeedTerms(u, None, p).rhs_consistency_with_heff()
-
-
 def lipschitz_probe(
     u: Field,
     v: Field,
@@ -258,15 +242,15 @@ class IdentityReport:
         return abs(self.lhs - self.rhs) / max(abs(self.lhs), abs(self.rhs), 1.0)
 
 
-class _SeedTerms:
-    """The terms the integral identities share for one field u, each made
-    once, on first use. Every check keeps the arithmetic and the order of
-    its standalone form, so a residual has the same bits alone and in the
-    suite."""
+class FieldTerms:
+    """H, D and the checks of the energy method for one field u, smoothed by
+    J (None: not smoothed) under the constants p. Each shared term is made
+    once, on first use; non-finite u is refused (DataError)."""
 
     def __init__(
         self, u: Field, J: MollifierSymbol | None = None, p: EffectiveFieldParams = DEFAULT_PARAMS
     ):
+        _require_finite(u, "FieldTerms")
         self.J, self.p, self.grid = J, p, u.grid
         self.uhat, self.up = to_spectral(u), to_physical(u)
 
@@ -299,9 +283,14 @@ class _SeedTerms:
 
     @cached_property
     def dissipation(self) -> float:
-        """dissipation(u, p), the gradient of H taken from its spectrum."""
-        grad_sq = sum(norm(to_physical(g), "l2") ** 2 for g in gradient(self.h_hat))
-        return self.p.lambda_r * norm(self.h_hat, "l2") ** 2 + self.p.lambda_e * grad_sq
+        """D(u) = lambda_r ||H||^2 + lambda_e ||grad H||^2 = -dE/dt along the
+        flow, summed over the spectrum of H as report() sums it."""
+        grid = self.grid
+        parseval = grid.cell_volume / grid.npoints
+        hdens = grid.mode_density(self.h_hat.data)
+        heff_sq = float(np.sum(hdens)) * parseval
+        grad_h_sq = float(np.sum(grid.kodd_sq * hdens)) * parseval
+        return self.p.lambda_r * heff_sq + self.p.lambda_e * grad_h_sq
 
     @cached_property
     def v(self) -> Field:
@@ -354,6 +343,12 @@ class _SeedTerms:
             vars(self).pop(name, None)
 
     def identity_l2(self) -> IdentityReport:
+        """Pairing F_eps(u) with u against the closed-form quadratic ledger.
+
+        With v = Ju and default constants:
+        (F_eps(u), u) + ||Lap v||^2 + 2||v||_{L4}^4 + 4||v . grad v||^2
+            + 2|| |v| |grad v| ||^2  =  ||grad v||^2 + 2||v||^2.
+        """
         p = self.p
         pairing = inner_product(self.rhs_j, self.uhat)
         l4 = norm(self.vp, "l4") ** 4
@@ -366,6 +361,12 @@ class _SeedTerms:
         return IdentityReport("identity_l2", lhs, rhs_val)
 
     def identity_h1(self) -> IdentityReport:
+        """Pairing F_eps(u) with -Lap u against the gradient-level ledger.
+
+        Also evaluates the cross-term orthogonality
+        (J(Ju x Lap Ju), Lap u) = 0 and stores its relative size under
+        extras["orthogonality"].
+        """
         p, grid = self.p, self.grid
         pairing = -inner_product(self.rhs_j, self.lap_u)
         grad_lap_sq = sum(norm(g, "l2") ** 2 for g in gradient(self.lap_v))
@@ -383,6 +384,14 @@ class _SeedTerms:
         return IdentityReport("identity_h1", lhs, rhs_val, {"orthogonality": orth_rel})
 
     def identity_cubic_expansion(self) -> IdentityReport:
+        """Product-rule expansion of 2 (Lap(|v|^2 v), Lap v), v = Ju:
+
+        = 4||v . Lap v||^2 + 2|| |v| |Lap v| ||^2
+          + 8 (grad v (v . grad v)^T, Lap v) + 4 (|grad v|^2 v, Lap v).
+
+        Left side by spectral differentiation of the raw cubic product,
+        right side entirely by pointwise products and quadrature.
+        """
         grid, vp, lap_vp = self.grid, self.vp.data, self.lap_vp.data
         lhs = 2.0 * self.cubic_pairing
         v_dot_lap = np.sum(vp * lap_vp, axis=0)
@@ -395,6 +404,15 @@ class _SeedTerms:
         return IdentityReport("identity_cubic_expansion", lhs, rhs_val)
 
     def rhs_consistency_with_heff(self) -> float:
+        """Relative L2 gap between the five-term form of F(u) and
+        lambda_r H - lambda_e Lap H - gamma u x H.
+
+        Both paths use raw pointwise products (no dealiasing): truncation
+        would break the exact cancellation u x (1-|u|^2)u = 0 that makes the
+        two forms agree pointwise.  The comparison happens in spectral space;
+        an inverse transform would amplify high-mode roundoff through the
+        quartic symbol.
+        """
         p, f1, h = self.p, self.rhs_raw, self.h.data
         lap_h = to_physical(laplacian(self.h_hat))
         f2 = p.lambda_r * h - p.lambda_e * lap_h.data - p.gamma * _cross(self.up.data, h)
@@ -404,6 +422,14 @@ class _SeedTerms:
         return gap / scale if scale >= DEGENERATE_SCALE else gap
 
     def energy_chain_rule_gap(self) -> float:
+        """Relative gap between the assembled pairing (F(u), dE/du) and -D(u).
+
+        The energy E(u) = 1/(8 chi) ||u||_{L4}^4 + 1/2 ||grad u||^2
+        - 1/(4 chi) ||u||^2 has the variational derivative
+        1/(2 chi) |u|^2 u - Lap u - 1/(2 chi) u = -H, so combining the three
+        pairings (F, |u|^2 u), (F, -Lap u), (F, u) with those weights must
+        reproduce -D(u).
+        """
         p, f, d = self.p, self.rhs_raw, self.dissipation
         cube_hat = to_spectral(Field(self.grid, self.usq * self.up.data, "physical"))
         combo = (
@@ -412,86 +438,6 @@ class _SeedTerms:
             - inner_product(f, self.uhat) / (2.0 * p.chi)
         )
         return abs(combo + d) / max(abs(d), 1.0)
-
-
-def identity_l2(
-    u: Field,
-    J: MollifierSymbol | None = None,
-    p: EffectiveFieldParams = DEFAULT_PARAMS,
-) -> IdentityReport:
-    """Pairing F_eps(u) with u against the closed-form quadratic ledger.
-
-    With v = Ju and default constants:
-    (F_eps(u), u) + ||Lap v||^2 + 2||v||_{L4}^4 + 4||v . grad v||^2
-        + 2|| |v| |grad v| ||^2  =  ||grad v||^2 + 2||v||^2.
-    """
-    return _SeedTerms(u, J, p).identity_l2()
-
-
-def identity_h1(
-    u: Field,
-    J: MollifierSymbol | None = None,
-    p: EffectiveFieldParams = DEFAULT_PARAMS,
-) -> IdentityReport:
-    """Pairing F_eps(u) with -Lap u against the gradient-level ledger.
-
-    Also evaluates the cross-term orthogonality
-    (J(Ju x Lap Ju), Lap u) = 0 and stores its relative size under
-    extras["orthogonality"].
-    """
-    return _SeedTerms(u, J, p).identity_h1()
-
-
-def identity_cubic_expansion(
-    u: Field, J: MollifierSymbol | None = None
-) -> IdentityReport:
-    """Product-rule expansion of 2 (Lap(|v|^2 v), Lap v), v = Ju:
-
-    = 4||v . Lap v||^2 + 2|| |v| |Lap v| ||^2
-      + 8 (grad v (v . grad v)^T, Lap v) + 4 (|grad v|^2 v, Lap v).
-
-    Left side by spectral differentiation of the raw cubic product,
-    right side entirely by pointwise products and quadrature.
-    """
-    return _SeedTerms(u, J).identity_cubic_expansion()
-
-
-# -- energy law ---------------------------------------------------------------
-
-
-def energy(u: Field, p: EffectiveFieldParams = DEFAULT_PARAMS) -> float:
-    """E(u) = 1/(8 chi) ||u||_{L4}^4 + 1/2 ||grad u||^2 - 1/(4 chi) ||u||^2.
-
-    Defaults give E = 1/2 ||u||_{L4}^4 + 1/2 ||grad u||^2 - ||u||^2.
-    """
-    grad_sq = sum(norm(g, "l2") ** 2 for g in gradient(u))
-    l4 = norm(u, "l4") ** 4
-    l2_sq = norm(u, "l2") ** 2
-    return l4 / (8.0 * p.chi) + 0.5 * grad_sq - l2_sq / (4.0 * p.chi)
-
-
-def dissipation(u: Field, p: EffectiveFieldParams = DEFAULT_PARAMS) -> float:
-    """D(u) = lambda_r ||H||^2 + lambda_e ||grad H||^2 (defaults: ||H||_{H1}^2).
-
-    The energy decays along the flow at exactly this rate:
-    dE/dt = (dE/du, F(u)) = -(H, F(u)) = -D(u).
-    """
-    h = effective_field(u, p)
-    grad_sq = sum(norm(g, "l2") ** 2 for g in gradient(h))
-    return p.lambda_r * norm(h, "l2") ** 2 + p.lambda_e * grad_sq
-
-
-def energy_chain_rule_gap(
-    u: Field, p: EffectiveFieldParams = DEFAULT_PARAMS
-) -> float:
-    """Relative gap between the assembled pairing and -D(u).
-
-    The variational derivative of E is
-    1/(2 chi) |u|^2 u - Lap u - 1/(2 chi) u = -H, so combining the three
-    pairings (F, |u|^2 u), (F, -Lap u), (F, u) with those weights must
-    reproduce -D(u).
-    """
-    return _SeedTerms(u, None, p).energy_chain_rule_gap()
 
 
 # -- interpolation-inequality probes ------------------------------------------
@@ -549,7 +495,7 @@ def identity_suite(
 
     for seed in seeds:
         u = random_band_limited_field(grid, seed=seed, kmax=grid.n // 6)
-        terms = _SeedTerms(u, J, p)
+        terms = FieldTerms(u, J, p)
         add("identity_l2", seed, terms.identity_l2().residual, IDENTITY_TOL)
         h1 = terms.identity_h1()
         add("identity_h1", seed, h1.residual, IDENTITY_TOL)

@@ -12,6 +12,7 @@ import os
 import sys
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -257,6 +258,31 @@ class TestLockstepLegs:
         monkeypatch.setattr(experiments, "_leg", skewed)
         with pytest.raises(UsageError, match="cadence"):
             run_eps_limit(seeded(n=16), (0.4, 0.2), t_end=0.02, report_every=2)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_each_legs_previous_sample_is_freed_before_it_steps(self, monkeypatch, lanes):
+        # a leg's sample is its whole state at 3d n=32: the study and the
+        # lockstep must let it go before the legs step again
+        monkeypatch.setattr(experiments, "_lanes", lambda legs, npoints: lanes)
+        u0 = to_spectral(seeded(n=16))
+        stepped = []
+
+        def sample(refs, scale):
+            u = u0 * scale
+            refs.append(weakref.ref(u))
+            return u
+
+        def fake_leg(u0, J, label, t_end, cfg, params, report_every):
+            refs = []
+            for step in range(4):
+                assert not refs or refs[-1]() is None, f"{label}: sample {step - 1} alive"
+                stepped.append(label)
+                yield 0.01 * step, sample(refs, 1.0 if J is None else 1.0 + J.eps)
+
+        monkeypatch.setattr(experiments, "_leg", fake_leg)
+        report = run_eps_limit(u0, (0.4, 0.2), t_end=0.04)
+        assert len(stepped) == 3 * 4
+        assert report.slope == pytest.approx(1.0)
 
     def test_memory_does_not_grow_with_t_end(self):
         # tracemalloc peaks at T and 4T: 1.02 and 1.95 MB when the study

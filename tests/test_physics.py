@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llbar.diagnostics import report
 from llbar.errors import DataError, UsageError
 from llbar.grid import (
     SPECTRAL,
@@ -30,23 +31,15 @@ from llbar.physics import (
     IDENTITY_TOL,
     ORTHOGONALITY_TOL,
     EffectiveFieldParams,
-    dissipation,
-    effective_field,
-    energy,
-    energy_chain_rule_gap,
+    FieldTerms,
     gn_ratios,
-    identity_cubic_expansion,
-    identity_h1,
-    identity_l2,
     identity_suite,
     linear_symbol,
     lipschitz_probe,
     nonlinear_rhs,
     nonlinear_symbols,
     rhs,
-    rhs_consistency_with_heff,
 )
-from llbar.physics import _SeedTerms
 from oracles import direct_dft, fd_laplacian
 
 GENERAL_PARAMS = EffectiveFieldParams(chi=0.4, lambda_r=0.7, lambda_e=1.3, gamma=2.0)
@@ -81,22 +74,22 @@ def fd_rhs(u, p):
 
 class TestEffectiveField:
     def test_zero_field(self, grid16_2d):
-        h = effective_field(constant_field(grid16_2d, (0, 0, 0)))
+        h = FieldTerms(constant_field(grid16_2d, (0, 0, 0))).h
         assert np.all(h.data == 0)
 
     def test_unit_constant(self, grid16_2d):
-        h = effective_field(constant_field(grid16_2d, (0, 0, 1)))
+        h = FieldTerms(constant_field(grid16_2d, (0, 0, 1))).h
         assert np.max(np.abs(h.data)) <= 1e-14
 
     def test_half_constant(self, grid16_2d):
-        h = effective_field(constant_field(grid16_2d, (0, 0, 0.5)))
+        h = FieldTerms(constant_field(grid16_2d, (0, 0, 0.5))).h
         assert h.data[2] == pytest.approx(2 * 0.5 * (1 - 0.25), abs=1e-14)
         assert np.max(np.abs(h.data[:2])) <= 1e-15
 
     @pytest.mark.parametrize("p", BOTH_PARAMS, ids=["default", "general"])
     def test_matches_finite_difference_oracle(self, grid64_2d, p):
         u = random_band_limited_field(grid64_2d, seed=4, kmax=2, amplitude=0.5)
-        h = effective_field(u, p)
+        h = FieldTerms(u, p=p).h
         up = to_physical(u).data
         lap = fd_laplacian(up, (1, 2), grid64_2d.dx, p=6)
         usq = np.sum(up**2, axis=0)
@@ -108,7 +101,7 @@ class TestEffectiveField:
         u = constant_field(grid16_2d, (0, 0, 0.5))
         u.data[0, 0, 0] = np.nan
         with pytest.raises(DataError):
-            effective_field(u)
+            FieldTerms(u)
 
 
 class TestRhs:
@@ -202,36 +195,37 @@ class TestRhsConsistencyWithHeff:
     def test_random_fields(self, grid32_2d, p):
         for seed in range(5):
             u = random_band_limited_field(grid32_2d, seed=seed, kmax=5)
-            assert rhs_consistency_with_heff(u, p) <= CONSISTENCY_TOL
+            assert FieldTerms(u, p=p).rhs_consistency_with_heff() <= CONSISTENCY_TOL
 
     def test_rough_fields(self, grid32_2d):
         """Aliasing cancels between the paths: no band limit needed."""
         u = random_band_limited_field(grid32_2d, seed=0, kmax=15, decay_r=1.0)
-        assert rhs_consistency_with_heff(u) <= CONSISTENCY_TOL
+        assert FieldTerms(u).rhs_consistency_with_heff() <= CONSISTENCY_TOL
 
     def test_single_mode(self):
         grid = Grid(dim=1, n=32)
         data = np.zeros((3, grid.n))
         data[0] = 0.3 * np.sin(grid.x1)
-        assert rhs_consistency_with_heff(Field(grid, data, "physical")) <= CONSISTENCY_TOL
+        terms = FieldTerms(Field(grid, data, "physical"))
+        assert terms.rhs_consistency_with_heff() <= CONSISTENCY_TOL
 
     def test_unit_constant_absolute_convention(self, grid16_2d):
-        res = rhs_consistency_with_heff(constant_field(grid16_2d, (0, 0, 1)))
+        res = FieldTerms(constant_field(grid16_2d, (0, 0, 1))).rhs_consistency_with_heff()
         assert res <= 1e-13  # degenerate scale: absolute residual
 
     def test_3d(self, grid32_3d):
         u = random_band_limited_field(grid32_3d, seed=2, kmax=5)
-        assert rhs_consistency_with_heff(u) <= CONSISTENCY_TOL
+        assert FieldTerms(u).rhs_consistency_with_heff() <= CONSISTENCY_TOL
 
 
 class TestIdentityL2:
     def test_zero_field(self, grid16_2d):
-        rep = identity_l2(constant_field(grid16_2d, (0, 0, 0)))
+        rep = FieldTerms(constant_field(grid16_2d, (0, 0, 0))).identity_l2()
         assert rep.lhs == rep.rhs == 0.0
         assert rep.residual == 0.0
 
     def test_unit_constant(self, grid16_2d):
-        rep = identity_l2(constant_field(grid16_2d, (0, 0, 1)))
+        rep = FieldTerms(constant_field(grid16_2d, (0, 0, 1))).identity_l2()
         v = grid16_2d.volume
         assert rep.lhs == pytest.approx(2 * v, rel=1e-13)
         assert rep.rhs == pytest.approx(2 * v, rel=1e-13)
@@ -243,7 +237,7 @@ class TestIdentityL2:
         J = None if eps is None else make_mollifier(grid32_2d, eps)
         for seed in range(5):
             u = random_band_limited_field(grid32_2d, seed=seed, kmax=5)
-            assert identity_l2(u, J, p).residual <= IDENTITY_TOL
+            assert FieldTerms(u, J, p).identity_l2().residual <= IDENTITY_TOL
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -254,12 +248,12 @@ class TestIdentityL2:
     def test_property(self, grid32_2d, seed, amplitude, eps):
         u = random_band_limited_field(grid32_2d, seed=seed, amplitude=amplitude, kmax=5)
         J = make_mollifier(grid32_2d, eps)
-        assert identity_l2(u, J).residual <= IDENTITY_TOL
+        assert FieldTerms(u, J).identity_l2().residual <= IDENTITY_TOL
 
 
 class TestIdentityH1:
     def test_zero_field(self, grid16_2d):
-        rep = identity_h1(constant_field(grid16_2d, (0, 0, 0)))
+        rep = FieldTerms(constant_field(grid16_2d, (0, 0, 0))).identity_h1()
         assert rep.lhs == rep.rhs == 0.0
         assert rep.extras["orthogonality"] == 0.0
 
@@ -269,14 +263,14 @@ class TestIdentityH1:
         J = None if eps is None else make_mollifier(grid32_2d, eps)
         for seed in range(5):
             u = random_band_limited_field(grid32_2d, seed=seed, kmax=5)
-            rep = identity_h1(u, J, p)
+            rep = FieldTerms(u, J, p).identity_h1()
             assert rep.residual <= IDENTITY_TOL
             assert rep.extras["orthogonality"] <= ORTHOGONALITY_TOL
 
 
 class TestIdentityCubicExpansion:
     def test_constant_both_sides_zero(self, grid16_2d):
-        rep = identity_cubic_expansion(constant_field(grid16_2d, (0.3, -0.1, 0.9)))
+        rep = FieldTerms(constant_field(grid16_2d, (0.3, -0.1, 0.9))).identity_cubic_expansion()
         assert abs(rep.lhs) <= 1e-12
         assert abs(rep.rhs) <= 1e-12
 
@@ -285,11 +279,11 @@ class TestIdentityCubicExpansion:
         J = None if eps is None else make_mollifier(grid32_2d, eps)
         for seed in range(5):
             u = random_band_limited_field(grid32_2d, seed=seed, kmax=5)
-            assert identity_cubic_expansion(u, J).residual <= IDENTITY_TOL
+            assert FieldTerms(u, J).identity_cubic_expansion().residual <= IDENTITY_TOL
 
     def test_3d(self, grid32_3d):
         u = random_band_limited_field(grid32_3d, seed=1, kmax=5)
-        assert identity_cubic_expansion(u).residual <= IDENTITY_TOL
+        assert FieldTerms(u).identity_cubic_expansion().residual <= IDENTITY_TOL
 
 
 class TestCrossTermOrthogonality:
@@ -311,11 +305,11 @@ class TestCrossTermOrthogonality:
 
 class TestEnergy:
     def test_zero(self, grid16_2d):
-        assert energy(constant_field(grid16_2d, (0, 0, 0))) == 0.0
+        assert report(constant_field(grid16_2d, (0, 0, 0)), 0.0).energy == 0.0
 
     def test_unit_constant(self, grid16_2d):
         v = grid16_2d.volume
-        assert energy(constant_field(grid16_2d, (0, 0, 1))) == pytest.approx(
+        assert report(constant_field(grid16_2d, (0, 0, 1)), 0.0).energy == pytest.approx(
             -v / 2, rel=1e-13
         )
 
@@ -336,23 +330,24 @@ class TestEnergy:
         l4 = np.sum(usq**2) * grid.cell_volume
         l2 = np.sum(usq) * grid.cell_volume
         expected = l4 / (8 * p.chi) + 0.5 * grad_sq - l2 / (4 * p.chi)
-        assert energy(u, p) == pytest.approx(expected, rel=1e-11)
+        assert report(u, 0.0, p).energy == pytest.approx(expected, rel=1e-11)
 
 
 class TestDissipation:
     def test_zero_cases(self, grid16_2d):
-        assert dissipation(constant_field(grid16_2d, (0, 0, 1))) <= 1e-26
-        assert dissipation(constant_field(grid16_2d, (0, 0, 0))) == 0.0
+        assert report(constant_field(grid16_2d, (0, 0, 1)), 0.0).dissipation <= 1e-26
+        assert report(constant_field(grid16_2d, (0, 0, 0)), 0.0).dissipation == 0.0
 
     def test_matches_h1_norm_of_effective_field(self, grid32_2d):
         u = random_band_limited_field(grid32_2d, seed=8, kmax=8)
-        h = effective_field(u)
-        assert dissipation(u) == pytest.approx(norm(h, "hs", s=1) ** 2, rel=1e-11)
+        h = FieldTerms(u).h
+        expected = norm(h, "hs", s=1) ** 2
+        assert report(u, 0.0).dissipation == pytest.approx(expected, rel=1e-11)
 
     def test_nonnegative(self, grid32_2d):
         for seed in range(4):
             u = random_band_limited_field(grid32_2d, seed=seed, kmax=8)
-            assert dissipation(u, GENERAL_PARAMS) >= 0.0
+            assert report(u, 0.0, GENERAL_PARAMS).dissipation >= 0.0
 
 
 class TestEnergyChainRule:
@@ -362,7 +357,7 @@ class TestEnergyChainRule:
     def test_random_fields(self, grid32_2d, p):
         for seed in range(5):
             u = random_band_limited_field(grid32_2d, seed=seed, kmax=5)
-            assert energy_chain_rule_gap(u, p) <= 1e-9
+            assert FieldTerms(u, p=p).energy_chain_rule_gap() <= 1e-9
 
 
 class TestStationarity:
@@ -541,24 +536,26 @@ class TestIdentitySuite:
         ids=["2d-gaussian-default", "3d-bump-general"],
     )
     def test_rows_equal_standalone_checks_bit_for_bit(self, dim, n, kind, p):
-        """The suite evaluates each seed's shared terms once; every row
-        must still be exactly the standalone check's value."""
+        """The suite evaluates each seed's shared terms once and drops the
+        smoothed ones before the J-free checks; every row must still be
+        exactly what a fresh FieldTerms gives for that check alone."""
         grid = Grid(dim, n)
         J = make_mollifier(grid, 0.2, kind)
         rows = {(r["check"], r["seed"]): r["residual"] for r in identity_suite(J, p, range(2))}
         for seed in range(2):
             u = random_band_limited_field(grid, seed=seed, kmax=n // 6)
-            h1 = identity_h1(u, J, p)
-            assert rows["identity_l2", seed] == identity_l2(u, J, p).residual
+            h1 = FieldTerms(u, J, p).identity_h1()
+            assert rows["identity_l2", seed] == FieldTerms(u, J, p).identity_l2().residual
             assert rows["identity_h1", seed] == h1.residual
             assert rows["orthogonality", seed] == h1.extras["orthogonality"]
-            cubic = identity_cubic_expansion(u, J).residual
+            cubic = FieldTerms(u, J, p).identity_cubic_expansion().residual
             assert rows["identity_cubic_expansion", seed] == cubic
-            consistency = rhs_consistency_with_heff(u, p)
+            consistency = FieldTerms(u, J, p).rhs_consistency_with_heff()
             assert rows["rhs_consistency_with_heff", seed] == consistency
-            assert rows["energy_chain_rule", seed] == energy_chain_rule_gap(u, p)
-            # the chain-rule check takes grad H from the spectrum of H
-            assert _SeedTerms(u, None, p).dissipation == dissipation(u, p)
+            chain = FieldTerms(u, J, p).energy_chain_rule_gap()
+            assert rows["energy_chain_rule", seed] == chain
+            # the chain rule's D is report()'s, bit for bit
+            assert FieldTerms(u, J, p).dissipation == report(u, 0.0, p).dissipation
 
     def test_row_shape(self, grid16_2d):
         row = identity_suite(make_mollifier(grid16_2d, 0.2), seeds=[0])[0]
