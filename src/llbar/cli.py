@@ -441,7 +441,7 @@ def cmd_calibrate(cfg) -> int:
     print(report.summary())
 
     path = os.path.join(cfg["outdir"], "constants.txt")
-    dt_stable = find_stable_dt(grid)
+    dt_stable = find_stable_dt(grid, params=_params(cfg))
     key = f"dt_stable_{cfg['dim']}d_n{cfg['n']}"
     constants = {**report.constants, key: repr(dt_stable)}
     print(f"{key} = {dt_stable}")

@@ -33,7 +33,7 @@ COLUMNS = (
     "flags",
 )
 
-DEFAULT_ENERGY_JUMP_TOL = 1e-8
+ENERGY_JUMP_TOL = 1e-8
 DEFAULT_GROWTH_CONSTANT = 5.0
 
 
@@ -103,7 +103,7 @@ def report(
             l4=l4_4**0.25,
             linf=float(np.sqrt(np.max(usq))),
             h1=math.sqrt(float(np.sum(bessel * dens)) * parseval),
-            h2=_h2(grid, dens),
+            h2=math.sqrt(float(np.sum((1.0 + grid.ksq) ** 2 * dens)) * parseval),
             grad_l2=math.sqrt(grad_sq),
             energy=l4_4 / (8.0 * p.chi) + 0.5 * grad_sq - l2_sq / (4.0 * p.chi),
             dissipation=p.lambda_r * heff_sq + p.lambda_e * grad_h_sq,
@@ -113,18 +113,6 @@ def report(
     if not np.all(np.isfinite(values)):
         rep = dataclasses.replace(rep, flags="nan")
     return rep
-
-
-def h2_norm(u: Field) -> float:
-    """||u||_H2 of finite data, bit for bit the h2 of report(u, t)."""
-    with np.errstate(over="ignore"):
-        return _h2(u.grid, u.grid.mode_density(to_spectral(u).data))
-
-
-def _h2(grid, dens) -> float:
-    """The H2 norm from the mode density dens, scaled as report() scales."""
-    weighted = float(np.sum((1.0 + grid.ksq) ** 2 * dens))
-    return math.sqrt(weighted * (grid.cell_volume / grid.npoints))
 
 
 @dataclass
@@ -202,19 +190,17 @@ class BlowUpVerdict:
         return self.status == "healthy"
 
 
-def blowup_monitor(series: TimeSeries, threshold: float | None = None) -> BlowUpVerdict:
+def blowup_monitor(series: TimeSeries) -> BlowUpVerdict:
     """Scan for the first offense against the gradient-norm criterion.
 
-    blown-up: non-finite report, or ||grad u|| above the threshold
-    (default 1e3 x its initial value); warning: growth beyond 10x the
-    initial value. The first offense is latched: extending the series
-    never softens the verdict.
+    blown-up: non-finite report, or ||grad u|| above 1e3 x its initial
+    value; warning: growth beyond 10x the initial value. The first offense
+    is latched: extending the series never softens the verdict.
     """
     if not series.reports:
         raise UsageError("blowup_monitor needs a nonempty series")
     grad0 = series.reports[0].grad_l2
-    if threshold is None:
-        threshold = 1e3 * grad0 if grad0 > 0 else float("inf")
+    threshold = 1e3 * grad0 if grad0 > 0 else float("inf")
     warn_level = 10.0 * grad0 if grad0 > 0 else float("inf")
     warning_at = None
     for i, rep in enumerate(series.reports):
@@ -250,19 +236,18 @@ class AuditReport:
 
 
 def monotonicity_audit(
-    series: TimeSeries,
-    energy_jump_tol: float = DEFAULT_ENERGY_JUMP_TOL,
-    growth_constant: float = DEFAULT_GROWTH_CONSTANT,
+    series: TimeSeries, growth_constant: float = DEFAULT_GROWTH_CONSTANT
 ) -> AuditReport:
     """Check E nonincreasing between consecutive reports (within
-    tolerance) and the exponential-in-time bound on ||u||_{L2}^2."""
+    ENERGY_JUMP_TOL relative to max(1, |E|)) and the bound
+    ||u(t)||_{L2}^2 <= ||u(t0)||_{L2}^2 e^{growth_constant (t - t0)}."""
     if len(series.reports) < 2:
         raise UsageError("monotonicity_audit needs at least two reports")
     e = series.column("energy")
     jumps = np.diff(e)
     max_jump = float(np.max(jumps, initial=0.0))
     scale = np.maximum(1.0, np.abs(e[:-1]))
-    energy_ok = bool(np.all(jumps <= energy_jump_tol * scale))
+    energy_ok = bool(np.all(jumps <= ENERGY_JUMP_TOL * scale))
 
     t = series.times
     l2sq = series.column("l2") ** 2

@@ -18,12 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import blowup_monitor, h2_norm, monotonicity_audit
+from .diagnostics import blowup_monitor, monotonicity_audit
 from .errors import BlowUpError, UsageError
 from .grid import Field, Grid, norm, random_band_limited_field, to_spectral
-from .integrator import SchemeConfig, integrate, trajectory
+from .integrator import DT_MAX, SchemeConfig, integrate, trajectory
 from .mollifier import make_mollifier, mollify
-from .physics import DEFAULT_PARAMS, gn_ratios, lipschitz_probe
+from .physics import DEFAULT_PARAMS, gn_ratios, linear_symbol, lipschitz_probe
 
 # the uniqueness legs are compared at the shared times j*t_end/SHARED_TIMES
 SHARED_TIMES = 10
@@ -229,7 +229,7 @@ def _eps_study(
             max(d, norm(samples[i][1] - samples[j][1], "l2"))
             for d, (i, j) in zip(ys, pair_index)
         ]
-        h2 = [max(h, h2_norm(u)) for h, (_, u) in zip(h2, samples)]
+        h2 = [max(h, norm(u, "hs", s=2)) for h, (_, u) in zip(h2, samples)]
         del samples  # free the states before the legs step again
     pairs = [(eps_values[i], eps_values[j] or 0.0, d) for (i, j), d in zip(pair_index, ys)]
     xs = [eps_values[i] for i, _ in pair_index]  # the larger eps of each pair
@@ -361,7 +361,7 @@ def _coarsened(cfg, est, est_target, t_end):
         cfg.dt * factor,
         16.0 * cfg.dt,
         t_end / (2.0 * SHARED_TIMES),
-        cfg.dt_max,
+        DT_MAX,
     )
     return replace(cfg, dt=max(new_dt, cfg.dt))
 
@@ -594,10 +594,11 @@ def run_gn_calibration(
     return CalibrationReport(constants=constants)
 
 
-def find_stable_dt(grid: Grid, seed: int = 0) -> float:
-    """Largest dt in a halving ladder whose probe run keeps the energy
-    monotone and the gradient bounded; the audit-failure demonstrations
-    use 10x this value.
+def find_stable_dt(grid: Grid, seed: int = 0, params=DEFAULT_PARAMS) -> float:
+    """Largest dt in a halving ladder whose probe run under the couplings
+    params keeps the energy monotone, ||u||_{L2}^2 within e^{2 sigma* t}
+    of its start (sigma* the largest value of the linear symbol) and the
+    gradient bounded; the audit-failure demonstrations use 10x this value.
 
     The probe is the seeded rough band-limited field of amplitude 0.5 and
     kmax = n/4 under the first-order scheme, whose stability window is the
@@ -606,13 +607,16 @@ def find_stable_dt(grid: Grid, seed: int = 0) -> float:
     a one-step technicality.
     """
     u0 = random_band_limited_field(grid, seed=seed, amplitude=0.5, kmax=grid.n // 4)
-    cfg = SchemeConfig(scheme="etd1")
+    growth = 2.0 * float(np.max(linear_symbol(grid, params)))
     dt = 0.4
     for _ in range(12):
         try:
             horizon = max(0.5, 25 * dt)
-            res = integrate(u0, horizon, replace(cfg, dt=dt), report_every=1)
-            if monotonicity_audit(res.series).passed and blowup_monitor(res.series).healthy:
+            res = integrate(
+                u0, horizon, SchemeConfig(scheme="etd1", dt=dt), params, report_every=1
+            )
+            audit = monotonicity_audit(res.series, growth_constant=growth)
+            if audit.passed and blowup_monitor(res.series).healthy:
                 return dt
         except BlowUpError:
             pass

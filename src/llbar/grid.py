@@ -362,7 +362,7 @@ def laplacian(f: Field) -> Field:
 
 def _spectral_weighted_sq(f: Field, weight) -> float:
     total = np.sum(weight * f.grid.mode_density(to_spectral(f).data))
-    return float(total) * f.grid.cell_volume / f.grid.npoints
+    return float(total) * (f.grid.cell_volume / f.grid.npoints)
 
 
 def _magnitude_sq(f: Field) -> np.ndarray:
@@ -402,7 +402,7 @@ def inner_product(f: Field, g: Field) -> float:
     if f.representation == SPECTRAL and g.representation == SPECTRAL:
         pair = np.real(f.data * np.conj(g.data))
         total = np.sum(f.grid.parseval_weights * pair)
-        return float(total) * f.grid.cell_volume / f.grid.npoints
+        return float(total) * (f.grid.cell_volume / f.grid.npoints)
     fp, gp = to_physical(f), to_physical(g)
     return float(np.sum(fp.data * gp.data) * f.grid.cell_volume)
 

@@ -10,7 +10,8 @@ Stepper; the first step, and any step of another dt than the history's
 
 trajectory is the one stepping loop: a generator of the sampled states
 that returns the final field and the run's time and step count. integrate
-runs it and builds the diagnostic series, one report() per sample.
+runs it and builds the diagnostic series, one report() per sample. Every
+step size, given or chosen by the adaptive control, lies in [DT_MIN, DT_MAX].
 
 The state, the propagator tables, N(u), the imex_bdf2 history, the
 samples and the returned field all use the one spectral layout of
@@ -27,7 +28,7 @@ import numpy as np
 
 from .diagnostics import TimeSeries, report
 from .errors import BlowUpError, UsageError
-from .grid import SPECTRAL, Field, Grid, _derived, norm, to_physical, to_spectral
+from .grid import Field, Grid, _derived, norm, to_spectral
 from .mollifier import MollifierSymbol
 from .physics import (
     DEFAULT_PARAMS,
@@ -44,25 +45,23 @@ SCHEME_ORDER = {"etd1": 1, "etd_rk2": 2, "imex_bdf2": 2}
 # error estimate says would just meet tol
 SAFETY = 0.9
 
+# the bounds of every step size
+DT_MIN = 1e-10
+DT_MAX = 1.0
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
     scheme: str = "etd_rk2"
     dt: float = 1e-3
     adaptive: bool = False
-    dt_min: float = 1e-10
-    dt_max: float = 1.0
     tol: float = 1e-6
-    nonlinear: bool = True
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise UsageError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if not (0 < self.dt_min <= self.dt <= self.dt_max):
-            raise UsageError(
-                f"need 0 < dt_min <= dt <= dt_max, got "
-                f"({self.dt_min}, {self.dt}, {self.dt_max})"
-            )
+        if not DT_MIN <= self.dt <= DT_MAX:
+            raise UsageError(f"need {DT_MIN:g} <= dt <= {DT_MAX:g}, got {self.dt}")
         if self.tol <= 0:
             raise UsageError(f"tol must be positive, got {self.tol}")
         if self.adaptive and self.scheme == "imex_bdf2":
@@ -75,13 +74,11 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class LinearPropagator:
-    """Tabulated e^{dt sigma}, phi1(dt sigma), phi2(dt sigma), and the
-    products dt phi1 and dt phi2 that the exponential schemes apply."""
+    """The symbol sigma and the tables the schemes apply: e^{dt sigma}, and
+    dt phi1(dt sigma) and dt phi2(dt sigma) of the exponential schemes."""
 
     symbol: np.ndarray
     exp: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
     dt_phi1: np.ndarray
     dt_phi2: np.ndarray
 
@@ -95,8 +92,7 @@ class LinearPropagator:
     ) -> "LinearPropagator":
         sigma = linear_symbol(grid, p, J)
         z = dt * sigma
-        phi1, phi2 = _phi1(z), _phi2(z)
-        return cls(sigma, np.exp(z), phi1, phi2, dt * phi1, dt * phi2)
+        return cls(sigma, np.exp(z), dt * _phi1(z), dt * _phi2(z))
 
 
 def _phi1(z):
@@ -152,11 +148,6 @@ class Stepper:
         self._symbols = nonlinear_symbols(grid, p, J)  # checks J's grid
         self._prop = lru_cache(maxsize=2)(partial(LinearPropagator.build, grid, p=p, J=J))
 
-    def _nonlinear(self, uhat: np.ndarray) -> np.ndarray:
-        if not self.cfg.nonlinear:
-            return np.zeros_like(uhat)
-        return nonlinear_rhs(self.grid, uhat, self._symbols)
-
     # The updates below are built in place in arrays the step owns (the
     # fresh N(u) and the stage), never in uhat or a held N(u). Each
     # in-place operation is the original product or sum with its operands
@@ -165,7 +156,7 @@ class Stepper:
     def _etd1(self, uhat: np.ndarray, dt: float) -> np.ndarray:
         """exp uhat + dt phi1 N(uhat)."""
         lp = self._prop(dt)
-        new = self._nonlinear(uhat)
+        new = nonlinear_rhs(self.grid, uhat, self._symbols)
         new *= lp.dt_phi1
         new += lp.exp * uhat
         return new
@@ -176,10 +167,10 @@ class Stepper:
         """With a = exp uhat + dt phi1 N(uhat): a + dt phi2 (N(a) - N(uhat))."""
         lp = self._prop(dt)
         if nhat is None:
-            nhat = self._nonlinear(uhat)
+            nhat = nonlinear_rhs(self.grid, uhat, self._symbols)
         a = lp.exp * uhat
         a += lp.dt_phi1 * nhat
-        new = self._nonlinear(a)
+        new = nonlinear_rhs(self.grid, a, self._symbols)
         new -= nhat
         new *= lp.dt_phi2
         new += a
@@ -187,7 +178,7 @@ class Stepper:
 
     def _bdf2(self, uhat: np.ndarray, dt: float) -> np.ndarray:
         # a history of another dt is stale: bootstrap as a fresh run does
-        nhat = self._nonlinear(uhat)
+        nhat = nonlinear_rhs(self.grid, uhat, self._symbols)
         if self._history is None or self._history[0] != dt:
             new = self._etd_rk2(uhat, dt, nhat)
         else:
@@ -214,7 +205,7 @@ class Stepper:
         """Step-doubling control: one dt step against two dt/2 steps.
 
         Returns (new spectrum, dt taken, next dt). Raises the blow-up
-        signal when dt collapses below dt_min.
+        signal when dt collapses below DT_MIN.
         """
         cfg = self.cfg
         p_ord = cfg.order
@@ -232,34 +223,14 @@ class Stepper:
                 else:
                     factor = SAFETY * (cfg.tol * scale / est) ** (1.0 / (p_ord + 1))
                 next_dt = min(max(factor, 0.2), 5.0) * dt
-                return half, dt, min(max(next_dt, cfg.dt_min), cfg.dt_max)
+                return half, dt, min(max(next_dt, DT_MIN), DT_MAX)
             dt = dt / 2.0
-            if dt < cfg.dt_min:
+            if dt < DT_MIN:
                 raise BlowUpError(
                     "step size collapsed below dt_min under error control",
                     t=self.state.t,
                     step=self.state.step,
                 )
-
-
-def step(
-    u: Field,
-    cfg: SchemeConfig,
-    p: EffectiveFieldParams = DEFAULT_PARAMS,
-    J: MollifierSymbol | None = None,
-) -> Field:
-    """One fixed step of the configured scheme (representation preserved).
-
-    Raises the blow-up signal on non-finite input (step 0) or output
-    (step 1).
-    """
-    if not np.all(np.isfinite(u.data)):
-        raise BlowUpError("non-finite input state", t=0.0, step=0, field=u)
-    stepper = Stepper(u.grid, cfg, p, J)
-    out = _derived(u.grid, stepper.advance(to_spectral(u).data, cfg.dt))
-    if not np.all(np.isfinite(out.data)):
-        raise BlowUpError("non-finite state after one step", t=cfg.dt, step=1, field=out)
-    return out if u.representation == SPECTRAL else to_physical(out)
 
 
 def trajectory(
@@ -278,7 +249,7 @@ def trajectory(
     lands on land_at as on t_end, shortening only the step that would pass
     one of them.
 
-    A non-finite state, or an adaptive step size collapsing below dt_min,
+    A non-finite state, or an adaptive step size collapsing below DT_MIN,
     raises the blow-up signal carrying its time, step and the offending
     field, which is not yielded.
     """

@@ -213,16 +213,15 @@ def lipschitz_probe(
     v: Field,
     J: MollifierSymbol | None,
     p: EffectiveFieldParams = DEFAULT_PARAMS,
-    s: float = 2.0,
 ) -> float:
-    """||F_eps(u) - F_eps(v)||_{H^s} / ||u - v||_{H^s}."""
+    """||F_eps(u) - F_eps(v)||_{H2} / ||u - v||_{H2}."""
     _check_same_grid(u, v)
     du = to_spectral(u) - to_spectral(v)
-    denom = norm(du, "hs", s=s)
+    denom = norm(du, "hs", s=2.0)
     if denom < DEGENERATE_SCALE:
         raise UsageError("lipschitz_probe needs two distinct fields")
     df = rhs(u, p, J=J) - rhs(v, p, J=J)
-    return norm(df, "hs", s=s) / denom
+    return norm(df, "hs", s=2.0) / denom
 
 
 # -- integral identities -------------------------------------------------------

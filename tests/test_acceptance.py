@@ -15,7 +15,7 @@ import pytest
 from oracles import direct_dft, fd_diff, fd_laplacian
 from scipy.integrate import solve_ivp
 
-from llbar.diagnostics import monotonicity_audit
+from llbar.diagnostics import ENERGY_JUMP_TOL, monotonicity_audit
 from llbar.experiments import run_eps_cauchy, run_linear_growth, run_uniqueness
 from llbar.grid import (
     Grid,
@@ -102,12 +102,13 @@ def test_3_energy_dissipation_law():
     within 1e-8 per step, and the discrete balance |dE + sum dt*D| halves
     when dt halves."""
     u0 = random_band_limited_field(Grid(2, 64), seed=0, amplitude=0.5)
+    assert ENERGY_JUMP_TOL == 1e-8  # the audit's per-step tolerance
     residual = {}
     for dt in (4e-3, 2e-3):
         res = integrate(
             u0, 2.0, SchemeConfig(scheme="etd_rk2", dt=dt), report_every=1
         )
-        audit = monotonicity_audit(res.series, energy_jump_tol=1e-8)
+        audit = monotonicity_audit(res.series)
         assert audit.energy_ok, f"dt={dt}: {audit.detail}"
         e = res.series.column("energy")
         d = res.series.column("dissipation")

@@ -639,6 +639,12 @@ class TestCalibrate:
         assert float(constants["gn_linf_h1_h2_max"]) > 0
         assert float(constants["lipschitz_h2_eps0.2_max"]) > 0
 
+    def test_stable_dt_measured_under_the_run_couplings(self, outdir):
+        # the default couplings give 0.05 here
+        assert run("calibrate", "--n", "16", "--lambda-e", "0.5", "--outdir", outdir) == 0
+        constants = read_config(os.path.join(outdir, "constants.txt"))
+        assert constants["dt_stable_2d_n16"] == "0.1"
+
     def test_constants_written_once(self, outdir, monkeypatch):
         written = []
 

@@ -614,6 +614,17 @@ class TestFindStableDt:
         assert dt == 0.05  # measured ladder exit, seeds 0 and 3 agree
         assert find_stable_dt(Grid(2, 32), seed=3) == 0.05
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_ladder_runs_under_the_given_couplings(self, n):
+        # measured ladder exits: a weaker lambda_e widens the stable window;
+        # under (chi, lambda_e, gamma) = (0.1, 3, 4) every rung from 0.4
+        # down to 0.0125 fails, so the default-coupling 0.05 would be wrong
+        grid = Grid(2, n)
+        assert find_stable_dt(grid) == 0.05
+        assert find_stable_dt(grid, params=EffectiveFieldParams(lambda_e=0.5)) == 0.1
+        stiff = EffectiveFieldParams(chi=0.1, lambda_e=3.0, gamma=4.0)
+        assert find_stable_dt(grid, params=stiff) == 0.00625
+
     def test_probe_at_stable_dt_passes_audit(self):
         grid = Grid(2, 32)
         u0 = random_band_limited_field(grid, seed=0, amplitude=0.5, kmax=8)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from llbar import integrator
 from llbar.diagnostics import blowup_monitor, monotonicity_audit, report
 from llbar.errors import BlowUpError, UsageError
 from llbar.grid import (
@@ -33,7 +34,6 @@ from llbar.integrator import (
     fit_order,
     integrate,
     measure_temporal_order,
-    step,
     trajectory,
 )
 from llbar.io import _full_spectrum
@@ -61,6 +61,18 @@ def single_mode(grid, mode, amplitude, component=2):
     return Field(grid, data, "physical")
 
 
+def one_step(u, cfg, J=None):
+    """The field after one step of cfg.dt from u, through integrate."""
+    return integrate(u, cfg.dt, cfg, J=J, report_every=10**9).field
+
+
+def linear_only(monkeypatch):
+    """Make the steps see N(u) = 0: the pure linear flow."""
+    monkeypatch.setattr(
+        integrator, "nonlinear_rhs", lambda grid, uhat, symbols: np.zeros_like(uhat)
+    )
+
+
 class TestSchemeConfig:
     def test_defaults_valid(self):
         cfg = SchemeConfig()
@@ -74,10 +86,13 @@ class TestSchemeConfig:
             SchemeConfig(scheme="rk4")
 
     def test_rejects_bad_dt_ordering(self):
+        assert (integrator.DT_MIN, integrator.DT_MAX) == (1e-10, 1.0)
+        SchemeConfig(dt=integrator.DT_MIN)
+        SchemeConfig(dt=integrator.DT_MAX)  # both bounds are admissible
         with pytest.raises(UsageError, match="dt"):
-            SchemeConfig(dt=1e-3, dt_min=1e-2)
+            SchemeConfig(dt=integrator.DT_MIN / 2)
         with pytest.raises(UsageError, match="dt"):
-            SchemeConfig(dt=2.0, dt_max=1.0)
+            SchemeConfig(dt=2.0)
         with pytest.raises(UsageError, match="dt"):
             SchemeConfig(dt=-1e-3)
 
@@ -109,11 +124,11 @@ class TestLinearPropagator:
         for i in idx:
             zz = flat_z[i]
             if abs(zz) > 1e-3:
-                assert lp.phi1.reshape(-1)[i] == pytest.approx(
-                    math.expm1(zz) / zz, rel=1e-13
+                assert lp.dt_phi1.reshape(-1)[i] == pytest.approx(
+                    dt * math.expm1(zz) / zz, rel=1e-13
                 )
-                assert lp.phi2.reshape(-1)[i] == pytest.approx(
-                    (math.expm1(zz) - zz) / zz**2, rel=1e-12
+                assert lp.dt_phi2.reshape(-1)[i] == pytest.approx(
+                    dt * (math.expm1(zz) - zz) / zz**2, rel=1e-12
                 )
             assert lp.exp.reshape(-1)[i] == pytest.approx(math.exp(zz), rel=1e-13)
 
@@ -146,7 +161,7 @@ class TestStep:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_unit_constant_stationary(self, grid32_2d, scheme):
         u = constant_field(grid32_2d, (0.0, 0.0, 1.0))
-        out = step(u, SchemeConfig(scheme=scheme, dt=1e-2))
+        out = one_step(u, SchemeConfig(scheme=scheme, dt=1e-2))
         assert norm(to_physical(out) - u, "linf") <= 1e-13
 
     def test_single_mode_etd1_matches_exponential(self, grid64_2d):
@@ -154,7 +169,7 @@ class TestStep:
         amp, dt = 1e-8, 1e-3
         for mode, ksq in (((1, 0), 1.0), ((2, 0), 4.0), ((2, 1), 5.0)):
             u = single_mode(grid64_2d, mode, amp)
-            out = to_physical(step(u, SchemeConfig(scheme="etd1", dt=dt)))
+            out = to_physical(one_step(u, SchemeConfig(scheme="etd1", dt=dt)))
             sigma = -(ksq**2) + ksq + 2.0
             expect = math.exp(sigma * dt)
             err = norm(out - u * expect, "linf") / amp
@@ -164,25 +179,18 @@ class TestStep:
         amp, dt = 1e-8, 1e-3
         J = make_mollifier(grid32_2d, 0.3, "gaussian")
         u = single_mode(grid32_2d, (2, 0), amp)
-        out = step(u, SchemeConfig(scheme="etd1", dt=dt), J=J)
+        out = one_step(u, SchemeConfig(scheme="etd1", dt=dt), J=J)
         sig = linear_symbol(grid32_2d, DEFAULT_PARAMS, J)
         expect = Field(
             grid32_2d, np.exp(sig * dt) * to_spectral(u).data, "spectral"
         )
         assert norm(to_physical(out) - to_physical(expect), "linf") / amp <= 1e-10
 
-    def test_representation_preserved(self, grid16_2d):
-        u = random_band_limited_field(grid16_2d, seed=0, amplitude=0.3, kmax=4)
-        out_p = step(u, SchemeConfig(dt=1e-3))
-        assert out_p.representation == "physical"
-        out_s = step(to_spectral(u), SchemeConfig(dt=1e-3))
-        assert out_s.representation == "spectral"
-
     def test_mollifier_grid_mismatch_rejected(self, grid16_2d, grid32_2d):
         J = make_mollifier(grid32_2d, 0.3, "gaussian")
         u = constant_field(grid16_2d, (0.0, 0.0, 1.0))
         with pytest.raises(UsageError, match="grid"):
-            step(u, SchemeConfig(dt=1e-3), J=J)
+            one_step(u, SchemeConfig(dt=1e-3), J=J)
 
 
 class TestConstantOde:
@@ -540,17 +548,19 @@ class TestTemporalOrder:
             measured = math.log2(e_coarse / e_fine)
             assert measured >= nominal - 0.2, (scheme, measured)
 
-    def test_linear_only_flagged_exact(self, grid32_2d):
+    def test_linear_only_flagged_exact(self, grid32_2d, monkeypatch):
+        linear_only(monkeypatch)
         u0 = random_band_limited_field(grid32_2d, seed=4, amplitude=0.5, kmax=6)
-        cfg = SchemeConfig(scheme="etd1", nonlinear=False, dt=1e-3)
+        cfg = SchemeConfig(scheme="etd1", dt=1e-3)
         rep = measure_temporal_order(u0, cfg, [1e-4, 5e-4, 1e-3, 2e-3], t_end=0.02)
         assert rep.flag == "exact"
         assert math.isnan(rep.order)
 
-    def test_linear_only_matches_exact_propagator(self, grid32_2d):
+    def test_linear_only_matches_exact_propagator(self, grid32_2d, monkeypatch):
         # n steps of the pure linear flow = one application of e^{sigma t}
+        linear_only(monkeypatch)
         u0 = random_band_limited_field(grid32_2d, seed=4, amplitude=0.5, kmax=6)
-        cfg = SchemeConfig(scheme="etd_rk2", nonlinear=False, dt=1e-3)
+        cfg = SchemeConfig(scheme="etd_rk2", dt=1e-3)
         res = integrate(u0, 0.05, cfg, report_every=10**9)
         sig = linear_symbol(grid32_2d, DEFAULT_PARAMS)
         expect = Field(grid32_2d, np.exp(0.05 * sig) * to_spectral(u0).data, "spectral")
@@ -624,7 +634,8 @@ class TestTwoStepHistory:
 
 
 class TestAdaptive:
-    def test_tracks_fixed_fine_reference(self, grid32_2d):
+    def test_tracks_fixed_fine_reference(self, grid32_2d, monkeypatch):
+        monkeypatch.setattr(integrator, "DT_MAX", 0.05)
         u0 = random_band_limited_field(grid32_2d, seed=3, amplitude=0.5, kmax=8)
         ref = integrate(
             u0, 0.1, SchemeConfig(scheme="etd_rk2", dt=1e-5), report_every=10**9
@@ -632,17 +643,16 @@ class TestAdaptive:
         res = integrate(
             u0,
             0.1,
-            SchemeConfig(scheme="etd_rk2", dt=1e-3, adaptive=True, tol=1e-7, dt_max=0.05),
+            SchemeConfig(scheme="etd_rk2", dt=1e-3, adaptive=True, tol=1e-7),
         )
         assert norm(res.field - ref, "l2") <= 1e-4
         # error control should not need more steps than the tolerance demands
         assert res.state.step < 100
 
-    def test_collapse_below_dt_min_raises_blowup(self, grid32_2d):
+    def test_collapse_below_dt_min_raises_blowup(self, grid32_2d, monkeypatch):
+        monkeypatch.setattr(integrator, "DT_MIN", 1e-5)
         u0 = random_band_limited_field(grid32_2d, seed=3, amplitude=0.5, kmax=8)
-        cfg = SchemeConfig(
-            scheme="etd_rk2", dt=1e-4, adaptive=True, tol=1e-18, dt_min=1e-5
-        )
+        cfg = SchemeConfig(scheme="etd_rk2", dt=1e-4, adaptive=True, tol=1e-18)
         with pytest.raises(BlowUpError, match="dt_min") as exc:
             integrate(u0, 0.01, cfg)
         assert exc.value.series is not None and len(exc.value.series) >= 1
@@ -759,8 +769,8 @@ class TestInPlaceUpdates:
         lp = LinearPropagator.build(grid, dt, J=J)
         symbols = nonlinear_symbols(grid, J=J)
         nhat = nonlinear_rhs(grid, uhat, symbols)
-        etd1 = a = lp.exp * uhat + dt * lp.phi1 * nhat
-        etd_rk2 = a + dt * lp.phi2 * (nonlinear_rhs(grid, a, symbols) - nhat)
+        etd1 = a = lp.exp * uhat + lp.dt_phi1 * nhat
+        etd_rk2 = a + lp.dt_phi2 * (nonlinear_rhs(grid, a, symbols) - nhat)
         for scheme, expect in (("etd1", etd1), ("etd_rk2", etd_rk2)):
             stepper = Stepper(grid, SchemeConfig(scheme=scheme, dt=dt), J=J)
             assert np.array_equal(stepper.advance(uhat, dt), expect)
@@ -805,5 +815,3 @@ class TestBlowUpEscalation:
         assert exc.value.step == 0
         assert len(exc.value.series) == 1
         assert not exc.value.series.reports[0].is_finite
-        with pytest.raises(BlowUpError):
-            step(u0, SchemeConfig(dt=1e-3))

@@ -462,7 +462,7 @@ class TestLipschitzProbe:
         u = random_band_limited_field(grid32_2d, seed=1, kmax=5, amplitude=0.1)
         zero = constant_field(grid32_2d, (0, 0, 0))
         J = make_mollifier(grid32_2d, 0.2)
-        ratio = lipschitz_probe(u, zero, J, s=2.0)
+        ratio = lipschitz_probe(u, zero, J)
         direct = norm(rhs(u, J=J), "hs", s=2.0) / norm(u, "hs", s=2.0)
         assert ratio == pytest.approx(direct, rel=1e-12)
 
