@@ -108,7 +108,7 @@ _KEYS = {
     "t_end": _Key(float, 1.0, _STEPPED, "final time"),
     "report_every": _Key(int, 10, ("simulate", "linear_growth") + _EPS_STUDIES,
                          "steps between samples (diagnostic rows in simulate)"),
-    "eps": _Key(float, 0.0, ("simulate", "verify", "mollifier-check"),
+    "eps": _Key(float, 0.0, ("simulate", "verify", "mollifier-check", "uniqueness"),
                 "smoothing length; 0 = limit flow"),
     "kernel": _Key(str, "gaussian", _SUBCOMMANDS + _SEEDED_STUDIES, "smoothing kernel kind",
                    _KERNELS),
@@ -124,15 +124,10 @@ _KEYS = {
     "study": _Key(str, "eps_cauchy", CONVERGE_STUDIES, "scripted study", CONVERGE_STUDIES),
     "eps_list": _Key(_float_list, (0.4, 0.2, 0.1, 0.05), _EPS_STUDIES,
                      "comma-separated, strictly decreasing"),
-    "drop_largest": _Key(_bool, False, _EPS_STUDIES, "drop the largest eps from the rate fit"),
     "scheme_b": _Key(str, "imex_bdf2", ("uniqueness",), "second leg scheme (uniqueness)", SCHEMES),
     "dt_b": _Key(float, 5e-4, ("uniqueness",), "second leg dt (uniqueness)"),
-    "kernel_b": _Key(str, "gaussian", ("uniqueness",), "second leg kernel (uniqueness)", _KERNELS),
-    "eps_a": _Key(float, 0.0, ("uniqueness",), "first leg eps (uniqueness)"),
-    "eps_b": _Key(float, 0.0, ("uniqueness",), "second leg eps (uniqueness)"),
     "mode_ksq": _Key(_int_list, (0, 1, 2, 4, 9), ("linear_growth",),
                      "squared mode magnitudes (linear_growth)"),
-    "family_size": _Key(int, 100, ("calibrate",), "seeded fields in the calibration family"),
     "write_calibration": _Key(_bool, False, ("mollifier-check",),
                               "also write the measured property constants"),
 }
@@ -396,15 +391,11 @@ def cmd_converge(cfg) -> int:
         common.update(scheme=cfg["scheme"], dt=cfg["dt"], kernel=cfg["kernel"])
         if study == "uniqueness":
             report = run_uniqueness(
-                u0, scheme_b=cfg["scheme_b"], dt_b=cfg["dt_b"], kernel_b=cfg["kernel_b"],
-                eps_a=cfg["eps_a"], eps_b=cfg["eps_b"], **common,
+                u0, scheme_b=cfg["scheme_b"], dt_b=cfg["dt_b"], eps=cfg["eps"], **common
             )
         else:
             run = run_eps_cauchy if study == "eps_cauchy" else run_eps_limit
-            report = run(
-                u0, cfg["eps_list"], report_every=cfg["report_every"],
-                drop_largest=cfg["drop_largest"], **common,
-            )
+            report = run(u0, cfg["eps_list"], report_every=cfg["report_every"], **common)
     print(report.summary())
     failures = report.failures()
     for reason in failures:
@@ -434,10 +425,7 @@ def cmd_mollifier_check(cfg) -> int:
 
 def cmd_calibrate(cfg) -> int:
     grid = _grid(cfg)
-    report = run_gn_calibration(
-        grid, seed=cfg["seed"], kernel=cfg["kernel"], params=_params(cfg),
-        family_size=cfg["family_size"],
-    )
+    report = run_gn_calibration(grid, seed=cfg["seed"], kernel=cfg["kernel"], params=_params(cfg))
     print(report.summary())
 
     path = os.path.join(cfg["outdir"], "constants.txt")

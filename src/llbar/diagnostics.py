@@ -34,7 +34,6 @@ COLUMNS = (
 )
 
 ENERGY_JUMP_TOL = 1e-8
-DEFAULT_GROWTH_CONSTANT = 5.0
 
 
 @dataclass(frozen=True)
@@ -235,9 +234,7 @@ class AuditReport:
         return self.energy_ok and self.l2_bound_ok
 
 
-def monotonicity_audit(
-    series: TimeSeries, growth_constant: float = DEFAULT_GROWTH_CONSTANT
-) -> AuditReport:
+def monotonicity_audit(series: TimeSeries, growth_constant: float) -> AuditReport:
     """Check E nonincreasing between consecutive reports (within
     ENERGY_JUMP_TOL relative to max(1, |E|)) and the bound
     ||u(t)||_{L2}^2 <= ||u(t0)||_{L2}^2 e^{growth_constant (t - t0)}."""

@@ -31,12 +31,12 @@ def outdir(tmp_path):
 _STUDY = {"outdir", "dim", "n", "box_length", "chi", "lambda_r", "lambda_e", "gamma",
           "scheme", "dt", "t_end", "study"}
 _EPS_STUDY = _STUDY | {"report_every", "kernel", "seed", "amplitude", "decay_r", "kmax",
-                       "eps_list", "drop_largest"}
+                       "eps_list"}
 STUDY_READS = {
     "eps_cauchy": _EPS_STUDY,
     "eps_limit": _EPS_STUDY,
-    "uniqueness": _STUDY | {"kernel", "seed", "amplitude", "decay_r", "kmax", "scheme_b",
-                            "dt_b", "kernel_b", "eps_a", "eps_b"},
+    "uniqueness": _STUDY | {"eps", "kernel", "seed", "amplitude", "decay_r", "kmax",
+                            "scheme_b", "dt_b"},
     "linear_growth": _STUDY | {"adaptive", "tol", "report_every", "amplitude", "mode_ksq"},
 }
 
@@ -52,7 +52,7 @@ READS = {
     "mollifier-check": {"outdir", "dim", "n", "box_length", "eps", "kernel",
                         "write_calibration"},
     "calibrate": {"outdir", "dim", "n", "box_length", "chi", "lambda_r", "lambda_e", "gamma",
-                  "kernel", "seed", "family_size"},
+                  "kernel", "seed"},
 }
 
 # a valid value of every key other than outdir, as a config file spells it;
@@ -62,14 +62,19 @@ VALUES = {
     "lambda_e": "1.5", "gamma": "0.5", "scheme": "etd1", "dt": "0.002", "adaptive": "true",
     "tol": "1e-5", "t_end": "0.02", "report_every": "1", "eps": "0.3", "kernel": "bump",
     "seed": "1", "amplitude": "0.4", "decay_r": "4.0", "kmax": "4", "snapshot": "u.snap",
-    "seeds": "1", "study": "eps_limit", "eps_list": "0.4,0.2", "drop_largest": "true",
-    "scheme_b": "etd1", "dt_b": "0.001", "kernel_b": "bump", "eps_a": "0.1", "eps_b": "0.1",
-    "mode_ksq": "0,1", "family_size": "100", "write_calibration": "true",
+    "seeds": "1", "study": "eps_limit", "eps_list": "0.4,0.2", "scheme_b": "etd1",
+    "dt_b": "0.001", "mode_ksq": "0,1", "write_calibration": "true",
 }
+
+# keys no reader reads any more, with a value their readers took: every
+# subcommand and every study refuses them like any unknown key
+REMOVED = {"drop_largest": "true", "kernel_b": "bump", "eps_a": "0.1", "eps_b": "0.1",
+           "family_size": "100"}
+VALUES.update(REMOVED)
 
 UNREAD = [(cmd, key) for cmd, keys in READS.items() for key in VALUES if key not in keys]
 STUDY_UNREAD = [(study, key) for study, keys in STUDY_READS.items()
-                for key in VALUES if key in READS["converge"] - keys]
+                for key in VALUES if key in (READS["converge"] | set(REMOVED)) - keys]
 
 
 def write_stationary_snapshot(path, n=32):
@@ -172,7 +177,11 @@ class TestUsageErrors:
         flag = "--" + key.replace("_", "-")
         value = [] if VALUES[key] == "true" else [VALUES[key]]
         assert run("converge", "--study", study, flag, *value, "--outdir", outdir) == 1
-        assert f"usage error: converge --study {study} reads no {flag}\n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if key in REMOVED:  # no study has the flag
+            assert f"usage error: unrecognized arguments: {flag}" in err
+        else:
+            assert f"usage error: converge --study {study} reads no {flag}\n" in err
         assert not os.path.exists(outdir)
 
     @pytest.mark.parametrize("study, key", STUDY_UNREAD)
@@ -181,8 +190,8 @@ class TestUsageErrors:
         cfg.write_text(f"study = {study}\n{key} = {VALUES[key]}\n")
         assert run("converge", "--config", str(cfg), "--outdir", outdir) == 1
         err = capsys.readouterr().err
-        assert (f"usage error: {cfg}: converge --study {study} reads no configuration key "
-                f"{key!r}") in err
+        reader = "converge" if key in REMOVED else f"converge --study {study}"
+        assert f"usage error: {cfg}: {reader} reads no configuration key {key!r}" in err
         assert not os.path.exists(outdir)
 
     @pytest.mark.parametrize(
@@ -243,7 +252,6 @@ class TestUsageErrors:
             ("simulate", "scheme", "rk9"),
             ("converge", "study", "gn_calibration"),
             ("converge", "scheme_b", "rk9"),
-            ("converge", "kernel_b", "foo"),
         ],
     )
     def test_config_value_outside_choices_named(self, tmp_path, outdir, capsys, cmd, key, value):
@@ -257,12 +265,14 @@ class TestUsageErrors:
         "argv",
         [
             ("simulate", "--n", "16", "--t-end", "0.01", "--eps", "-0.3"),
+            ("converge", "--study", "uniqueness", "--n", "16", "--t-end", "0.01", "--eps", "-0.3"),
             ("verify", "--n", "16", "--seeds", "1", "--eps", "-1"),
             ("verify", "--n", "16", "--seeds", "1", "--eps", "0"),
             ("mollifier-check", "--n", "16", "--eps", "-1"),
             ("mollifier-check", "--n", "16", "--eps", "0"),
             ("verify", "--n", "16", "--seeds", "0"),
             ("converge", "--study", "linear_growth", "--n", "16", "--mode-ksq=-1"),
+            ("converge", "--study", "linear_growth", "--n", "16", "--mode-ksq="),
             ("simulate", "--box-length", "inf", "--n", "16", "--t-end", "0.01"),
             ("verify", "--n", "16", "--seeds", "1", "--seed", "-1"),
             ("simulate", "--n", "16", "--t-end", "0.01", "--seed", "-1"),
@@ -272,8 +282,9 @@ class TestUsageErrors:
     def test_out_of_range_value_is_usage_error(self, outdir, capsys, argv):
         # a negative eps is not the limit flow, the limit flow has no
         # smoothing symbol to check, zero seeds check nothing,
-        # no lattice mode has a negative |m|^2, an infinite box has no
-        # lattice at all, and the seeded generator takes no negative seed
+        # no lattice mode has a negative |m|^2, an empty mode list measures
+        # nothing, an infinite box has no lattice at all, and the seeded
+        # generator takes no negative seed
         assert run(*argv, "--outdir", outdir) == 1
         assert "usage error:" in capsys.readouterr().err
 
@@ -548,6 +559,12 @@ class TestConverge:
         assert run("converge", "--study", "uniqueness", "--n", "32",
                    "--seed", "7", "--t-end", "0.25", "--outdir", outdir) == 0
 
+    def test_uniqueness_of_a_smoothed_flow_agrees(self, outdir):
+        assert run("converge", "--study", "uniqueness", "--n", "16", "--t-end", "0.1",
+                   "--eps", "0.1", "--kernel", "bump", "--outdir", outdir) == 0
+        echo = read_config(os.path.join(outdir, "effective-config.txt"))
+        assert (echo["eps"], echo["kernel"]) == ("0.1", "bump")
+
     def test_linear_growth_passes_at_tiny_amplitude(self, outdir):
         assert run("converge", "--study", "linear_growth", "--n", "32",
                    "--amplitude", "1e-8", "--t-end", "0.5",
@@ -653,7 +670,7 @@ class TestCalibrate:
             write_config(path, *args, **kwargs)
 
         monkeypatch.setattr("llbar.cli.write_config", recording)
-        assert run("calibrate", "--n", "32", "--family-size", "100", "--outdir", outdir) == 0
+        assert run("calibrate", "--n", "32", "--outdir", outdir) == 0
         assert written.count("constants.txt") == 1
 
 

@@ -413,14 +413,14 @@ class TestBlowUpMonitor:
 class TestMonotonicityAudit:
     def test_decaying_energy_passes(self):
         series = make_series([0.0, 0.1, 0.2], energies=[-1.0, -1.5, -2.0])
-        audit = monotonicity_audit(series)
+        audit = monotonicity_audit(series, growth_constant=5.0)
         assert audit.passed
         assert audit.energy_ok and audit.l2_bound_ok
         assert audit.max_energy_jump == 0.0
 
     def test_energy_jump_beyond_tolerance_fails(self):
         series = make_series([0.0, 0.1, 0.2], energies=[-2.0, -2.0 + 1e-4, -2.0])
-        audit = monotonicity_audit(series)
+        audit = monotonicity_audit(series, growth_constant=5.0)
         assert not audit.energy_ok
         assert audit.max_energy_jump == pytest.approx(1e-4)
         assert "jump" in audit.detail
@@ -428,21 +428,21 @@ class TestMonotonicityAudit:
     def test_jump_tolerance_scales_with_energy_magnitude(self):
         # jump of 5e-8 against |E| = 10 sits inside 1e-8 * max(1, |E|)
         series = make_series([0.0, 0.1], energies=[-10.0, -10.0 + 5e-8])
-        assert monotonicity_audit(series).energy_ok
+        assert monotonicity_audit(series, growth_constant=5.0).energy_ok
         # the same jump against |E| = 1 is an offense
         series2 = make_series([0.0, 0.1], energies=[-1.0, -1.0 + 5e-8])
-        assert not monotonicity_audit(series2).energy_ok
+        assert not monotonicity_audit(series2, growth_constant=5.0).energy_ok
 
     def test_l2_growth_bound(self):
         # ||u||^2 growing like e^{3t} passes C=5, fails C=2
         ts = [0.0, 0.2, 0.4]
         l2s = [math.sqrt(math.exp(3 * t)) for t in ts]
         series = make_series(ts, l2s=l2s)
-        assert monotonicity_audit(series).l2_bound_ok
+        assert monotonicity_audit(series, growth_constant=5.0).l2_bound_ok
         tight = monotonicity_audit(series, growth_constant=2.0)
         assert not tight.l2_bound_ok
         assert not tight.passed
 
     def test_needs_two_reports(self):
         with pytest.raises(UsageError, match="two"):
-            monotonicity_audit(make_series([0.0]))
+            monotonicity_audit(make_series([0.0]), growth_constant=5.0)
