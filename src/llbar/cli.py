@@ -102,9 +102,9 @@ _KEYS = {
     "gamma": _Key(float, 1.0, _FLOWS, "precession coupling"),
     "scheme": _Key(str, "etd_rk2", _STEPPED, "time integrator", SCHEMES),
     "dt": _Key(float, 1e-3, _STEPPED, "time step"),
-    "adaptive": _Key(_bool, False, ("simulate", "linear_growth"),
+    "adaptive": _Key(_bool, False, ("simulate",),
                      "step-doubling adaptive dt (single-step schemes)"),
-    "tol": _Key(float, 1e-6, ("simulate", "linear_growth"), "adaptive local-error target"),
+    "tol": _Key(float, 1e-6, ("simulate",), "adaptive local-error target"),
     "t_end": _Key(float, 1.0, _STEPPED, "final time"),
     "report_every": _Key(int, 10, ("simulate", "linear_growth") + _EPS_STUDIES,
                          "steps between samples (diagnostic rows in simulate)"),
@@ -274,12 +274,6 @@ def _params(cfg) -> EffectiveFieldParams:
     )
 
 
-def _scheme(cfg) -> SchemeConfig:
-    return SchemeConfig(
-        scheme=cfg["scheme"], dt=cfg["dt"], adaptive=cfg["adaptive"], tol=cfg["tol"]
-    )
-
-
 def _initial_data(cfg, grid):
     if cfg.get("snapshot"):
         return load_snapshot(cfg["snapshot"], expected_grid=grid)
@@ -311,7 +305,9 @@ def cmd_simulate(cfg) -> int:
         result = integrate(
             u0,
             cfg["t_end"],
-            _scheme(cfg),
+            SchemeConfig(
+                scheme=cfg["scheme"], dt=cfg["dt"], adaptive=cfg["adaptive"], tol=cfg["tol"]
+            ),
             _params(cfg),
             J,
             report_every=cfg["report_every"],
@@ -380,15 +376,16 @@ def cmd_verify(cfg) -> int:
 def cmd_converge(cfg) -> int:
     study = cfg["study"]
     grid = _grid(cfg)
-    common = {"t_end": cfg["t_end"], "params": _params(cfg), "outdir": cfg["outdir"]}
+    common = {"t_end": cfg["t_end"], "scheme": cfg["scheme"], "dt": cfg["dt"],
+              "params": _params(cfg), "outdir": cfg["outdir"]}
     if study == "linear_growth":
         report = run_linear_growth(
-            grid, amplitude=cfg["amplitude"], mode_ksq=cfg["mode_ksq"], scheme=_scheme(cfg),
+            grid, amplitude=cfg["amplitude"], mode_ksq=cfg["mode_ksq"],
             report_every=cfg["report_every"], **common,
         )
     else:
         u0 = _initial_data(cfg, grid)
-        common.update(scheme=cfg["scheme"], dt=cfg["dt"], kernel=cfg["kernel"])
+        common["kernel"] = cfg["kernel"]
         if study == "uniqueness":
             report = run_uniqueness(
                 u0, scheme_b=cfg["scheme_b"], dt_b=cfg["dt_b"], eps=cfg["eps"], **common

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import DataError, UsageError
-from .grid import Field, to_physical, to_spectral
-from .physics import DEFAULT_PARAMS, EffectiveFieldParams
+from .grid import Field
+from .physics import DEFAULT_PARAMS, EffectiveFieldParams, FieldTerms
 
 # exact CSV column order
 COLUMNS = (
@@ -80,22 +80,15 @@ def report(
         return EnergyReport(t, nan, nan, nan, nan, nan, nan, nan, nan, nan, "nan")
     grid = u.grid
     with np.errstate(over="ignore", invalid="ignore"):
-        uhat = to_spectral(u).data
-        up = to_physical(u).data
-        lap = grid.irfftn(-grid.ksq * uhat)
-        usq = np.sum(up**2, axis=0)
-        h = lap + (0.5 / p.chi) * (1.0 - usq) * up
-        hhat = grid.rfftn(h)
-
+        terms = FieldTerms(u, p=p)
+        usq = terms.usq
+        heff_sq, _ = terms.h_sq
         parseval = grid.cell_volume / grid.npoints
         bessel = 1.0 + grid.ksq
-        dens = grid.mode_density(uhat)
+        dens = grid.mode_density(terms.uhat.data)
         l2_sq = float(np.sum(dens)) * parseval
         grad_sq = float(np.sum(grid.kodd_sq * dens)) * parseval
         l4_4 = float(np.sum(usq**2)) * grid.cell_volume
-        hdens = grid.mode_density(hhat)
-        heff_sq = float(np.sum(hdens)) * parseval
-        grad_h_sq = float(np.sum(grid.kodd_sq * hdens)) * parseval
         rep = EnergyReport(
             t=t,
             l2=math.sqrt(l2_sq),
@@ -105,7 +98,7 @@ def report(
             h2=math.sqrt(float(np.sum((1.0 + grid.ksq) ** 2 * dens)) * parseval),
             grad_l2=math.sqrt(grad_sq),
             energy=l4_4 / (8.0 * p.chi) + 0.5 * grad_sq - l2_sq / (4.0 * p.chi),
-            dissipation=p.lambda_r * heff_sq + p.lambda_e * grad_h_sq,
+            dissipation=terms.dissipation,
             heff_l2=math.sqrt(heff_sq),
         )
     values = [getattr(rep, c) for c in COLUMNS[1:-1]]

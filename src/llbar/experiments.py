@@ -3,10 +3,12 @@ cross-checks, linear growth-rate validation, and inequality-constant
 calibration.
 
 Each runner takes the values its study reads and is a pure function of
-them (seeded data, fixed cadence), so re-runs are bit-identical; the ε and
-uniqueness runners step on one fixed dt per leg. Each report states its own
-gate: `failures()` lists the checks it failed. "sup in t" always means the
-max over the shared report cadence of the compared runs.
+them (seeded data, fixed cadence), so re-runs are bit-identical. Every
+stepping runner takes a scheme name and a dt, so each run steps on one
+fixed dt, and a study steps each run through _leg; runs that are compared
+sample by sample step together through _lockstep. Each report states its
+own gate: `failures()` lists the checks it failed. "sup in t" always means
+the max over the shared report cadence of the compared runs.
 """
 
 from __future__ import annotations
@@ -55,11 +57,13 @@ def _leg_start(u0, J):
     return to_spectral(u0) if J is None else mollify(J, to_spectral(u0))
 
 
-def _leg(u0, J, label, t_end, cfg, params, report_every):
-    """The samples of one leg from _leg_start; a blow-up carries label."""
+def _leg(u0, J, label, t_end, cfg, params, report_every, land_at=()):
+    """The samples of one leg from _leg_start, also at the times land_at;
+    a blow-up carries label."""
     try:
         yield from trajectory(
-            _leg_start(u0, J), t_end, cfg, params, J, report_every=report_every
+            _leg_start(u0, J), t_end, cfg, params, J, report_every=report_every,
+            land_at=land_at,
         )
     except BlowUpError as exc:
         exc.study_label = label
@@ -87,7 +91,7 @@ def _advance(legs):
             out.append((next(leg), None))
         except StopIteration:
             out.append((None, None))
-        except Exception as exc:  # raised in eps order by _lockstep
+        except Exception as exc:  # raised in leg order by _lockstep
             out.append((None, exc))
     return out
 
@@ -129,13 +133,6 @@ def _lockstep(legs, npoints):
     finally:
         if pool is not None:
             pool.shutdown()
-
-
-def sup_t_difference(snaps_a: dict, snaps_b: dict, kind: str = "l2", s=None) -> float:
-    """max over shared cadence points of ||a(t) - b(t)|| (enforced shared)."""
-    if set(snaps_a) != set(snaps_b):
-        raise UsageError("compared runs must share their report cadence")
-    return max(norm(snaps_a[k] - snaps_b[k], kind, s=s) for k in snaps_a)
 
 
 def fit_loglog(x, y):
@@ -312,27 +309,24 @@ class UniquenessReport:
 
 
 def _leg_with_estimate(u0, cfg, J, label, t_end, params):
-    """Run one leg at dt and dt/2, each landing on the shared times (legs
-    with different dt share no step-count cadence); the dt/2 run is the
-    leg's answer and ||u_dt - u_{dt/2}|| / (2^p - 1) its self-estimated
-    error. J None is the limit flow."""
-    start = _leg_start(u0, J)
+    """One leg at dt and dt/2, stepped together and sampled at the shared
+    times (runs with different dt share no step-count cadence): the leg's
+    answer is the dt/2 run's states, one per shared time from t = 0, and
+    max_t ||u_dt - u_{dt/2}|| / (2^p - 1) its self-estimated error. J None
+    is the limit flow."""
     times = tuple(t_end * j / SHARED_TIMES for j in range(1, SHARED_TIMES + 1))
-    runs = []
-    try:
-        for run_cfg in (cfg, replace(cfg, dt=cfg.dt / 2.0)):
-            run = trajectory(
-                start, times[-1], run_cfg, params, J, report_every=10**9, land_at=times
-            )
-            states = [u for _, u in run]
-            if len(states) != SHARED_TIMES + 1:
-                raise UsageError(f"t_end={t_end:g} leaves no step between shared times")
-            runs.append(dict(zip((0.0, *times), states)))
-    except BlowUpError as exc:
-        exc.study_label = label
-        raise
-    coarse, fine = runs
-    return fine, sup_t_difference(coarse, fine) / (2.0**cfg.order - 1.0)
+    runs = [
+        _leg(u0, J, label, times[-1], run_cfg, params, 10**9, land_at=times)
+        for run_cfg in (cfg, replace(cfg, dt=cfg.dt / 2.0))
+    ]
+    answer, diff = [], 0.0
+    for (_, coarse), (_, fine) in _lockstep(runs, u0.grid.npoints):
+        diff = max(diff, norm(coarse - fine, "l2"))
+        answer.append(fine)
+        del coarse  # free the dt run's state before it steps again
+    if len(answer) != SHARED_TIMES + 1:
+        raise UsageError(f"t_end={t_end:g} leaves no step between shared times")
+    return answer, diff / (2.0**cfg.order - 1.0)
 
 
 def _coarsened(cfg, est, est_target, t_end):
@@ -378,12 +372,11 @@ def run_uniqueness(
         if cfg.dt != cfgs[i].dt:
             cfgs[i] = cfg
             runs[i] = _leg_with_estimate(u0, cfg, J, f"{labels[i]} (rescaled)", t_end, params)
-    (snaps_a, est_a), (snaps_b, est_b) = runs
-    last = max(snaps_a)
+    (a, est_a), (b, est_b) = runs
     report = UniquenessReport(
-        final_diff_l2=norm(snaps_a[last] - snaps_b[last], "l2"),
-        sup_diff_l2=sup_t_difference(snaps_a, snaps_b),
-        sup_diff_h2=sup_t_difference(snaps_a, snaps_b, "hs", s=2),
+        final_diff_l2=norm(a[-1] - b[-1], "l2"),
+        sup_diff_l2=max(norm(ua - ub, "l2") for ua, ub in zip(a, b)),
+        sup_diff_h2=max(norm(ua - ub, "hs", s=2) for ua, ub in zip(a, b)),
         est_a=est_a,
         est_b=est_b,
         dt_a=cfgs[0].dt,
@@ -434,21 +427,17 @@ class GrowthReport:
 
 
 def _mode_for_ksq(grid: Grid, ksq_target: int):
-    """An integer mode with |m|^2 = ksq_target (axis-aligned first)."""
-    limit = int(math.isqrt(ksq_target)) + 1
-    for m1 in range(limit + 1):
-        rem = ksq_target - m1 * m1
-        if rem < 0:
-            continue
-        m2 = int(math.isqrt(rem))
-        if m2 * m2 == rem:
-            mode = [m1, m2] + [0] * (grid.dim - 2)
-            if grid.dim == 1:
-                if m2 != 0:
-                    continue
-                mode = [m1]
-            return tuple(mode)
-    raise UsageError(f"no lattice mode with |m|^2 = {ksq_target}")
+    """An integer mode with |m|^2 = ksq_target and every |m_i| <= n/2: the
+    lexicographically first with no component past the second, else the
+    first of all."""
+    bound = min(grid.n // 2, math.isqrt(ksq_target))
+    modes = [
+        m for m in itertools.product(range(bound + 1), repeat=grid.dim)
+        if sum(c * c for c in m) == ksq_target
+    ]
+    if not modes:
+        raise UsageError(f"no lattice mode with |m|^2 = {ksq_target} on a grid of n={grid.n}")
+    return min(modes, key=lambda m: (any(m[2:]), m))
 
 
 def _seed_mode(grid: Grid, mode, amplitude) -> Field:
@@ -462,11 +451,11 @@ def _seed_mode(grid: Grid, mode, amplitude) -> Field:
     return Field(grid, data, "physical")
 
 
-def _measure_mode_rate(grid, mode, amplitude, t_end, scheme, params, report_every):
+def _measure_mode_rate(grid, mode, amplitude, t_end, cfg, params, report_every):
     """Fit log |u_hat(mode, t)| vs t over the report cadence."""
     u0 = _seed_mode(grid, mode, amplitude)
     idx = tuple(m % grid.n for m in mode)
-    run = trajectory(u0, t_end, scheme, params, report_every=report_every)
+    run = _leg(u0, None, f"mode {mode}", t_end, cfg, params, report_every)
     ts, amps = np.array([(t, abs(u.data[(2,) + idx])) for t, u in run]).T
     if np.any(amps <= 0):
         raise UsageError(f"mode {mode} amplitude reached zero; shorten t_end")
@@ -475,21 +464,21 @@ def _measure_mode_rate(grid, mode, amplitude, t_end, scheme, params, report_ever
 
 
 def run_linear_growth(
-    grid: Grid, *, t_end, amplitude, mode_ksq=(0, 1, 2, 4, 9), scheme=SchemeConfig(),
+    grid: Grid, *, t_end, amplitude, mode_ksq=(0, 1, 2, 4, 9), scheme="etd_rk2", dt=1e-3,
     report_every=10, params=DEFAULT_PARAMS, outdir=None,
 ) -> GrowthReport:
     """Measured exponential rate of a single mode of each squared magnitude
-    in mode_ksq, seeded at amplitude, vs the linear symbol sigma(k). A
-    halved-amplitude rerun detects cubic contamination: the
-    quadratic-in-amplitude rate shift must sit below 1e-9. scheme is a
-    SchemeConfig, adaptive or not."""
+    in mode_ksq, seeded at amplitude and stepped with scheme at dt, vs the
+    linear symbol sigma(k). A halved-amplitude rerun, on the same steps,
+    detects cubic contamination: the quadratic-in-amplitude rate shift must
+    sit below 1e-9."""
     _check_t_end(t_end)
     if not mode_ksq:
         raise UsageError("linear_growth needs at least one mode |m|^2")
     if any(k < 0 for k in mode_ksq):
         raise UsageError(f"mode |m|^2 values must be nonnegative: {mode_ksq}")
     stationary = amplitude == 0.0  # zero data: no mode to track, trivially consistent
-    stepping = (t_end, scheme, params, report_every)
+    stepping = (t_end, SchemeConfig(scheme=scheme, dt=dt), params, report_every)
     rows = []
     contamination = 0.0
     for ksq_t in () if stationary else mode_ksq:

@@ -281,14 +281,18 @@ class FieldTerms:
         return to_spectral(self.h)
 
     @cached_property
-    def dissipation(self) -> float:
-        """D(u) = lambda_r ||H||^2 + lambda_e ||grad H||^2 = -dE/dt along the
-        flow, summed over the spectrum of H as report() sums it."""
+    def h_sq(self) -> tuple[float, float]:
+        """||H||^2 and ||grad H||^2, Parseval sums over the spectrum of H."""
         grid = self.grid
         parseval = grid.cell_volume / grid.npoints
         hdens = grid.mode_density(self.h_hat.data)
-        heff_sq = float(np.sum(hdens)) * parseval
-        grad_h_sq = float(np.sum(grid.kodd_sq * hdens)) * parseval
+        return float(np.sum(hdens)) * parseval, float(np.sum(grid.kodd_sq * hdens)) * parseval
+
+    @cached_property
+    def dissipation(self) -> float:
+        """D(u) = lambda_r ||H||^2 + lambda_e ||grad H||^2 = -dE/dt along the
+        flow."""
+        heff_sq, grad_h_sq = self.h_sq
         return self.p.lambda_r * heff_sq + self.p.lambda_e * grad_h_sq
 
     @cached_property

@@ -140,7 +140,8 @@ def test_5_linear_dispersion_relation():
         Grid(2, 64),
         amplitude=1e-8,
         t_end=0.5,
-        scheme=SchemeConfig(scheme="etd_rk2", dt=1e-3),
+        scheme="etd_rk2",
+        dt=1e-3,
     )
     assert not rep.contaminated
     assert rep.max_rel_error <= 1e-6, f"max rel error {rep.max_rel_error:.3e}"

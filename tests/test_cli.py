@@ -37,7 +37,7 @@ STUDY_READS = {
     "eps_limit": _EPS_STUDY,
     "uniqueness": _STUDY | {"eps", "kernel", "seed", "amplitude", "decay_r", "kmax",
                             "scheme_b", "dt_b"},
-    "linear_growth": _STUDY | {"adaptive", "tol", "report_every", "amplitude", "mode_ksq"},
+    "linear_growth": _STUDY | {"report_every", "amplitude", "mode_ksq"},
 }
 
 # the keys each subcommand reads, found in its cmd_* function; converge
@@ -72,9 +72,13 @@ REMOVED = {"drop_largest": "true", "kernel_b": "bump", "eps_a": "0.1", "eps_b": 
            "family_size": "100"}
 VALUES.update(REMOVED)
 
+# keys some converge study read once and only simulate reads now: every
+# study refuses them like any key converge does not offer
+LEFT_CONVERGE = {"adaptive", "tol"}
+
 UNREAD = [(cmd, key) for cmd, keys in READS.items() for key in VALUES if key not in keys]
-STUDY_UNREAD = [(study, key) for study, keys in STUDY_READS.items()
-                for key in VALUES if key in (READS["converge"] | set(REMOVED)) - keys]
+STUDY_UNREAD = [(study, key) for study, keys in STUDY_READS.items() for key in VALUES
+                if key in (READS["converge"] | set(REMOVED) | LEFT_CONVERGE) - keys]
 
 
 def write_stationary_snapshot(path, n=32):
@@ -178,7 +182,7 @@ class TestUsageErrors:
         value = [] if VALUES[key] == "true" else [VALUES[key]]
         assert run("converge", "--study", study, flag, *value, "--outdir", outdir) == 1
         err = capsys.readouterr().err
-        if key in REMOVED:  # no study has the flag
+        if key not in READS["converge"]:  # no study has the flag
             assert f"usage error: unrecognized arguments: {flag}" in err
         else:
             assert f"usage error: converge --study {study} reads no {flag}\n" in err
@@ -190,7 +194,7 @@ class TestUsageErrors:
         cfg.write_text(f"study = {study}\n{key} = {VALUES[key]}\n")
         assert run("converge", "--config", str(cfg), "--outdir", outdir) == 1
         err = capsys.readouterr().err
-        reader = "converge" if key in REMOVED else f"converge --study {study}"
+        reader = "converge" if key not in READS["converge"] else f"converge --study {study}"
         assert f"usage error: {cfg}: {reader} reads no configuration key {key!r}" in err
         assert not os.path.exists(outdir)
 
@@ -618,6 +622,13 @@ class TestConverge:
 
     def test_uniqueness_rejects_adaptive_before_any_leg(self, outdir, capsys):
         code = run("converge", "--study", "uniqueness", "--n", "16", "--t-end", "0.1",
+                   "--adaptive", "--outdir", outdir)
+        assert code == 1
+        assert "--adaptive" in capsys.readouterr().err
+
+    def test_linear_growth_rejects_adaptive_before_any_step(self, outdir, capsys):
+        # the halved-amplitude run is compared with the full one on the same steps
+        code = run("converge", "--study", "linear_growth", "--n", "16", "--t-end", "0.1",
                    "--adaptive", "--outdir", outdir)
         assert code == 1
         assert "--adaptive" in capsys.readouterr().err

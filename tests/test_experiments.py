@@ -28,9 +28,8 @@ from llbar.experiments import (
     run_gn_calibration,
     run_linear_growth,
     run_uniqueness,
-    sup_t_difference,
 )
-from llbar.grid import Grid, constant_field, random_band_limited_field, to_spectral
+from llbar.grid import Grid, constant_field, norm, random_band_limited_field, to_spectral
 from llbar.integrator import LinearPropagator, SchemeConfig, integrate, trajectory
 from llbar.io import read_config
 from llbar.mollifier import make_mollifier, mollify
@@ -126,19 +125,6 @@ class TestFitLoglog:
             fit_loglog([0.4, 0.2], [1.0, 0.0])
 
 
-class TestSupTDifference:
-    def test_requires_shared_cadence(self):
-        g = Grid(2, 16)
-        u = to_spectral(constant_field(g, (0.0, 0.0, 1.0)))
-        with pytest.raises(UsageError, match="cadence"):
-            sup_t_difference({0.0: u, 0.1: u}, {0.0: u, 0.2: u})
-
-    def test_identical_runs_give_zero(self):
-        g = Grid(2, 16)
-        u = to_spectral(random_band_limited_field(g, seed=1, amplitude=0.5, kmax=4))
-        assert sup_t_difference({0.0: u, 0.1: u}, {0.0: u, 0.1: u}) == 0.0
-
-
 def legs_one_at_a_time(u0, against_limit, eps_list, t_end, scheme, dt):
     """(pairs, h2_sups) of an eps study (gaussian kernel, a sample every 10
     steps) whose legs run alone, keep every sample, and are compared
@@ -151,13 +137,16 @@ def legs_one_at_a_time(u0, against_limit, eps_list, t_end, scheme, dt):
         samples = list(
             trajectory(start, t_end, SchemeConfig(scheme=scheme, dt=dt), J=J, report_every=10)
         )
-        snaps[eps] = dict(samples)
+        snaps[eps] = [u for _, u in samples]
         h2_sups.append((eps, max(report(u, t).h2 for t, u in samples)))
     if against_limit:
         compared = [(eps, None) for eps in eps_list]
     else:
         compared = list(itertools.combinations(eps_list, 2))
-    pairs = [(a, b or 0.0, sup_t_difference(snaps[a], snaps[b])) for a, b in compared]
+    pairs = [
+        (a, b or 0.0, max(norm(ua - ub, "l2") for ua, ub in zip(snaps[a], snaps[b])))
+        for a, b in compared
+    ]
     return tuple(pairs), tuple(h2_sups)
 
 
@@ -194,11 +183,13 @@ class TestLockstepLegs:
         assert [J.eps for J in builds[:-1]] == list(eps_list) and builds[-1] is None
 
     @pytest.mark.parametrize("lanes", [2, 5])
-    @pytest.mark.parametrize("run_study", [run_eps_limit, run_eps_cauchy])
+    @pytest.mark.parametrize("run_study", [run_eps_limit, run_eps_cauchy, run_uniqueness])
     def test_outputs_do_not_depend_on_the_lanes(self, tmp_path, monkeypatch, run_study, lanes):
         # each run on a fresh grid, whose cached wavenumber tables the legs
         # fill from their threads; a short switch interval interleaves them
         study = {**SWEEP, "t_end": 0.02, "report_every": 1}
+        if run_study is run_uniqueness:  # each leg's dt and dt/2 runs step together
+            study = {"t_end": 0.02, "scheme_b": "imex_bdf2", "dt_b": 5e-4}
         outputs = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -436,8 +427,9 @@ def kernel_gap(eps, t_end=0.25):
         )
         for kernel in ("gaussian", "bump")
     ]
-    (snaps_a, est_a), (snaps_b, est_b) = legs
-    return sup_t_difference(snaps_a, snaps_b), max(est_a, est_b)
+    (states_a, est_a), (states_b, est_b) = legs
+    gap = max(norm(ua - ub, "l2") for ua, ub in zip(states_a, states_b))
+    return gap, max(est_a, est_b)
 
 
 class TestUniqueness:
@@ -549,6 +541,27 @@ class TestLinearGrowth:
     def test_unrepresentable_mode_rejected(self):
         with pytest.raises(UsageError, match="no lattice mode"):
             run_linear_growth(Grid(2, 32), t_end=0.1, amplitude=0.5, mode_ksq=(3,))
+        # (1, 7) and (5, 5) need n >= 14
+        with pytest.raises(UsageError, match="no lattice mode"):
+            run_linear_growth(Grid(2, 8), t_end=0.1, amplitude=1e-8, mode_ksq=(50,))
+
+    @pytest.mark.parametrize(
+        "dim, ksqs, modes",
+        [
+            # no (m1, m2, 0) has these |m|^2
+            (3, (3, 6, 11, 12, 14), [(1, 1, 1), (1, 1, 2), (1, 1, 3), (2, 2, 2), (1, 2, 3)]),
+            # |m_i| <= n/2: (0, 5) aliases to |m|^2 = 9 on n = 8, and in 2d
+            # its index lies off the half lattice
+            (2, (25,), [(3, 4)]),
+            (3, (25,), [(3, 4, 0)]),
+        ],
+    )
+    def test_every_mode_on_the_grid_is_found(self, dim, ksqs, modes):
+        grid = Grid(dim, 8)
+        assert [experiments._mode_for_ksq(grid, k) for k in ksqs] == modes
+        rep = run_linear_growth(grid, t_end=0.1, amplitude=1e-8, mode_ksq=ksqs)
+        assert [row[1] for row in rep.rows] == [-k * k + k + 2.0 for k in ksqs]
+        assert rep.max_rel_error <= 1e-6  # measured: 1.1e-14 at most
 
     def test_zero_amplitude_short_circuits(self):
         rep = run_linear_growth(Grid(2, 32), t_end=0.1, amplitude=0.0)
