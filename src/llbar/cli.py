@@ -337,33 +337,22 @@ def cmd_verify(cfg) -> int:
         raise UsageError(f"seeds must be at least 1, got {cfg['seeds']}")
     eps = cfg["eps"]
     J = make_mollifier(_grid(cfg), eps, cfg["kernel"])
-    rows = identity_suite(J, _params(cfg), seeds=range(cfg["seed"], cfg["seed"] + cfg["seeds"]))
+    seeds = range(cfg["seed"], cfg["seed"] + cfg["seeds"])
+    checks = identity_suite(J, _params(cfg), seeds=seeds)
+    checks += [c for c in verify_mollifier_properties(J).checks if not c.informational]
 
-    # aggregate each identity over its seeds: worst residual decides
-    table = []
-    for name in dict.fromkeys(r["check"] for r in rows):
-        mine = [r for r in rows if r["check"] == name]
-        worst = max(r["residual"] for r in mine)
-        tol = mine[0]["tolerance"]
-        table.append((name, worst, tol, all(r["passed"] for r in mine)))
-
-    report = verify_mollifier_properties(J)
-    for check in report.checks:
-        if not check.informational:
-            table.append((check.name, check.measured, check.bound, check.passed))
-
-    width = max(len(name) for name, *_ in table)
+    width = max(len(c.name) for c in checks)
     lines = [f"verification on {cfg['dim']}d n={cfg['n']} "
-             f"(seeds {cfg['seed']}..{cfg['seed'] + cfg['seeds'] - 1}, eps={eps:g})"]
-    for name, measured, bound, passed in table:
-        bound_text = f"{bound:.3e}" if isinstance(bound, float) else "--"
+             f"(seeds {seeds[0]}..{seeds[-1]}, eps={eps:g})"]
+    for c in checks:
+        bound_text = "--" if c.bound is None else f"{c.bound:.3e}"
         lines.append(
-            f"  {name:<{width}}  {measured: .6e}  bound {bound_text:>10}  "
-            f"{'PASS' if passed else 'FAIL'}"
+            f"  {c.name:<{width}}  {c.measured: .6e}  bound {bound_text:>10}  "
+            f"{'PASS' if c.passed else 'FAIL'}"
         )
-    failed = [name for name, _, _, passed in table if not passed]
+    failed = [c.name for c in checks if not c.passed]
     lines.append(
-        f"{len(table) - len(failed)}/{len(table)} checks passed"
+        f"{len(checks) - len(failed)}/{len(checks)} checks passed"
         + (f"; FAILED: {', '.join(failed)}" if failed else "")
     )
     text = "\n".join(lines)

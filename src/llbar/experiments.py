@@ -353,6 +353,9 @@ def run_uniqueness(
     leg b (scheme_b, dt_b); their answers must agree within the finer error
     bar."""
     _check_t_end(t_end)
+    if max(dt, dt_b) > t_end / SHARED_TIMES * (1.0 + 1e-9):
+        raise UsageError(f"dt {max(dt, dt_b):g} exceeds the interval between shared times; "
+                         f"t_end={t_end:g} allows dt <= {t_end / SHARED_TIMES:g}")
     J = make_mollifier(u0.grid, eps, kernel) if eps else None
     labels = ["leg a", "leg b"]
     cfgs = [SchemeConfig(scheme=scheme, dt=dt), SchemeConfig(scheme=scheme_b, dt=dt_b)]

@@ -14,6 +14,7 @@ upper half is not the mirror of its lower half before cutting it back.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -123,6 +124,8 @@ def load_snapshot(path, expected_grid: Grid | None = None) -> Field:
 
 def read_config(path) -> dict:
     """Flat `key = value` text: one pair per line, # comments, blank lines.
+    A # opens a comment at the start of a line or after whitespace, so a
+    value may contain one (`snapshot = u#1.snap`).
 
     Values stay strings; interpretation belongs to the consumer. Duplicate
     keys are an error (silent override hides typos in run configs).
@@ -134,7 +137,7 @@ def read_config(path) -> dict:
         except UnicodeDecodeError as exc:
             raise UsageError(f"{path}: not UTF-8 text: {exc}") from exc
         for lineno, line in enumerate(lines, start=1):
-            text = line.split("#", 1)[0].strip()
+            text = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not text:
                 continue
             key, sep, value = text.partition("=")

@@ -187,12 +187,7 @@ class PropertyCheck:
 
 @dataclass
 class MollifierReport:
-    kind: str
-    dim: int
-    n: int
-    eps: float
-    resolved: bool
-    clipped_shells: int
+    J: MollifierSymbol
     checks: list
 
     @property
@@ -200,10 +195,11 @@ class MollifierReport:
         return all(c.passed for c in self.checks)
 
     def to_text(self) -> str:
+        J = self.J
         lines = [
-            f"mollifier property report: kind={self.kind} dim={self.dim} "
-            f"n={self.n} eps={self.eps:g} resolved={self.resolved} "
-            f"clipped_shells={self.clipped_shells}"
+            f"mollifier property report: kind={J.kind} dim={J.grid.dim} "
+            f"n={J.grid.n} eps={J.eps:g} resolved={J.resolved} "
+            f"clipped_shells={J.clipped_shells}"
         ]
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
@@ -323,7 +319,4 @@ def verify_mollifier_properties(J: MollifierSymbol) -> MollifierReport:
             f"fixed flat-spectrum field; expected about k + d/2 = {k + grid.dim / 2}",
             informational=True))
 
-    return MollifierReport(
-        kind=J.kind, dim=grid.dim, n=grid.n, eps=J.eps,
-        resolved=J.resolved, clipped_shells=J.clipped_shells, checks=checks,
-    )
+    return MollifierReport(J, checks)

@@ -45,12 +45,20 @@ from .grid import (
     to_physical,
     to_spectral,
 )
-from .mollifier import MollifierSymbol
+from .mollifier import MollifierSymbol, PropertyCheck
 
 IDENTITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-11
 CONSISTENCY_TOL = 1e-11
 DEGENERATE_SCALE = 1e-14
+
+# identity_suite's checks and tolerances, in its row order. The consistency
+# floor on 64-per-axis grids sits near 1.5e-11 (fft roundoff through the
+# quartic symbol), so the suite uses the common 1e-10 bound; the tighter
+# CONSISTENCY_TOL is reserved for coarser grids where the floor is ~1e-13.
+_SUITE = (("identity_l2", IDENTITY_TOL), ("identity_h1", IDENTITY_TOL),
+          ("orthogonality", ORTHOGONALITY_TOL), ("identity_cubic_expansion", IDENTITY_TOL),
+          ("rhs_consistency_with_heff", IDENTITY_TOL), ("energy_chain_rule", 1e-9))
 
 
 @dataclass(frozen=True)
@@ -479,38 +487,24 @@ def gn_ratios(u: Field) -> dict[str, float]:
 
 def identity_suite(
     J: MollifierSymbol, p: EffectiveFieldParams = DEFAULT_PARAMS, seeds=range(10)
-) -> list[dict]:
+) -> list[PropertyCheck]:
     """Run every integral identity over a seeded family of band-limited
-    fields on J's grid; returns one row per check suitable for CSV
-    serialization. Each field's shared terms are evaluated once.
+    fields on J's grid; returns one check per identity, in _SUITE order.
+    Its measured value is the worst residual over the seeds (NaN if any is
+    NaN), and it passes when every seed is within the tolerance. Each
+    field's shared terms are evaluated once.
 
     Fields are limited to |m| <= n//6 so that cubic products and quartic
     quadratures are alias-free and the residuals isolate genuine
     evaluator defects.
     """
-    grid = J.grid
-    label = f"{grid.dim}d-n{grid.n}"
-    rows = []
-
-    def add(name, seed, residual, tol):
-        rows.append({"check": name, "grid": label, "seed": seed, "eps": J.eps,
-                     "residual": residual, "tolerance": tol, "passed": bool(residual <= tol)})
-
+    per_seed = []
     for seed in seeds:
-        u = random_band_limited_field(grid, seed=seed, kmax=grid.n // 6)
+        u = random_band_limited_field(J.grid, seed=seed, kmax=J.grid.n // 6)
         terms = FieldTerms(u, J, p)
-        add("identity_l2", seed, terms.identity_l2().residual, IDENTITY_TOL)
-        h1 = terms.identity_h1()
-        add("identity_h1", seed, h1.residual, IDENTITY_TOL)
-        add("orthogonality", seed, h1.extras["orthogonality"], ORTHOGONALITY_TOL)
-        cubic = terms.identity_cubic_expansion()
-        add("identity_cubic_expansion", seed, cubic.residual, IDENTITY_TOL)
+        l2, h1, cubic = terms.identity_l2(), terms.identity_h1(), terms.identity_cubic_expansion()
         terms.drop_smoothed()
-        # The consistency floor on 64-per-axis grids sits near 1.5e-11
-        # (fft roundoff through the quartic symbol), so the suite uses the
-        # common 1e-10 bound; the tighter CONSISTENCY_TOL is reserved for
-        # coarser grids where the floor is ~1e-13.
-        consistency = terms.rhs_consistency_with_heff()
-        add("rhs_consistency_with_heff", seed, consistency, IDENTITY_TOL)
-        add("energy_chain_rule", seed, terms.energy_chain_rule_gap(), 1e-9)
-    return rows
+        per_seed.append((l2.residual, h1.residual, h1.extras["orthogonality"], cubic.residual,
+                         terms.rhs_consistency_with_heff(), terms.energy_chain_rule_gap()))
+    return [PropertyCheck(name, all(r <= tol for r in rs), float(np.max(rs)), tol)
+            for (name, tol), rs in zip(_SUITE, zip(*per_seed))]

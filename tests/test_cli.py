@@ -16,6 +16,8 @@ from llbar.cli import _KEYS, _build_parser, main
 from llbar.diagnostics import TimeSeries
 from llbar.grid import Grid, constant_field, random_band_limited_field, to_spectral
 from llbar.io import load_snapshot, read_config, save_snapshot, write_config
+from llbar.mollifier import make_mollifier
+from llbar.physics import identity_suite
 
 
 def run(*args):
@@ -108,6 +110,14 @@ class TestVerify:
     def test_general_parameters_accepted(self, outdir):
         assert run("verify", "--n", "16", "--seeds", "1", "--chi", "0.5",
                    "--lambda-e", "2.0", "--gamma", "0.5", "--outdir", outdir) == 0
+
+    def test_identity_rows_are_the_suite_checks_as_printed(self, outdir):
+        assert run("verify", "--n", "16", "--seeds", "2", "--outdir", outdir) == 0
+        lines = open(os.path.join(outdir, "verify.txt")).read().splitlines()
+        checks = identity_suite(make_mollifier(Grid(2, 16), 0.2), seeds=range(2))
+        assert [line.split() for line in lines[1 : 1 + len(checks)]] == [
+            [c.name, f"{c.measured:.6e}", "bound", f"{c.bound:.3e}", "PASS"] for c in checks
+        ]
 
 
 class TestUsageErrors:
@@ -461,6 +471,19 @@ class TestConfigResolution:
         series = "series.csv"
         assert (second / series).read_bytes() == (first / series).read_bytes()
 
+    def test_hash_in_snapshot_name_replays_from_echo(self, tmp_path):
+        # the echo reads `snapshot = .../u#1.snap`: a # inside a value opens no comment
+        snap = str(tmp_path / "u#1.snap")
+        write_stationary_snapshot(snap, n=16)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run("simulate", "--snapshot", snap, "--n", "16", "--t-end", "0.05",
+                   "--outdir", str(first)) == 0
+        echo = first / "effective-config.txt"
+        assert read_config(str(echo))["snapshot"] == snap
+        assert run("simulate", "--config", str(echo), "--outdir", str(second)) == 0
+        series = "series.csv"
+        assert (second / series).read_bytes() == (first / series).read_bytes()
+
     def test_snapshot_none_as_flag_or_file_value_means_generated_data(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("snapshot = none\n")
@@ -625,6 +648,14 @@ class TestConverge:
                    "--adaptive", "--outdir", outdir)
         assert code == 1
         assert "--adaptive" in capsys.readouterr().err
+
+    def test_uniqueness_refuses_a_dt_above_the_shared_interval(self, outdir, capsys):
+        # leg a's dt = 1e-3 is twice t_end / 10
+        code = run("converge", "--study", "uniqueness", "--n", "16", "--t-end", "0.005",
+                   "--outdir", outdir)
+        assert code == 1
+        assert "t_end=0.005 allows dt <= 0.0005" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
 
     def test_linear_growth_rejects_adaptive_before_any_step(self, outdir, capsys):
         # the halved-amplitude run is compared with the full one on the same steps

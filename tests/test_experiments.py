@@ -96,6 +96,20 @@ class TestStudySpec:
             with pytest.raises(UsageError, match="t_end"):
                 runner()
 
+    @pytest.mark.parametrize("dt, dt_b", [(2e-3, 1e-3), (1e-3, 2e-3)])
+    def test_uniqueness_dt_above_the_shared_interval(self, dt, dt_b):
+        # a dt above t_end / SHARED_TIMES would step the leg's dt and dt/2
+        # runs on the same landing steps, so its self-estimate measures nothing
+        with pytest.raises(UsageError, match=r"allows dt <= 0\.001$"):
+            run_uniqueness(seeded(n=16), t_end=0.01, dt=dt, scheme_b="etd1", dt_b=dt_b)
+
+    def test_uniqueness_dt_at_the_shared_interval_accepted(self):
+        # 0.7 / 10 rounds below 0.07: the run passes the dt check and stops
+        # on its bad eps, before any step
+        with pytest.raises(UsageError, match="eps must"):
+            run_uniqueness(seeded(n=16), t_end=0.7, dt=0.07, scheme_b="etd1", dt_b=0.07,
+                           eps=-0.3)
+
     def test_cauchy_needs_three_eps(self):
         with pytest.raises(UsageError, match="at least 3"):
             run_eps_cauchy(seeded(n=16), (0.4, 0.2), t_end=0.1)

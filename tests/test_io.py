@@ -188,6 +188,15 @@ class TestConfigFile:
         )
         assert read_config(path) == {"scheme": "etd1", "dt": "0.5"}
 
+    def test_hash_inside_a_value_round_trips(self, tmp_path):
+        # a # opens a comment only at the start of a line or after whitespace
+        path = tmp_path / "run.cfg"
+        values = {"snapshot": "u#1.snap", "label": "a#b#"}
+        write_config(path, values, header="echo")
+        assert read_config(path) == values
+        path.write_text("snapshot = u#1.snap #the start\n#dt = 1\n")
+        assert read_config(path) == {"snapshot": "u#1.snap"}
+
     def test_duplicate_key(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("dt = 1\ndt = 2\n")

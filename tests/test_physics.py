@@ -5,6 +5,8 @@ right-hand side and the effective field, direct-summation DFT plus plain
 sample sums for the energy, and closed-form constant-field reductions.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from llbar.grid import (
     to_physical,
     to_spectral,
 )
-from llbar.mollifier import make_mollifier, mollify
+from llbar.mollifier import PropertyCheck, make_mollifier, mollify
 from llbar.physics import (
     CONSISTENCY_TOL,
     DEFAULT_PARAMS,
@@ -518,17 +520,16 @@ class TestParams:
 
 class TestIdentitySuite:
     def test_all_rows_pass(self, grid32_2d):
-        rows = identity_suite(make_mollifier(grid32_2d, 0.2), seeds=range(3))
-        assert len(rows) == 18  # 6 checks x 3 seeds
-        assert all(r["passed"] for r in rows)
-        assert {r["check"] for r in rows} == {
+        checks = identity_suite(make_mollifier(grid32_2d, 0.2), seeds=range(3))
+        assert [c.name for c in checks] == [
             "identity_l2",
             "identity_h1",
             "orthogonality",
             "identity_cubic_expansion",
             "rhs_consistency_with_heff",
             "energy_chain_rule",
-        }
+        ]
+        assert all(c.passed for c in checks)
 
     @pytest.mark.parametrize(
         "dim,n,kind,p",
@@ -537,35 +538,52 @@ class TestIdentitySuite:
     )
     def test_rows_equal_standalone_checks_bit_for_bit(self, dim, n, kind, p):
         """The suite evaluates each seed's shared terms once and drops the
-        smoothed ones before the J-free checks; every row must still be
-        exactly what a fresh FieldTerms gives for that check alone."""
+        smoothed ones before the J-free checks; every one-seed check must
+        still measure exactly what a fresh FieldTerms gives for that check
+        alone, and a two-seed check the max of those, passing when both
+        are within its bound."""
         grid = Grid(dim, n)
         J = make_mollifier(grid, 0.2, kind)
-        rows = {(r["check"], r["seed"]): r["residual"] for r in identity_suite(J, p, range(2))}
+        per_seed = []
         for seed in range(2):
+            rows = {c.name: c.measured for c in identity_suite(J, p, [seed])}
             u = random_band_limited_field(grid, seed=seed, kmax=n // 6)
             h1 = FieldTerms(u, J, p).identity_h1()
-            assert rows["identity_l2", seed] == FieldTerms(u, J, p).identity_l2().residual
-            assert rows["identity_h1", seed] == h1.residual
-            assert rows["orthogonality", seed] == h1.extras["orthogonality"]
+            assert rows["identity_l2"] == FieldTerms(u, J, p).identity_l2().residual
+            assert rows["identity_h1"] == h1.residual
+            assert rows["orthogonality"] == h1.extras["orthogonality"]
             cubic = FieldTerms(u, J, p).identity_cubic_expansion().residual
-            assert rows["identity_cubic_expansion", seed] == cubic
+            assert rows["identity_cubic_expansion"] == cubic
             consistency = FieldTerms(u, J, p).rhs_consistency_with_heff()
-            assert rows["rhs_consistency_with_heff", seed] == consistency
+            assert rows["rhs_consistency_with_heff"] == consistency
             chain = FieldTerms(u, J, p).energy_chain_rule_gap()
-            assert rows["energy_chain_rule", seed] == chain
+            assert rows["energy_chain_rule"] == chain
             # the chain rule's D is report()'s, bit for bit
             assert FieldTerms(u, J, p).dissipation == report(u, 0.0, p).dissipation
+            per_seed.append(rows)
+        for c in identity_suite(J, p, range(2)):
+            assert c.measured == max(rows[c.name] for rows in per_seed)
+            assert c.passed == all(rows[c.name] <= c.bound for rows in per_seed)
 
     def test_row_shape(self, grid16_2d):
-        row = identity_suite(make_mollifier(grid16_2d, 0.2), seeds=[0])[0]
-        assert set(row) == {
-            "check",
-            "grid",
-            "seed",
-            "eps",
-            "residual",
-            "tolerance",
-            "passed",
-        }
-        assert row["grid"] == "2d-n16"
+        checks = identity_suite(make_mollifier(grid16_2d, 0.2), seeds=[0])
+        assert all(type(c) is PropertyCheck for c in checks)
+        assert [(c.name, c.bound) for c in checks] == [
+            ("identity_l2", IDENTITY_TOL),
+            ("identity_h1", IDENTITY_TOL),
+            ("orthogonality", ORTHOGONALITY_TOL),
+            ("identity_cubic_expansion", IDENTITY_TOL),
+            ("rhs_consistency_with_heff", IDENTITY_TOL),
+            ("energy_chain_rule", 1e-9),
+        ]
+        assert not any(c.informational for c in checks)
+
+    def test_worst_seed_decides_and_nan_is_not_hidden(self, grid16_2d, monkeypatch):
+        """A seed past the bound fails the check, and a NaN residual after
+        a finite one is the measured value, not lost to the max."""
+        J = make_mollifier(grid16_2d, 0.2)
+        residuals = iter([1e-16, 2e-9, 1e-16, float("nan")])
+        monkeypatch.setattr(FieldTerms, "energy_chain_rule_gap", lambda self: next(residuals))
+        first, second = (identity_suite(J, seeds=range(2))[-1] for _ in range(2))
+        assert (first.measured, first.passed) == (2e-9, False)
+        assert math.isnan(second.measured) and not second.passed
