@@ -42,7 +42,14 @@ from .experiments import (
 )
 from .grid import Grid, random_band_limited_field
 from .integrator import SCHEMES, SchemeConfig, integrate
-from .io import ensure_outdir, load_snapshot, read_config, save_snapshot, write_config
+from .io import (
+    check_config_value,
+    ensure_outdir,
+    load_snapshot,
+    read_config,
+    save_snapshot,
+    write_config,
+)
 from .mollifier import KINDS, make_mollifier, verify_mollifier_properties
 from .physics import EffectiveFieldParams, identity_suite
 
@@ -188,7 +195,8 @@ def _resolve(args) -> dict:
     """Flag > config-file > default over the keys of the run's reader (the
     subcommand, or converge's study), tracking which keys the user set (a
     file value counts only when it differs from the default, so an echo
-    replays). Writes nothing."""
+    replays). A value whose echo would not read back is a usage error.
+    Writes nothing."""
     cmd = args.subcommand
     offered = {key: k for key, k in _KEYS.items() if any(r in k.reads for r in _readers(cmd))}
     file_vals = {}
@@ -239,24 +247,27 @@ def _resolve(args) -> dict:
                 + ", ".join(conflicts)
             )
     cfg["outdir"] = cfg["outdir"] or os.environ.get("LLBAR_OUTDIR") or "out"
+    for key, value in cfg.items():
+        check_config_value(key, _echo_value(value))
     return cfg
 
 
-def _echo_config(cfg: dict) -> None:
-    def fmt(value):
-        if value is None:
-            return "none"
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return repr(value)
-        if isinstance(value, tuple):
-            return ",".join(str(v) for v in value)
-        return str(value)
+def _echo_value(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
 
+
+def _echo_config(cfg: dict) -> None:
     write_config(
         os.path.join(cfg["outdir"], "effective-config.txt"),
-        {key: fmt(value) for key, value in cfg.items()},
+        {key: _echo_value(value) for key, value in cfg.items()},
         header="effective configuration; outputs are a function of this and nothing else",
     )
 

@@ -21,11 +21,16 @@ One buffer per transform. A forward transform writes its real pass and
 each complex pass into one output array; an inverse makes its leading
 complex passes in place in one copy of its input, in the library's axis
 order, and ends with the real pass. Both give numpy's rfftn/irfftn bits
-exactly. The out= argument of numpy.fft they rely on needs numpy >= 2.0.
+exactly. The band transforms make the same passes on only the lines that
+the 2/3 band |m| <= n//3 touches: the band inverse of a spectrum that is
+zero outside the band, and every in-band mode of the band forward, keep
+those bits. The out= argument of numpy.fft they rely on, strided views
+included, needs numpy >= 2.0.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -174,20 +179,61 @@ class Grid:
 
     # -- real transforms over the trailing dim axes ---------------------------
 
+    @cached_property
+    def band_passes(self) -> tuple[tuple[int, tuple], ...]:
+        """The complex passes of the band transforms, in inverse order, as
+        (axis, index) pairs: a pass along `axis` covers only the lines whose
+        last-axis column lies in 0..n//3 and whose index on every axis
+        between `axis` and the last lies in the band |m| <= n//3 (the
+        slices [0, n//3] and [n - n//3, n) of that axis)."""
+        kc = self.n // 3
+        band = (slice(0, kc + 1), slice(self.n - kc, None))
+        return tuple(
+            (axis, (Ellipsis, slice(None)) + inner + (band[0],))
+            for axis in range(-self.dim, -1)
+            for inner in itertools.product(band, repeat=-axis - 2)
+        )
+
+    def _full_passes(self):
+        return tuple((axis, (Ellipsis,)) for axis in range(-self.dim, -1))
+
+    def _forward(self, a: np.ndarray, passes) -> np.ndarray:
+        """The real pass over the last axis into one output array, then the
+        complex passes in place in it, last axis first."""
+        out = np.empty(a.shape[: a.ndim - self.dim] + self.spectral_shape, np.complex128)
+        np.fft.rfftn(a, axes=(-1,), out=out)
+        for axis, index in reversed(passes):
+            lines = out[index]
+            np.fft.fft(lines, axis=axis, out=lines)
+        return out
+
+    def _inverse(self, a: np.ndarray, passes) -> np.ndarray:
+        """The complex passes in place in one copy of a, leading axis first,
+        then the real pass; a itself is never modified."""
+        buf = np.array(a, dtype=np.complex128)
+        for axis, index in passes:
+            lines = buf[index]
+            np.fft.ifft(lines, axis=axis, out=lines)
+        return np.fft.irfftn(buf, s=(self.n,), axes=(-1,))
+
     def rfftn(self, a: np.ndarray) -> np.ndarray:
         """np.fft.rfftn over the trailing dim axes, every pass written into
         one output array."""
-        out = np.empty(a.shape[: a.ndim - self.dim] + self.spectral_shape, np.complex128)
-        return np.fft.rfftn(a, axes=tuple(range(-self.dim, 0)), out=out)
+        return self._forward(a, self._full_passes())
 
     def irfftn(self, a: np.ndarray) -> np.ndarray:
-        """np.fft.irfftn(a, s=shape) over the trailing dim axes, with the
-        leading complex passes made in place in one copy of a, in the
-        library's axis order; a itself is never modified."""
-        buf = np.array(a, dtype=np.complex128)
-        for axis in range(-self.dim, -1):
-            np.fft.ifft(buf, axis=axis, out=buf)
-        return np.fft.irfftn(buf, s=(self.n,), axes=(-1,))
+        """np.fft.irfftn(a, s=shape) over the trailing dim axes."""
+        return self._inverse(a, self._full_passes())
+
+    def band_rfftn(self, a: np.ndarray) -> np.ndarray:
+        """rfftn(a) on every mode of the 2/3 band |m| <= n//3; the modes
+        outside it hold partial sums, for the caller to mask."""
+        return self._forward(a, self.band_passes)
+
+    def band_irfftn(self, a: np.ndarray) -> np.ndarray:
+        """irfftn(a) of a spectrum that is zero outside the 2/3 band: the
+        lines that hold only zeros are not transformed."""
+        return self._inverse(a, self.band_passes)
 
     def compatible(self, other: "Grid") -> bool:
         return (

@@ -122,6 +122,22 @@ def load_snapshot(path, expected_grid: Grid | None = None) -> Field:
     return Field(grid, data.copy(), representation)
 
 
+# a # opens a comment at the start of a line or after whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def check_config_value(key: str, text: str) -> None:
+    """Refuse a value that read_config would not give back: one with a #
+    at its start or after whitespace, surrounding whitespace or a line
+    break. So every file write_config writes replays."""
+    if _COMMENT.search(text) or text != text.strip() or "\n" in text or "\r" in text:
+        raise UsageError(
+            f"value {text!r} of {key!r} would not replay from a config file: a # "
+            "at its start or after whitespace opens a comment, and surrounding "
+            "whitespace and line breaks are dropped"
+        )
+
+
 def read_config(path) -> dict:
     """Flat `key = value` text: one pair per line, # comments, blank lines.
     A # opens a comment at the start of a line or after whitespace, so a
@@ -137,7 +153,7 @@ def read_config(path) -> dict:
         except UnicodeDecodeError as exc:
             raise UsageError(f"{path}: not UTF-8 text: {exc}") from exc
         for lineno, line in enumerate(lines, start=1):
-            text = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+            text = _COMMENT.split(line, maxsplit=1)[0].strip()
             if not text:
                 continue
             key, sep, value = text.partition("=")
@@ -155,7 +171,10 @@ def read_config(path) -> dict:
 
 
 def write_config(path, mapping, header: str | None = None) -> None:
-    """Inverse of read_config (keys sorted for diff-stable output)."""
+    """Inverse of read_config (keys sorted for diff-stable output); a value
+    that would not read back is a UsageError, and nothing is written."""
+    for key, value in mapping.items():
+        check_config_value(key, str(value))
     with open(path, "w") as fh:
         if header:
             for line in header.splitlines():

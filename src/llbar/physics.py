@@ -201,16 +201,19 @@ def nonlinear_rhs(grid: Grid, uhat: np.ndarray, symbols: tuple) -> np.ndarray:
         N = -rho mask [(c + c_lap |k|^2) F(|v|^2 v) + gamma F(v x Lap v)],
 
     c = cubic_coeff, c_lap = cubic_laplacian_coeff, which is rhs() less
-    its linear_symbol part. Non-finite input gives a non-finite result,
+    its linear_symbol part. Both spectra transformed back are zero outside
+    the 2/3 band and both products are masked, so all four transforms are
+    the grid's band transforms, with the bits of the full ones on every
+    mode the result keeps. Non-finite input gives a non-finite result,
     not an exception: inside a time step that marks the step a blow-up.
     """
     smooth, lap, cube, cross = symbols
     vhat = smooth * uhat
-    v = grid.irfftn(vhat)
-    lap_v = grid.irfftn(np.multiply(lap, vhat, out=vhat))
-    cross_hat = grid.rfftn(_cross(v, lap_v))
+    v = grid.band_irfftn(vhat)
+    lap_v = grid.band_irfftn(np.multiply(lap, vhat, out=vhat))
+    cross_hat = grid.band_rfftn(_cross(v, lap_v))
     # v is read by the cross product above before |v|^2 v overwrites it
-    cube_hat = grid.rfftn(np.multiply(np.sum(v**2, axis=0), v, out=v))
+    cube_hat = grid.band_rfftn(np.multiply(np.sum(v**2, axis=0), v, out=v))
     data = np.multiply(cube, cube_hat, out=cube_hat)
     data -= np.multiply(cross, cross_hat, out=cross_hat)
     return data

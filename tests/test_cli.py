@@ -484,6 +484,18 @@ class TestConfigResolution:
         series = "series.csv"
         assert (second / series).read_bytes() == (first / series).read_bytes()
 
+    @pytest.mark.parametrize("key", ["snapshot", "outdir"])
+    def test_value_whose_echo_would_not_replay_is_refused(self, tmp_path, capsys, key):
+        # `snapshot = .../u #1.snap` would read back as `.../u`: the run is
+        # refused, naming the key, before it writes or steps anything
+        snap = str(tmp_path / "u #1.snap")
+        write_stationary_snapshot(snap, n=16)
+        source = ["--snapshot", snap] if key == "snapshot" else []
+        out = tmp_path / ("out #1" if key == "outdir" else "out")
+        assert run("simulate", "--n", "16", *source, "--outdir", str(out)) == 1
+        assert f"of {key!r} would not replay" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["u #1.snap"]
+
     def test_snapshot_none_as_flag_or_file_value_means_generated_data(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("snapshot = none\n")

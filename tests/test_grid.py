@@ -201,6 +201,44 @@ class TestSameBits:
             field.data, random_band_limited_field(grid, seed=seed, amplitude=0.5).data
         )
 
+    BAND_CASES = [(dim, n) for dim in (1, 2, 3) for n in (8, 10, 16)] + [(2, 64), (2, 256), (3, 32)]
+
+    @staticmethod
+    def band_sample(dim, n):
+        """A real sample and the spectrum of that sample cut to the 2/3
+        band; n=10 puts the band edge n//3 below n/3."""
+        grid = Grid(dim=dim, n=n)
+        rng = np.random.default_rng(7 * n + dim)
+        a = rng.standard_normal((3,) + grid.shape)
+        return grid, a, grid.rfftn(a) * grid.dealias_mask
+
+    @pytest.mark.parametrize("dim,n", BAND_CASES)
+    def test_band_inverse_has_the_full_inverse_bits_and_keeps_its_input(self, dim, n):
+        grid, _, spectrum = self.band_sample(dim, n)
+        before = spectrum.copy()
+        got = grid.band_irfftn(spectrum)
+        assert got.dtype == np.float64 and got.shape == (3,) + grid.shape
+        assert got.tobytes() == grid.irfftn(spectrum).tobytes()
+        assert spectrum.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("dim,n", BAND_CASES)
+    def test_band_forward_has_the_full_forward_bits_in_band(self, dim, n):
+        grid, a, _ = self.band_sample(dim, n)
+        band = grid.dealias_mask
+        got = grid.band_rfftn(a)
+        assert got.shape == (3,) + grid.spectral_shape
+        assert got[:, band].tobytes() == grid.rfftn(a)[:, band].tobytes()
+
+    @pytest.mark.parametrize("dim,n,lines", [(2, 64, [22]), (3, 32, [121, 110, 352])])
+    def test_band_passes_cover_only_the_band_lines(self, dim, n, lines):
+        """At 3d n=32 the first complex pass makes 231 of the 544 lines of
+        the half lattice and the second 352; at 2d n=64 the pass makes 22
+        of 33 columns."""
+        grid = Grid(dim=dim, n=n)
+        spectral = np.empty(grid.spectral_shape)
+        assert [spectral[index].size // n for _, index in grid.band_passes] == lines
+        assert Grid(dim=1, n=n).band_passes == ()
+
 
 # -- norms and inner products ---------------------------------------------------
 

@@ -11,6 +11,7 @@ from llbar.errors import DataError, GridMismatchError, SnapshotFormatError, Usag
 from llbar.grid import Grid, random_band_limited_field, to_physical, to_spectral
 from llbar.io import (
     SNAPSHOT_MAGIC,
+    check_config_value,
     ensure_outdir,
     load_snapshot,
     read_config,
@@ -196,6 +197,19 @@ class TestConfigFile:
         assert read_config(path) == values
         path.write_text("snapshot = u#1.snap #the start\n#dt = 1\n")
         assert read_config(path) == {"snapshot": "u#1.snap"}
+
+    @pytest.mark.parametrize(
+        "value", ["u #1.snap", "#u.snap", "u\t#1", " u.snap", "u.snap ", "a\nb", "a\rb"]
+    )
+    def test_value_that_would_not_read_back_is_refused(self, tmp_path, value):
+        # read_config of `snapshot = u #1.snap` gives `u`: such a value is
+        # refused, by name, and no file is written
+        path = tmp_path / "run.cfg"
+        with pytest.raises(UsageError, match="'snapshot' would not replay"):
+            write_config(path, {"snapshot": value, "n": "16"})
+        assert not path.exists()
+        with pytest.raises(UsageError, match="'snapshot'"):
+            check_config_value("snapshot", value)
 
     def test_duplicate_key(self, tmp_path):
         path = tmp_path / "run.cfg"

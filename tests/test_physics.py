@@ -415,6 +415,51 @@ class TestMollifiedRhs:
         assert not np.all(np.isfinite(out))
 
 
+class TestNonlinearRhsBand:
+    """nonlinear_rhs runs the grid's band transforms; the formula through
+    the full transforms is the reference for every mode the result keeps."""
+
+    CASES = [
+        pytest.param(dim, n, eps, id=f"{dim}d-n{n}-{eps}")
+        for dim, n in ((2, 32), (3, 16), (3, 10))
+        for eps in (None, 0.2)
+    ]
+
+    @staticmethod
+    def full_transform_formula(grid, uhat, symbols):
+        smooth, lap, cube, cross = symbols
+        vhat = smooth * uhat
+        v = grid.irfftn(vhat)
+        cross_hat = grid.rfftn(np.cross(v, grid.irfftn(lap * vhat), axis=0))
+        cube_hat = grid.rfftn(np.sum(v**2, axis=0) * v)
+        return cube * cube_hat - cross * cross_hat
+
+    @pytest.mark.parametrize("dim,n,eps", CASES)
+    def test_in_band_bits_equal_the_full_transforms_and_the_rest_is_zero(self, dim, n, eps):
+        grid = Grid(dim, n)
+        J = None if eps is None else make_mollifier(grid, eps)
+        # kmax above the band: the input's out-of-band modes are not zero
+        uhat = to_spectral(random_band_limited_field(grid, seed=3, kmax=n // 2 - 1)).data
+        symbols = nonlinear_symbols(grid, J=J)
+        got = nonlinear_rhs(grid, uhat, symbols)
+        want = self.full_transform_formula(grid, uhat, symbols)
+        band = grid.dealias_mask
+        assert got[:, band].tobytes() == want[:, band].tobytes()
+        assert np.all(got[:, ~band] == 0)
+
+    @pytest.mark.parametrize("dim,n,eps", CASES)
+    @pytest.mark.parametrize("where", ["in_band", "out_of_band"])
+    def test_non_finite_input_gives_non_finite_output(self, dim, n, eps, where):
+        grid = Grid(dim, n)
+        J = None if eps is None else make_mollifier(grid, eps)
+        uhat = to_spectral(random_band_limited_field(grid, seed=3)).data
+        m = 1 if where == "in_band" else n // 3 + 1
+        uhat[(1,) + (m,) * dim] = complex("nan")
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = nonlinear_rhs(grid, uhat, nonlinear_symbols(grid, J=J))
+        assert not np.all(np.isfinite(out[:, grid.dealias_mask]))
+
+
 class TestSplitting:
     def test_symbol_values(self, grid32_2d):
         sym = linear_symbol(grid32_2d)
