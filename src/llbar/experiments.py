@@ -6,8 +6,8 @@ Each runner takes the values its study reads and is a pure function of
 them (seeded data, fixed cadence), so re-runs are bit-identical. Every
 stepping runner takes a scheme name and a dt, so each run steps on one
 fixed dt, and a study steps each run through _leg; runs that are compared
-sample by sample step together through _lockstep. Each report states its
-own gate: `failures()` lists the checks it failed. "sup in t" always means
+sample by sample step through _fold_legs. Each report states its own
+gate: `failures()` lists the checks it failed. "sup in t" always means
 the max over the shared report cadence of the compared runs.
 """
 
@@ -43,7 +43,7 @@ FAMILY_SIZE = 100
 # (13,824) 0.68, 2d n=128 (16,384) 0.87, 3d n=32 (32,768) 0.70. Below
 # 8,000 threads do not win 8 of 9 pairs in repeated sets: 2d n=72 (5,184)
 # 0.92/0.97/1.07 (9, 6, 2 of 9 won), 2d n=76 (5,776) 0.97/1.03/1.02
-# (7, 3, 4), 2d n=80 0.98/1.00/0.96 (5, 4, 6).
+# (7, 3, 4), 2d n=80 0.98/1.00/0.96 (5, 4, 6); each leg pinned to a thread.
 THREADED_POINTS = 8000
 
 
@@ -52,19 +52,14 @@ def _check_t_end(t_end):
         raise UsageError(f"t_end must be positive, got {t_end}")
 
 
-def _leg_start(u0, J):
-    """The start of one leg: u0 for the limit flow (J None), else J u0."""
-    return to_spectral(u0) if J is None else mollify(J, to_spectral(u0))
-
-
 def _leg(u0, J, label, t_end, cfg, params, report_every, land_at=()):
-    """The samples of one leg from _leg_start, also at the times land_at;
-    a blow-up carries label."""
+    """The samples of one leg from u0 (spectral unless J is None, the limit
+    flow) smoothed by J, also at the times land_at; a blow-up carries label."""
+    run = trajectory(u0 if J is None else mollify(J, u0), t_end, cfg, params, J,
+                     report_every=report_every, land_at=land_at)
+    del u0  # the run holds its start until its first step, as a lone leg does
     try:
-        yield from trajectory(
-            _leg_start(u0, J), t_end, cfg, params, J, report_every=report_every,
-            land_at=land_at,
-        )
+        yield from run
     except BlowUpError as exc:
         exc.study_label = label
         raise
@@ -82,57 +77,92 @@ def _lanes(legs, npoints):
     return min(len(legs), cores)
 
 
-def _advance(legs):
-    """next() of each leg, as (sample, None) or (None, exception); a leg
-    that has ended gives (None, None)."""
-    out = []
-    for leg in legs:
+def _fold_legs(legs, pairs, fold_leg, fold_pair, npoints):
+    """Step the legs, calling fold_leg(i, sample) on each sample of leg i and
+    fold_pair(p, sample_i, sample_j) on each sample both legs of pair p =
+    (i, j) produce, in sample order. A pair folds sample k once both legs
+    have it; a leg steps again once its pairs have folded its sample, which
+    is freed first. The calling thread and _lanes - 1 workers step the ready
+    leg with the lowest sample index, most pairs first. When a leg's k-th
+    next() raises or ends, or a fold of sample k raises, every leg still
+    runs to sample k; then the first of these at the lowest k (leg errors,
+    ends, fold errors, in leg or pair order) is raised unless every leg
+    ended there. Legs ending at different samples do not share a cadence."""
+    import threading
+
+    n = len(legs)
+    partners = [[(p, sum(pr) - i) for p, pr in enumerate(pairs) if i in pr] for i in range(n)]
+    held = [None] * n  # each leg's current sample
+    produced = [0] * n  # how many samples each leg has produced
+    pending = [0] * n  # per leg: its step in progress, then its sample's pair folds
+    stops = []  # (k, rank: 0 leg error, 1 end, 2 fold error, leg or pair, exception)
+    cond = threading.Condition()
+    busy, over = 0, False
+
+    def step(i):
+        k = produced[i]
         try:
-            out.append((next(leg), None))
-        except StopIteration:
-            out.append((None, None))
-        except Exception as exc:  # raised in leg order by _lockstep
-            out.append((None, exc))
-    return out
+            sample = next(legs[i])
+            fold_leg(i, sample)
+        except Exception as exc:  # StopIteration: the leg has ended
+            with cond:  # pending[i] stays 1: the leg never steps again
+                stops.append((k, isinstance(exc, StopIteration), i, exc))
+            return
+        with cond:
+            held[i], produced[i], pending[i] = sample, k + 1, 1 + len(partners[i])
+            due = [(p, j) for p, j in partners[i] if produced[j] == k + 1]
+        del sample
+        for p, _ in due:  # both samples stay held until this fold is counted
+            try:
+                fold_pair(p, held[pairs[p][0]], held[pairs[p][1]])
+            except Exception as exc:
+                with cond:
+                    stops.append((k, 2, p, exc))
+        with cond:
+            for leg in [i] * (len(due) + 1) + [j for _, j in due]:
+                pending[leg] -= 1
+                if not pending[leg]:
+                    held[leg] = None
 
-
-def _lockstep(legs, npoints):
-    """Yield the legs' samples one sample at a time, as a tuple in leg
-    order. For each sample every leg advances once: with k lanes
-    (_lanes), lane i advances legs i, i + k, ...; the calling thread runs
-    lane 0 and k - 1 worker threads the others. A leg does the same
-    arithmetic on any thread, so the samples do not depend on k. When
-    legs fail in one sample, the first failing leg's error is raised after
-    every leg has finished that sample; legs that end at different samples
-    do not share their report cadence."""
-    lanes = _lanes(legs, npoints)
-    shares = [legs[i::lanes] for i in range(lanes)]
-    pool = None
-    if lanes > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(lanes - 1, thread_name_prefix="eps-leg")
-    try:
+    def work():
+        nonlocal busy, over
         while True:
-            futures = [pool.submit(_advance, share) for share in shares[1:]]
-            outcomes = [_advance(shares[0])] + [f.result() for f in futures]
-            steps = [None] * len(legs)
-            for i in range(lanes):
-                steps[i::lanes] = outcomes[i]
-            del futures, outcomes  # each holds the samples
-            exc = next((e for _, e in steps if e is not None), None)
-            if exc is not None:
-                raise exc
-            done = [sample is None for sample, _ in steps]
-            if all(done):
-                return
-            if any(done):
-                raise UsageError("compared runs must share their report cadence")
-            yield tuple(sample for sample, _ in steps)
-            del steps  # free this sample's states before the legs step again
+            with cond:
+                while not over:
+                    bound = min((stop[0] for stop in stops), default=math.inf)
+                    ready = [i for i in range(n) if not pending[i] and produced[i] <= bound]
+                    if ready or not busy:
+                        break
+                    cond.wait()
+                if over or not ready:
+                    over = True
+                    cond.notify_all()
+                    return
+                i = min(ready, key=lambda i: (produced[i], -len(partners[i]), i))
+                pending[i], busy = 1, busy + 1
+            try:
+                step(i)
+            finally:
+                with cond:
+                    busy -= 1
+                    cond.notify_all()
+
+    workers = [threading.Thread(target=work, daemon=True) for _ in range(1, _lanes(legs, npoints))]
+    for worker in workers:
+        worker.start()
+    try:
+        work()
     finally:
-        if pool is not None:
-            pool.shutdown()
+        with cond:
+            over = True
+            cond.notify_all()
+        for worker in workers:
+            worker.join()
+    k, rank, _, exc = min(stops, key=lambda stop: stop[:3])
+    if rank != 1:
+        raise exc
+    if sum(stop[:2] == (k, 1) for stop in stops) < n:
+        raise UsageError("compared runs must share their report cadence")
 
 
 def fit_loglog(x, y):
@@ -194,12 +224,12 @@ def _eps_study(
     eps legs smooth with kernel, the rate is fitted over every pair, and an
     outdir receives <kind>.csv and <kind>.txt.
 
-    Steps the legs in lockstep, one sample at a time (_lockstep, on
-    several cores for large grids), and holds only their current states:
-    each pair's sup-in-t L2 difference and each leg's sup-in-t H2 are
-    running maxima. A blow-up names the first leg to blow up, to within
-    one sample interval; legs that blow up in the same interval go in eps
-    order."""
+    Folds the legs' samples as they come (_fold_legs, on several cores for
+    large grids; eps_limit compares each eps leg with the limit leg only)
+    and holds only the states a fold still needs: each pair's sup-in-t L2
+    difference and each leg's sup-in-t H2 are running maxima. A blow-up
+    names the first leg to blow up, to within one sample interval; legs
+    that blow up in the same interval go in eps order."""
     _check_t_end(t_end)
     need = 3 if kind == "eps_cauchy" else 2
     if len(eps_list) < need:
@@ -208,11 +238,13 @@ def _eps_study(
         raise UsageError(f"eps list must be strictly decreasing: {eps_list}")
     cfg = SchemeConfig(scheme=scheme, dt=dt)
     eps_values = list(eps_list) + ([None] if against_limit else [])
+    start = to_spectral(u0)  # one forward transform for every leg
     legs = [  # each mollifier is built here, so an eps out of range fails before any step
-        _leg(u0, None if eps is None else make_mollifier(u0.grid, eps, kernel),
+        _leg(start, None if eps is None else make_mollifier(u0.grid, eps, kernel),
              f"eps={eps}", t_end, cfg, params, report_every)
         for eps in eps_values
     ]
+    del start
     m = len(eps_list)
     if against_limit:
         pair_index = [(i, m) for i in range(m)]
@@ -220,15 +252,16 @@ def _eps_study(
         pair_index = list(itertools.combinations(range(m), 2))
     ys = [0.0] * len(pair_index)
     h2 = [-math.inf] * len(eps_values)
-    for samples in _lockstep(legs, u0.grid.npoints):
-        if len({t for t, _ in samples}) > 1:
+
+    def fold_leg(i, sample):
+        h2[i] = max(h2[i], norm(sample[1], "hs", s=2))
+
+    def fold_pair(p, a, b):
+        if a[0] != b[0]:
             raise UsageError("compared runs must share their report cadence")
-        ys = [
-            max(d, norm(samples[i][1] - samples[j][1], "l2"))
-            for d, (i, j) in zip(ys, pair_index)
-        ]
-        h2 = [max(h, norm(u, "hs", s=2)) for h, (_, u) in zip(h2, samples)]
-        del samples  # free the states before the legs step again
+        ys[p] = max(ys[p], norm(a[1] - b[1], "l2"))
+
+    _fold_legs(legs, pair_index, fold_leg, fold_pair, u0.grid.npoints)
     pairs = [(eps_values[i], eps_values[j] or 0.0, d) for (i, j), d in zip(pair_index, ys)]
     xs = [eps_values[i] for i, _ in pair_index]  # the larger eps of each pair
     stationary = max(ys) <= 1e-12 * max(1.0, *h2)
@@ -309,24 +342,29 @@ class UniquenessReport:
 
 
 def _leg_with_estimate(u0, cfg, J, label, t_end, params):
-    """One leg at dt and dt/2, stepped together and sampled at the shared
-    times (runs with different dt share no step-count cadence): the leg's
-    answer is the dt/2 run's states, one per shared time from t = 0, and
-    max_t ||u_dt - u_{dt/2}|| / (2^p - 1) its self-estimated error. J None
-    is the limit flow."""
+    """One leg from the spectral u0 at dt and dt/2, stepped together as one
+    pair of _fold_legs and sampled at the shared times (runs with different
+    dt share no step-count cadence): the leg's answer is the dt/2 run's
+    states, one per shared time from t = 0, and max_t ||u_dt - u_{dt/2}|| /
+    (2^p - 1) its self-estimated error. J None is the limit flow."""
     times = tuple(t_end * j / SHARED_TIMES for j in range(1, SHARED_TIMES + 1))
     runs = [
         _leg(u0, J, label, times[-1], run_cfg, params, 10**9, land_at=times)
         for run_cfg in (cfg, replace(cfg, dt=cfg.dt / 2.0))
     ]
-    answer, diff = [], 0.0
-    for (_, coarse), (_, fine) in _lockstep(runs, u0.grid.npoints):
-        diff = max(diff, norm(coarse - fine, "l2"))
-        answer.append(fine)
-        del coarse  # free the dt run's state before it steps again
+    answer, diffs = [], []
+
+    def keep(i, sample):  # the dt run's states go only into diffs
+        if i == 1:
+            answer.append(sample[1])
+
+    def compare(p, coarse, fine):
+        diffs.append(norm(coarse[1] - fine[1], "l2"))
+
+    _fold_legs(runs, [(0, 1)], keep, compare, u0.grid.npoints)
     if len(answer) != SHARED_TIMES + 1:
         raise UsageError(f"t_end={t_end:g} leaves no step between shared times")
-    return answer, diff / (2.0**cfg.order - 1.0)
+    return answer, max(diffs) / (2.0**cfg.order - 1.0)
 
 
 def _coarsened(cfg, est, est_target, t_end):
@@ -357,6 +395,7 @@ def run_uniqueness(
         raise UsageError(f"dt {max(dt, dt_b):g} exceeds the interval between shared times; "
                          f"t_end={t_end:g} allows dt <= {t_end / SHARED_TIMES:g}")
     J = make_mollifier(u0.grid, eps, kernel) if eps else None
+    u0 = to_spectral(u0)  # one forward transform for every run
     labels = ["leg a", "leg b"]
     cfgs = [SchemeConfig(scheme=scheme, dt=dt), SchemeConfig(scheme=scheme_b, dt=dt_b)]
     runs = [

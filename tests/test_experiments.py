@@ -10,6 +10,7 @@ import itertools
 import math
 import os
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -165,8 +166,9 @@ def legs_one_at_a_time(u0, against_limit, eps_list, t_end, scheme, dt):
 
 
 class TestLockstepLegs:
-    """The eps studies step their legs together and keep only the current
-    states; their numbers are those of legs run one at a time."""
+    """The eps studies fold their legs' samples as they come and keep only
+    the states a fold still needs; their numbers are those of legs run one
+    at a time."""
 
     def test_cauchy_matches_legs_run_alone(self, cauchy_report):
         assert (cauchy_report.pairs, cauchy_report.h2_sups) == legs_one_at_a_time(
@@ -179,7 +181,8 @@ class TestLockstepLegs:
         )
 
     def test_each_leg_builds_its_symbols_once(self, monkeypatch):
-        # one build per leg, also past eight legs
+        # one build per leg, also past eight legs; on one lane the limit
+        # leg, which has the most pairs, steps first
         import llbar.integrator as integrator
 
         builds = []
@@ -194,9 +197,9 @@ class TestLockstepLegs:
         report = run_eps_limit(seeded(n=16), **{**SWEEP, "eps_list": eps_list, "t_end": 0.01})
         assert len(report.pairs) == 9
         assert len(builds) == 10
-        assert [J.eps for J in builds[:-1]] == list(eps_list) and builds[-1] is None
+        assert builds[0] is None and [J.eps for J in builds[1:]] == list(eps_list)
 
-    @pytest.mark.parametrize("lanes", [2, 5])
+    @pytest.mark.parametrize("lanes", [2, 3, 5])
     @pytest.mark.parametrize("run_study", [run_eps_limit, run_eps_cauchy, run_uniqueness])
     def test_outputs_do_not_depend_on_the_lanes(self, tmp_path, monkeypatch, run_study, lanes):
         # each run on a fresh grid, whose cached wavenumber tables the legs
@@ -221,7 +224,7 @@ class TestLockstepLegs:
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     def test_legs_failing_in_one_sample_raise_the_first_legs_error(self, monkeypatch, lanes):
         # legs 2 and 0 blow up in sample 1, and every leg still finishes
-        # that sample
+        # that sample; leg 3 is compared with each of the others
         monkeypatch.setattr(experiments, "_lanes", lambda legs, npoints: lanes)
         advanced = []
 
@@ -236,14 +239,43 @@ class TestLockstepLegs:
                 raise exc
             yield i
 
-        lockstep = experiments._lockstep([leg(i) for i in range(4)], npoints=0)
-        assert next(lockstep) == (0, 1, 2, 3)
+        first = {}
         with pytest.raises(BlowUpError) as info:
-            next(lockstep)
+            experiments._fold_legs(
+                [leg(i) for i in range(4)], [(0, 3), (1, 3), (2, 3)],
+                lambda i, sample: first.setdefault(i, sample), lambda p, a, b: None,
+                npoints=0,
+            )
+        assert tuple(first[i] for i in range(4)) == (0, 1, 2, 3)
         assert info.value.study_label == "leg 0"
         assert sorted(advanced) == [0, 1, 2, 3]
 
-    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "pairs", [[(0, 3), (1, 3), (2, 3)], list(itertools.combinations(range(4), 2))]
+    )
+    def test_folds_run_in_sample_order(self, monkeypatch, lanes, pairs):
+        # each leg's and each pair's folds see samples 0, 1, 2, ... in turn
+        monkeypatch.setattr(experiments, "_lanes", lambda legs, npoints: lanes)
+        seen_legs = {i: [] for i in range(4)}
+        seen_pairs = {p: [] for p in range(len(pairs))}
+
+        def leg(i):
+            for k in range(20):
+                yield k, i
+
+        def fold_pair(p, a, b):
+            assert a == (a[0], pairs[p][0]) and b == (a[0], pairs[p][1])
+            seen_pairs[p].append(a[0])
+
+        experiments._fold_legs(
+            [leg(i) for i in range(4)], pairs,
+            lambda i, sample: seen_legs[i].append(sample[0]), fold_pair, npoints=0,
+        )
+        assert all(seen == list(range(20)) for seen in seen_legs.values())
+        assert all(seen == list(range(20)) for seen in seen_pairs.values())
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
     @pytest.mark.parametrize(
         "skew",
         [
@@ -264,10 +296,10 @@ class TestLockstepLegs:
         with pytest.raises(UsageError, match="cadence"):
             run_eps_limit(seeded(n=16), (0.4, 0.2), t_end=0.02, report_every=2)
 
-    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
     def test_each_legs_previous_sample_is_freed_before_it_steps(self, monkeypatch, lanes):
         # a leg's sample is its whole state at 3d n=32: the study and the
-        # lockstep must let it go before the legs step again
+        # fold loop must let it go before the leg steps again
         monkeypatch.setattr(experiments, "_lanes", lambda legs, npoints: lanes)
         u0 = to_spectral(seeded(n=16))
         stepped = []
@@ -288,6 +320,50 @@ class TestLockstepLegs:
         report = run_eps_limit(u0, (0.4, 0.2), t_end=0.04)
         assert len(stepped) == 3 * 4
         assert report.slope == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("outcome", ["return", "blow-up", "cadence"])
+    def test_no_thread_outlives_a_study(self, monkeypatch, outcome):
+        # the study runs on a helper thread, so a deadlock fails here
+        # instead of hanging the suite
+        monkeypatch.setattr(experiments, "_lanes", lambda legs, npoints: 3)
+        leg = experiments._leg
+
+        def faulty(u0, J, label, t_end, cfg, params, report_every):
+            if outcome == "cadence" and J is None:  # the limit leg ends halfway
+                t_end /= 2
+            run = leg(u0, J, label, t_end, cfg, params, report_every)
+            for k, sample in enumerate(run):
+                if outcome == "blow-up" and J is not None and J.eps == 0.2 and k == 3:
+                    exc = BlowUpError("non-finite state")
+                    exc.study_label = label
+                    raise exc
+                yield sample
+
+        monkeypatch.setattr(experiments, "_leg", faulty)
+        before = threading.active_count()
+        result = {}
+
+        def study():
+            try:
+                result["report"] = run_eps_limit(
+                    seeded(n=16), (0.4, 0.2, 0.1), t_end=0.02, report_every=1
+                )
+            except Exception as exc:
+                result["error"] = exc
+
+        helper = threading.Thread(target=study, daemon=True)
+        helper.start()
+        helper.join(timeout=60)
+        assert not helper.is_alive(), "the study did not finish"
+        assert threading.active_count() == before
+        if outcome == "return":
+            assert len(result["report"].pairs) == 3
+        elif outcome == "blow-up":
+            assert isinstance(result["error"], BlowUpError)
+            assert result["error"].study_label == "eps=0.2"
+        else:
+            assert isinstance(result["error"], UsageError)
+            assert "cadence" in str(result["error"])
 
     def test_memory_does_not_grow_with_t_end(self):
         # tracemalloc peaks at T and 4T: 1.02 and 1.95 MB when the study
